@@ -7,6 +7,8 @@ what makes results independent of the number of workers.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 from itertools import islice, product
 
 DEFAULT_BUDGET = 10_000_000
@@ -52,3 +54,17 @@ def shard_ranges(total: int, jobs: int) -> list[tuple[int, int]]:
         ranges.append((start, stop))
         start = stop
     return ranges
+
+
+def map_shards(worker, args: tuple, total: int, jobs: int | None) -> list:
+    """worker(*args, start, stop) over the shards of [0, total), results in shard order.
+
+    jobs defaults to the CPU count; a single shard runs in this process, more
+    run in a process pool.
+    """
+    jobs = jobs if jobs and jobs > 0 else (os.cpu_count() or 1)
+    shard_args = [(*args, start, stop) for start, stop in shard_ranges(total, jobs)]
+    if len(shard_args) == 1:
+        return [worker(*shard_args[0])]
+    with multiprocessing.Pool(len(shard_args)) as pool:
+        return pool.starmap(worker, shard_args)

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from .cyclotomic import CyclotomicInt, root_power
-from .groups import AbelianGroup, Element, check_element
+from .groups import AbelianGroup, Element, check_element, enumerate_elements
 
 
 @dataclass(frozen=True)
@@ -38,6 +39,21 @@ def char_exponent(chi: Character, g: Element) -> int:
     for ai, gi, ni in zip(chi.exponents, g, group.orders):
         total += (N // ni) * ai * gi
     return total % N
+
+
+@lru_cache(maxsize=None)
+def exponent_table(orders: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The character table of the group with these factor orders, as exponents.
+
+    Row c is the c-th character of enumerate_characters, column g the g-th
+    element of enumerate_elements, and the entry is char_exponent(chi_c, g).
+    Built once per group shape; every character sum and twist reads it.
+    """
+    group = AbelianGroup(orders)
+    elems = enumerate_elements(group)
+    return tuple(
+        tuple(char_exponent(chi, g) for g in elems) for chi in enumerate_characters(group)
+    )
 
 
 def char_value(chi: Character, g: Element) -> CyclotomicInt:

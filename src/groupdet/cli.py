@@ -88,7 +88,6 @@ def _cmd_verify(args) -> tuple[int, dict]:
         force=args.force,
         jobs=args.jobs,
     )
-    summary["status"] = "pass" if not summary["failures"] else "fail"
     return (0 if summary["status"] == "pass" else 1), summary
 
 
@@ -229,7 +228,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code, payload = args.func(args)
-    except (ValueError, BudgetExceededError, OSError, json.JSONDecodeError) as exc:
+    except (
+        ValueError, ArithmeticError, BudgetExceededError, OSError, json.JSONDecodeError
+    ) as exc:
         print(json.dumps({"status": "error", "message": str(exc)}, indent=1))
         return 2
     print(json.dumps(payload, indent=1))

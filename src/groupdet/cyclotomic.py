@@ -266,9 +266,7 @@ def root_power(N: int, k: int) -> CyclotomicInt:
     if N < 1:
         raise ValueError(f"no root of unity of order {N}")
     e = k % N
-    buckets = [0] * (e + 1)
-    buckets[e] = 1
-    return CyclotomicInt.from_polynomial(N, buckets)
+    return CyclotomicInt.from_polynomial(N, [0] * e + [1])
 
 
 def _trim(p: list[Fraction]) -> list[Fraction]:

@@ -110,13 +110,15 @@ def _eliminate_int(rows: list[list[int]], n: int) -> int:
                     for j in range(k + 1, n):
                         num = ri[j] * pivot - a * rk[j]
                         q = num // prev
-                        assert q * prev == num, "fraction-free elimination: inexact division"
+                        if q * prev != num:
+                            raise ArithmeticError("fraction-free elimination: inexact division")
                         ri[j] = q
                 else:
                     for j in range(k + 1, n):
                         num = ri[j] * pivot
                         q = num // prev
-                        assert q * prev == num, "fraction-free elimination: inexact division"
+                        if q * prev != num:
+                            raise ArithmeticError("fraction-free elimination: inexact division")
                         ri[j] = q
         prev = pivot
     return sign * rows[n - 1][n - 1]

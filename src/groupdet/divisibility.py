@@ -9,16 +9,13 @@ from finite search (a box can only certify an upper bound on e).
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 from dataclasses import dataclass
 from math import prod
 
-from .boxes import DEFAULT_BUDGET, ensure_budget, iter_box, shard_ranges
-from .characters import char_sign, enumerate_characters
-from .determinant import _index_table, bareiss_det, check_assignment
-from .factorization import integer_split_factors
-from .groups import AbelianGroup, direct_product, enumerate_elements
+from .boxes import DEFAULT_BUDGET, ensure_budget, iter_box, map_shards
+from .determinant import _index_table, bareiss_det
+from .factorization import integer_split_factors, sign_twists
+from .groups import AbelianGroup, direct_product
 
 PASS = "pass"
 FAIL = "fail"
@@ -125,29 +122,17 @@ def check_factor_congruence(H: AbelianGroup, l: int, values) -> CongruenceCheck:
     return CongruenceCheck(PASS if ok else FAIL, factors)
 
 
-def _suite_shard(args) -> dict:
-    h_orders, l, box, exp, start, stop = args
-    H = AbelianGroup(h_orders)
-    K = AbelianGroup((2,) * l)
-    G = direct_product(H, K)
-    sign_rows = [
-        [char_sign(chi, k) for k in enumerate_elements(K)] for chi in enumerate_characters(K)
-    ]
-    table = _index_table(H.orders)
-    nH, nK = H.order, K.order
+def _suite_shard(h_orders, l, box, exp, start, stop) -> dict:
+    table = _index_table(h_orders)
     checked = 0
     even_count = 0
     min_even_val = None
     failures = []
-    for vals in iter_box(G.order, box, start, stop):
+    for vals in iter_box(len(table) * 2**l, box, start, stop):
         checked += 1
-        factors = []
-        for signs in sign_rows:
-            ys = [
-                sum(s * vals[base + ki] for ki, s in enumerate(signs))
-                for base in range(0, nH * nK, nK)
-            ]
-            factors.append(bareiss_det([[ys[j] for j in row] for row in table]))
+        factors = [
+            bareiss_det([[ys[j] for j in row] for row in table]) for ys in sign_twists(l, vals)
+        ]
         lead = factors[0]
         if any((f - lead) % 2 for f in factors):
             failures.append(
@@ -185,14 +170,7 @@ def run_divisibility_suite(
     exp = bound_exponent(H, l, exponent)
     G = direct_product(H, AbelianGroup((2,) * l))
     total = ensure_budget(G.order, box, budget, force)
-    jobs = jobs if jobs and jobs > 0 else (os.cpu_count() or 1)
-    shards = shard_ranges(total, jobs)
-    args = [(H.orders, l, box, exp, start, stop) for start, stop in shards]
-    if len(args) == 1:
-        parts = [_suite_shard(args[0])]
-    else:
-        with multiprocessing.Pool(len(args)) as pool:
-            parts = pool.map(_suite_shard, args)
+    parts = map_shards(_suite_shard, (H.orders, l, box, exp), total, jobs)
     evens = [p["min_even_valuation"] for p in parts if p["min_even_valuation"] is not None]
     failures = [f for p in parts for f in p["failures"]]
     return {

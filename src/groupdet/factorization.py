@@ -11,12 +11,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 
-from .characters import char_exponent, char_sign, enumerate_characters
-from .cyclotomic import CyclotomicInt, NotRationalError, root_power
+from .characters import exponent_table
+from .cyclotomic import CyclotomicInt, NotRationalError
 from .determinant import check_assignment, circulant_det, group_determinant
-from .groups import AbelianGroup, direct_product, enumerate_elements
+from .groups import AbelianGroup, direct_product
 
 
 @dataclass(frozen=True)
@@ -50,12 +52,11 @@ def character_sums(group: AbelianGroup, values) -> list[CyclotomicInt]:
     """The linear forms sum_g chi(g) x_g, one per character, in character order."""
     vals = check_assignment(group, values)
     N = group.exponent
-    elems = enumerate_elements(group)
     sums = []
-    for chi in enumerate_characters(group):
+    for row in exponent_table(group.orders):
         buckets = [0] * N
-        for i, g in enumerate(elems):
-            buckets[char_exponent(chi, g)] += vals[i]
+        for k, v in zip(row, vals):
+            buckets[k] += v
         sums.append(CyclotomicInt.from_polynomial(N, buckets))
     return sums
 
@@ -79,29 +80,11 @@ def dedekind_product(group: AbelianGroup, values) -> int:
 def split_character_sums(H: AbelianGroup, K: AbelianGroup, values) -> list[list[CyclotomicInt]]:
     """Character sums of H x K grouped by the K-character, all at level lcm(N_H, N_K).
 
-    Entry [i][j] is the form sum_h psi_j(h) * (sum_k chi_i(k) x_(h,k)).
+    Entry [i][j] is the form sum_h psi_j(h) * (sum_k chi_i(k) x_(h,k)): characters
+    of H x K run with the K-character fastest, so group i is every |K|-th sum.
     """
-    vals = check_assignment(direct_product(H, K), values)
-    L = lcm(H.exponent, K.exponent)
-    wh = L // H.exponent
-    wk = L // K.exponent
-    elems_H = enumerate_elements(H)
-    elems_K = enumerate_elements(K)
-    nK = K.order
-    grouped = []
-    for chi in enumerate_characters(K):
-        k_exps = [wk * char_exponent(chi, k) % L for k in elems_K]
-        inner = []
-        for psi in enumerate_characters(H):
-            h_exps = [wh * char_exponent(psi, h) % L for h in elems_H]
-            buckets = [0] * L
-            for hi, he in enumerate(h_exps):
-                base = hi * nK
-                for ki, ke in enumerate(k_exps):
-                    buckets[(he + ke) % L] += vals[base + ki]
-            inner.append(CyclotomicInt.from_polynomial(L, buckets))
-        grouped.append(inner)
-    return grouped
+    sums = character_sums(direct_product(H, K), values)
+    return [sums[i::K.order] for i in range(K.order)]
 
 
 def direct_product_factors(H: AbelianGroup, K: AbelianGroup, values) -> FactorizationReport:
@@ -126,6 +109,19 @@ def direct_product_factors(H: AbelianGroup, K: AbelianGroup, values) -> Factoriz
     )
 
 
+@lru_cache(maxsize=None)
+def _sign_rows(l: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(1 - 2 * k for k in row) for row in exponent_table((2,) * l))
+
+
+def sign_twists(l: int, vals: tuple) -> list[list[int]]:
+    """The twisted assignments y_h = sum_k chi_i(k) x_(h,k) of H, one per sign
+    character chi_i of (Z/2Z)^l, for an assignment of H x (Z/2Z)^l."""
+    rows = _sign_rows(l)
+    chunks = list(zip(*[iter(vals)] * len(rows)))
+    return [[sum(map(mul, signs, c)) for c in chunks] for signs in rows]
+
+
 def integer_split_factors(H: AbelianGroup, l: int, values) -> list[int]:
     """All-integer factors of the determinant of H x (Z/2Z)^l, one per sign character.
 
@@ -134,28 +130,16 @@ def integer_split_factors(H: AbelianGroup, l: int, values) -> list[int]:
     """
     if l < 1:
         raise ValueError("need at least one Z/2Z factor to split off")
-    K = AbelianGroup((2,) * l)
-    vals = check_assignment(direct_product(H, K), values)
-    elems_K = enumerate_elements(K)
-    nK = K.order
-    factors = []
-    for chi in enumerate_characters(K):
-        signs = [char_sign(chi, k) for k in elems_K]
-        ys = [
-            sum(s * vals[base + ki] for ki, s in enumerate(signs))
-            for base in range(0, len(vals), nK)
-        ]
-        factors.append(group_determinant(H, ys))
-    return factors
+    vals = check_assignment(direct_product(H, AbelianGroup((2,) * l)), values)
+    return [group_determinant(H, ys) for ys in sign_twists(l, vals)]
 
 
 def laquer_factors(r: int, s: int, xs) -> FactorizationReport:
     """Coprime circulant split C_(r*s) = prod over i < s of C_r(y^i).
 
     y_j^i = sum_k zeta_s^(i*(k*r + j - 1)) x_(k*r + j) in the classical 1-based
-    indexing, i.e. xs[t] is x_(t+1), the value at residue t. The y forms live at
-    level s and are embedded into level lcm(r, s) only when the C_r factors are
-    evaluated as character products.
+    indexing, i.e. xs[t] is x_(t+1), the value at residue t. Factor i is the
+    character product of C_r(y^i) at level lcm(r, s) = r*s.
     """
     if r < 1 or s < 1 or gcd(r, s) != 1:
         raise ValueError(f"need coprime positive sizes, got r={r}, s={s}")
@@ -163,23 +147,12 @@ def laquer_factors(r: int, s: int, xs) -> FactorizationReport:
     xs = tuple(xs)
     if len(xs) != n:
         raise ValueError(f"assignment length {len(xs)} does not match r*s = {n}")
-    L = lcm(r, s)
-    factors = []
-    for i in range(s):
-        ys = []
-        for j in range(1, r + 1):
-            buckets = [0] * s
-            for k in range(s):
-                buckets[i * (k * r + j - 1) % s] += xs[k * r + j - 1]
-            ys.append(CyclotomicInt.from_polynomial(s, buckets).embed(L))
-        factor = CyclotomicInt.one(L)
-        for m in range(r):
-            form = CyclotomicInt.zero(L)
-            for j, y in enumerate(ys):
-                form = form + root_power(L, (L // r) * m * j) * y
-            factor = factor * form
-        factors.append(factor)
-    product = _product(factors, L).to_integer()
+    # The m-th C_r form of factor i weights x at residue t by
+    # zeta_r^(m*t) * zeta_s^(i*t) = zeta_n^((s*m + r*i) * t), so it is the
+    # character sum of Z/nZ with exponent (s*m + r*i) mod n.
+    sums = character_sums(AbelianGroup((n,)), xs)
+    factors = [_product((sums[(s * m + r * i) % n] for m in range(r)), n) for i in range(s)]
+    product = _product(factors, n).to_integer()
     direct = circulant_det(n, xs)
     return FactorizationReport(
         split=f"C{n} = C{r} * C{s} (coprime)",

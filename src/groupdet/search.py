@@ -7,14 +7,12 @@ value keeps the lexicographically first assignment that produced it.
 from __future__ import annotations
 
 import json
-import multiprocessing
-import os
 import re
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Callable
 
-from .boxes import DEFAULT_BUDGET, BudgetExceededError, ensure_budget, iter_box, shard_ranges
+from .boxes import DEFAULT_BUDGET, BudgetExceededError, ensure_budget, iter_box, map_shards
 from .determinant import group_determinant
 from .divisibility import two_adic_valuation
 from .groups import (
@@ -130,8 +128,7 @@ def _even_translations(group: AbelianGroup) -> tuple[tuple[int, ...], ...]:
     return tuple(perms)
 
 
-def _search_shard(args) -> tuple[int, dict[int, tuple[int, ...]]]:
-    orders, box, start, stop, cap, perms = args
+def _search_shard(orders, box, cap, perms, start, stop) -> tuple[int, dict[int, tuple[int, ...]]]:
     group = AbelianGroup(orders)
     found: dict[int, tuple[int, ...]] = {}
     evaluated = 0
@@ -164,15 +161,8 @@ def search_values(
     is unchanged and witnesses stay the lexicographically first ones.
     """
     total = ensure_budget(group.order, box, budget, force)
-    jobs = jobs if jobs and jobs > 0 else (os.cpu_count() or 1)
     perms = _even_translations(group) if prune else ()
-    shards = shard_ranges(total, jobs)
-    args = [(group.orders, box, start, stop, value_cap, perms) for start, stop in shards]
-    if len(args) == 1:
-        parts = [_search_shard(args[0])]
-    else:
-        with multiprocessing.Pool(len(args)) as pool:
-            parts = pool.map(_search_shard, args)
+    parts = map_shards(_search_shard, (group.orders, box, value_cap, perms), total, jobs)
     achieved: dict[int, tuple[int, ...]] = {}
     evaluated = 0
     for count, part in parts:

@@ -12,6 +12,7 @@ from groupdet import (
     root_power,
     split_factors,
 )
+from groupdet.characters import exponent_table
 
 
 def test_character_count_and_order():
@@ -89,6 +90,16 @@ def test_characters_factor_along_splits(orders, cut):
             lhs = char_value(chi, e)
             rhs = char_value(chi_h, e[:cut]).embed(N) * char_value(chi_k, e[cut:]).embed(N)
             assert lhs == rhs
+
+
+@pytest.mark.parametrize("orders", [(1,), (2,), (6,), (4, 2), (2, 3), (2, 2, 2)])
+def test_exponent_table_rows_are_characters(orders):
+    g = make_group(orders)
+    table = exponent_table(g.orders)
+    elems = enumerate_elements(g)
+    assert [list(row) for row in table] == [
+        [char_exponent(chi, e) for e in elems] for chi in enumerate_characters(g)
+    ]
 
 
 def test_char_sign_matches_char_value():

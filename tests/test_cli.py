@@ -248,3 +248,14 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["det"] == "8"
+
+
+def test_arithmetic_error_is_reported_as_json(capsys, monkeypatch):
+    def inexact(group, values):
+        raise ArithmeticError("fraction-free elimination: inexact division")
+
+    monkeypatch.setattr("groupdet.cli.group_determinant", inexact)
+    code, payload = run_cli(capsys, "det", "--group", "2", "--assign", "7,5")
+    assert code == 2
+    assert payload["status"] == "error"
+    assert "inexact division" in payload["message"]

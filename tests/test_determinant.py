@@ -1,8 +1,11 @@
+import ast
 import random
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+import groupdet
 from groupdet import (
     CyclotomicInt,
     bareiss_det,
@@ -190,3 +193,15 @@ def test_inversion_relabel_preserves_value():
     x = (1, 2, 3, 4, 5)
     inv = tuple(x[(-i) % 5] for i in range(5))
     assert group_determinant(g, inv) == group_determinant(g, x)
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert, so exactness checks in the library must raise
+    package = Path(groupdet.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -5,6 +5,7 @@ import pytest
 
 from groupdet import (
     NotRationalError,
+    char_sign,
     character_sums,
     circulant_det,
     crt_decompose,
@@ -12,6 +13,8 @@ from groupdet import (
     dedekind_product,
     direct_product,
     direct_product_factors,
+    enumerate_characters,
+    enumerate_elements,
     group_determinant,
     integer_split_factors,
     laquer_agrees_with_split,
@@ -20,6 +23,7 @@ from groupdet import (
     split_character_sums,
     split_factors,
 )
+from groupdet.factorization import sign_twists
 from oracles import naive_group_det
 
 
@@ -80,6 +84,26 @@ def test_direct_product_factors_match_every_split(orders):
                 assert rep.direct_det == naive_group_det(orders, x)
 
 
+def test_factor_coefficients_frozen_per_index():
+    # exact coefficient tuples in factor order, so a regrouping that permutes
+    # the factors (or moves them to another level) fails here
+    lap = laquer_factors(3, 5, (1, 0, 2, -1, 3, 0, 1, 1, -2, 0, 1, 2, 0, 0, 1))
+    assert [f.level for f in lap.factors] == [15] * 5
+    assert [f.coeffs for f in lap.factors] == [
+        (108, 0, 0, 0, 0, 0, 0, 0),
+        (-58, 0, 57, -108, 0, 0, -14, 57),
+        (-1, 0, -43, 57, 0, 0, -51, -43),
+        (50, 0, -108, 94, 0, 0, 51, -108),
+        (-44, 0, 94, -43, 0, 0, 14, 94),
+    ]
+    assert lap.product == 7359074748 and lap.match
+    h, k = split_factors(make_group((2, 3)), 1)
+    rep = direct_product_factors(h, k, (1, 2, 0, -1, 3, 2))
+    assert [f.level for f in rep.factors] == [6] * 3
+    assert [f.coeffs for f in rep.factors] == [(-7, 0), (-18, 7), (-11, -7)]
+    assert rep.product == -1729 and rep.match
+
+
 def test_report_json_rendering():
     rep = direct_product_factors(make_group(2), make_group(3), (1, 0, 2, 0, 0, -1))
     data = rep.as_json_dict()
@@ -124,6 +148,17 @@ def test_integer_split_matches_general_split(h_orders, l):
         general = direct_product_factors(h, k, x)
         assert sorted(ints) == sorted(f.to_integer() for f in general.factors)
         assert general.match
+
+
+def test_sign_twists_match_sign_characters():
+    vals = tuple(range(-8, 8))  # H of order 4 times (Z/2Z)^2
+    k = make_group((2, 2))
+    expected = [
+        [sum(char_sign(chi, e) * vals[4 * h + i] for i, e in enumerate(enumerate_elements(k)))
+         for h in range(4)]
+        for chi in enumerate_characters(k)
+    ]
+    assert sign_twists(2, vals) == expected
 
 
 def test_integer_split_validation():
