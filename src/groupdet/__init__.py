@@ -1,8 +1,9 @@
 """Integer group determinants of finite abelian groups.
 
 Exact evaluation (fraction-free elimination over Z and over rings of
-cyclotomic integers), character-product factorizations, 2-adic divisibility
-checks, and exhaustive value searches over bounded boxes.
+cyclotomic integers, or one rational norm factor per Galois orbit of
+characters), character-product factorizations, 2-adic divisibility checks,
+and exhaustive value searches over bounded boxes.
 """
 
 from .boxes import DEFAULT_BUDGET, BudgetExceededError, box_size, iter_box
@@ -59,6 +60,7 @@ from .groups import (
     parse_group_spec,
     split_factors,
 )
+from .norms import norm_factors
 from .search import (
     CheckResult,
     MembershipSpec,

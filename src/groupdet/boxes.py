@@ -1,4 +1,4 @@
-"""Shared box enumeration for the exhaustive harnesses.
+"""Shared box enumeration and the box engine of the exhaustive harnesses.
 
 A box search walks [-B, B]^dim in lexicographic order (last coordinate
 fastest); shards are contiguous index ranges of that one fixed order, which is
@@ -10,6 +10,8 @@ from __future__ import annotations
 import multiprocessing
 import os
 from itertools import islice, product
+
+from .norms import orbit_plan
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -43,6 +45,45 @@ def iter_box(dim: int, box: int, start: int = 0, stop: int | None = None):
     return islice(it, start, stop)
 
 
+def scan_box(orders: tuple[int, ...], box: int, start: int, stop: int, perms=()):
+    """(vals, norms) for the points of [start, stop) of the box over the group
+    with these factor orders, in lexicographic order; norms are the point's
+    orbit norm factors in orbit_plan order, so their product is its determinant.
+
+    The coefficient vectors of every suffix (the last floor(dim/2) coordinates,
+    at most sqrt of the box size many) are built once and one partial vector
+    per prefix, so a point costs one vector add plus the norms. A point that
+    some index permutation in perms maps to a lexicographically smaller point
+    is skipped.
+    """
+    plan = orbit_plan(orders)
+    norms = plan.norms
+    dim = len(plan.columns)
+    cut = dim - dim // 2
+    pad = (0,) * cut
+    suffixes = [(t, plan.coefficients(pad + t)) for t in iter_box(dim - cut, box)]
+    size = len(suffixes)
+    first = start // size
+    for base, prefix in zip(range(first * size, stop, size), iter_box(cut, box, first)):
+        head = plan.coefficients(prefix)
+        for t, tail in suffixes[max(start - base, 0):stop - base]:
+            vals = prefix + t
+            if perms and not _orbit_minimal(vals, perms):
+                continue
+            yield vals, norms(head, tail)
+
+
+def _orbit_minimal(vals: tuple, perms) -> bool:
+    """No perm maps vals to a lexicographically smaller tuple. The first entry
+    decides most comparisons, so the permuted tuple is built only on a tie."""
+    first = vals[0]
+    for perm in perms:
+        lead = vals[perm[0]]
+        if lead < first or lead == first and tuple([vals[i] for i in perm]) < vals:
+            return False
+    return True
+
+
 def shard_ranges(total: int, jobs: int) -> list[tuple[int, int]]:
     """Split [0, total) into at most `jobs` contiguous, near-equal ranges."""
     jobs = max(1, min(jobs, total)) if total else 1
@@ -59,10 +100,15 @@ def shard_ranges(total: int, jobs: int) -> list[tuple[int, int]]:
 def map_shards(worker, args: tuple, total: int, jobs: int | None) -> list:
     """worker(*args, start, stop) over the shards of [0, total), results in shard order.
 
-    jobs defaults to the CPU count; a single shard runs in this process, more
-    run in a process pool.
+    jobs defaults to, and is clamped to, the CPU count; a value below 1 raises
+    ValueError. A single shard runs in this process, more run in a process pool.
     """
-    jobs = jobs if jobs and jobs > 0 else (os.cpu_count() or 1)
+    cpus = os.cpu_count() or 1
+    if jobs is None:
+        jobs = cpus
+    elif jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    jobs = min(jobs, cpus)
     shard_args = [(*args, start, stop) for start, stop in shard_ranges(total, jobs)]
     if len(shard_args) == 1:
         return [worker(*shard_args[0])]

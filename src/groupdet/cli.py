@@ -123,6 +123,7 @@ def _cmd_check(args) -> tuple[int, dict]:
         "status": result.status,
         "group": format_group_spec(report.group),
         "box": report.box,
+        "value_cap": None if report.value_cap is None else str(report.value_cap),
     }
     payload.update(result.as_json_dict())
     return (0 if result.status == "pass" else 1), payload
@@ -140,6 +141,9 @@ def _cmd_witness(args) -> tuple[int, dict]:
         "witness": None if witness is None else list(witness),
         "det": check,
     }
+
+
+JOBS_HELP = "worker processes, at least 1 (default and maximum: the CPU count)"
 
 
 def _add_common_box_flags(sub) -> None:
@@ -190,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--H", required=True, help="base group spec, e.g. '2' or '4'")
     ver.add_argument("--l", type=int, required=True, help="number of Z/2Z factors to append")
     ver.add_argument("--box", type=int, required=True)
-    ver.add_argument("--jobs", type=int, default=None)
+    ver.add_argument("--jobs", type=int, default=None, help=JOBS_HELP)
     _add_common_box_flags(ver)
     ver.set_defaults(func=_cmd_verify)
 
@@ -198,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     sea.add_argument("--group", required=True)
     sea.add_argument("--box", type=int, required=True)
     sea.add_argument("--cap", type=int, default=None, help="drop values with |v| above this")
-    sea.add_argument("--jobs", type=int, default=None)
+    sea.add_argument("--jobs", type=int, default=None, help=JOBS_HELP)
     sea.add_argument("--prune", action="store_true",
                      help="skip assignments that are not minimal in their translation orbit")
     sea.add_argument("--out", required=True, help="write the full report JSON here")

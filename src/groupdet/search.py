@@ -9,10 +9,10 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, prod
 from typing import Callable
 
-from .boxes import DEFAULT_BUDGET, BudgetExceededError, ensure_budget, iter_box, map_shards
+from .boxes import DEFAULT_BUDGET, BudgetExceededError, ensure_budget, map_shards, scan_box
 from .determinant import group_determinant
 from .divisibility import two_adic_valuation
 from .groups import (
@@ -46,6 +46,7 @@ class SearchReport:
     evaluated: int
     achieved: dict[int, tuple[int, ...]]
     pruned: bool = False
+    value_cap: int | None = None
 
     @property
     def group(self) -> AbelianGroup:
@@ -74,6 +75,7 @@ class SearchReport:
             "group": format_group_spec(self.group),
             "box": self.box,
             "pruned": self.pruned,
+            "value_cap": None if self.value_cap is None else str(self.value_cap),
             "counts": {"evaluated": self.evaluated, "distinct": self.distinct},
             "values": values,
         }
@@ -86,12 +88,14 @@ class SearchReport:
     @staticmethod
     def from_json_dict(data: dict) -> "SearchReport":
         achieved = {int(row["v"]): tuple(row["witness"]) for row in data["values"]}
+        cap = data.get("value_cap")
         return SearchReport(
             orders=parse_group_spec(data["group"]).orders,
             box=int(data["box"]),
             evaluated=int(data["counts"]["evaluated"]),
             achieved=achieved,
             pruned=bool(data.get("pruned", False)),
+            value_cap=None if cap is None else int(cap),
         )
 
     @staticmethod
@@ -129,14 +133,11 @@ def _even_translations(group: AbelianGroup) -> tuple[tuple[int, ...], ...]:
 
 
 def _search_shard(orders, box, cap, perms, start, stop) -> tuple[int, dict[int, tuple[int, ...]]]:
-    group = AbelianGroup(orders)
     found: dict[int, tuple[int, ...]] = {}
     evaluated = 0
-    for vals in iter_box(group.order, box, start, stop):
-        if perms and any(tuple(vals[p] for p in perm) < vals for perm in perms):
-            continue
+    for vals, norms in scan_box(orders, box, start, stop, perms):
         evaluated += 1
-        d = group_determinant(group, vals)
+        d = prod(norms)
         if cap is not None and abs(d) > cap:
             continue
         if d not in found:
@@ -159,6 +160,10 @@ def search_values(
     evaluated). prune=True skips assignments that are not lexicographically
     minimal under determinant-preserving translations; the achieved value set
     is unchanged and witnesses stay the lexicographically first ones.
+
+    Points are evaluated as products of orbit norms; every reported witness is
+    then evaluated again by Bareiss elimination, and a disagreement raises
+    ArithmeticError.
     """
     total = ensure_budget(group.order, box, budget, force)
     perms = _even_translations(group) if prune else ()
@@ -171,7 +176,18 @@ def search_values(
             cur = achieved.get(v)
             if cur is None or w < cur:
                 achieved[v] = w
-    return SearchReport(group.orders, box, evaluated, achieved, pruned=prune)
+    for v, w in achieved.items():
+        _recheck(group, w, v)
+    return SearchReport(group.orders, box, evaluated, achieved, pruned=prune, value_cap=value_cap)
+
+
+def _recheck(group: AbelianGroup, witness: tuple[int, ...], value: int) -> None:
+    """Raise ArithmeticError unless Bareiss elimination gives the witness this value."""
+    direct = group_determinant(group, witness)
+    if direct != value:
+        raise ArithmeticError(
+            f"orbit norms gave {value} at {list(witness)} but Bareiss elimination gives {direct}"
+        )
 
 
 def find_witness(
@@ -182,10 +198,13 @@ def find_witness(
     force: bool = False,
 ) -> tuple[int, ...] | None:
     """Lexicographically first assignment in the box whose determinant is target,
-    or None when the box does not achieve it."""
-    ensure_budget(group.order, box, budget, force)
-    for vals in iter_box(group.order, box):
-        if group_determinant(group, vals) == target:
+    or None when the box does not achieve it. The scan stops at the first point
+    whose orbit norms multiply to target; Bareiss elimination then evaluates
+    that witness again, and a disagreement raises ArithmeticError."""
+    total = ensure_budget(group.order, box, budget, force)
+    for vals, norms in scan_box(group.orders, box, 0, total):
+        if prod(norms) == target:
+            _recheck(group, vals, target)
             return vals
     return None
 

@@ -259,3 +259,29 @@ def test_arithmetic_error_is_reported_as_json(capsys, monkeypatch):
     assert code == 2
     assert payload["status"] == "error"
     assert "inexact division" in payload["message"]
+
+
+@pytest.mark.parametrize("command", ["search", "verify"])
+def test_jobs_below_one_exit_2_as_json(capsys, tmp_path, command):
+    if command == "search":
+        argv = ["search", "--group", "2", "--box", "1", "--out", str(tmp_path / "r.json")]
+    else:
+        argv = ["verify", "--suite", "theorem2", "--H", "2", "--l", "1", "--box", "1"]
+    code, payload = run_cli(capsys, *argv, "--jobs", "0")
+    assert code == 2
+    assert payload["status"] == "error"
+    assert "jobs must be at least 1" in payload["message"]
+
+
+def test_check_echoes_value_cap(capsys, tmp_path):
+    out = tmp_path / "capped.json"
+    code, _ = run_cli(capsys, "search", "--group", "2x2", "--box", "1", "--cap", "10",
+                      "--out", str(out))
+    assert code == 0
+    code, payload = run_cli(capsys, "check", "--report", str(out), "--exponent", "4")
+    assert code == 0
+    assert payload["value_cap"] == "10"
+    uncapped = tmp_path / "full.json"
+    run_cli(capsys, "search", "--group", "2x2", "--box", "1", "--out", str(uncapped))
+    code, payload = run_cli(capsys, "check", "--report", str(uncapped), "--spec", "Z2Z2")
+    assert payload["value_cap"] is None

@@ -12,6 +12,8 @@ from groupdet import (
     run_divisibility_suite,
     two_adic_valuation,
 )
+from groupdet.boxes import iter_box
+from groupdet.divisibility import KEPT_FAILURES
 
 
 def test_two_adic_valuation_frozen():
@@ -144,3 +146,31 @@ def test_suite_reports_failures_with_synthetic_exponent():
     first = summary["failures"][0]
     assert isinstance(first["det"], str)
     assert len(first["witness"]) == 4
+
+
+def test_suite_keeps_the_first_failures_and_counts_all():
+    # exponent 8 is far above the truth for H = 2, so most even points fail
+    full = run_divisibility_suite(make_group(2), 1, 2, exponent=8, jobs=1)
+    assert full["status"] == "fail"
+    assert full["failure_count"] > KEPT_FAILURES
+    assert len(full["failures"]) == KEPT_FAILURES
+    # the kept ones are the first in box order, whatever the sharding
+    assert run_divisibility_suite(make_group(2), 1, 2, exponent=8, jobs=2) == full
+    expected = []
+    for vals in iter_box(4, 2):
+        check = check_even_bound(make_group(2), 1, vals, exponent=8)
+        if check.status == "fail":
+            expected.append({"kind": "bound", "det": str(check.det), "witness": list(vals)})
+    assert full["failure_count"] == len(expected)
+    assert full["failures"] == expected[:KEPT_FAILURES]
+    passing = run_divisibility_suite(make_group(2), 1, 2)
+    assert passing["failure_count"] == 0 and passing["status"] == "pass"
+
+
+def test_suite_rechecks_witnesses_by_bareiss(monkeypatch):
+    import groupdet.divisibility
+
+    real = groupdet.divisibility.bareiss_det
+    monkeypatch.setattr(groupdet.divisibility, "bareiss_det", lambda m: real(m) + 2)
+    with pytest.raises(ArithmeticError, match="Bareiss"):
+        run_divisibility_suite(make_group(2), 1, 1, jobs=1)

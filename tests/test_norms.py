@@ -1,0 +1,168 @@
+"""Rational norm factors and the box engine, against Bareiss and the cofactor oracle."""
+
+from math import prod
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from groupdet import (
+    group_determinant,
+    integer_split_factors,
+    make_group,
+    norm_factors,
+    search_values,
+)
+from groupdet.boxes import _orbit_minimal, iter_box, scan_box
+from groupdet.cyclotomic import euler_phi
+from groupdet.divisibility import _suite_shard
+from groupdet.norms import orbit_plan
+from groupdet.search import _even_translations, _search_shard
+from oracles import naive_group_det
+
+# Shapes whose orbits reach phi(d) >= 4: orders 5, 8, 10, 12 and 16.
+PHI_FOUR_AND_UP = [(5,), (8,), (10,), (12,), (16,), (2, 5), (4, 3)]
+SMALL_SHAPES = [(1,), (2,), (3,), (4,), (6,), (7,), (2, 2), (2, 3), (4, 2), (3, 3), (2, 2, 2)]
+
+
+@st.composite
+def shape_and_assignment(draw, shapes):
+    orders = draw(st.sampled_from(shapes))
+    n = prod(orders)
+    return orders, tuple(draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape_and_assignment(SMALL_SHAPES + PHI_FOUR_AND_UP))
+def test_norm_product_equals_bareiss(case):
+    orders, xs = case
+    assert prod(norm_factors(make_group(orders), xs)) == group_determinant(make_group(orders), xs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape_and_assignment([s for s in SMALL_SHAPES + PHI_FOUR_AND_UP if prod(s) <= 8]))
+def test_norm_product_equals_cofactor_oracle(case):
+    orders, xs = case
+    assert prod(norm_factors(make_group(orders), xs)) == naive_group_det(orders, xs)
+
+
+@pytest.mark.parametrize("orders", SMALL_SHAPES + PHI_FOUR_AND_UP)
+def test_orbits_partition_the_characters(orders):
+    plan = orbit_plan(orders)
+    assert sum(euler_phi(o.order) for o in plan.orbits) == prod(orders)
+    assert all(len(o.rows) == euler_phi(o.order) for o in plan.orbits)
+    assert [o.char for o in plan.orbits] == sorted(o.char for o in plan.orbits)
+    assert plan.orbits[0].char == 0 and plan.orbits[0].order == 1
+
+
+def test_cyclic_orbits_are_the_divisors():
+    # Z/n has one orbit per divisor d of n, first character n/d
+    assert [(o.char, o.order) for o in orbit_plan((16,)).orbits] == [
+        (0, 1), (1, 16), (2, 8), (4, 4), (8, 2)
+    ]
+    assert [(o.char, o.order) for o in orbit_plan((12,)).orbits] == [
+        (0, 1), (1, 12), (2, 6), (3, 4), (4, 3), (6, 2)
+    ]
+
+
+def test_norm_factors_frozen():
+    # Z/8: orbits of orders 1, 8, 4, 2; at x = e_0 + e_1 the factors are the
+    # norms of 1 + zeta_d: 2, Phi_8(-1) = 2, Phi_4(-1) = 2 and 1 + (-1) = 0.
+    assert norm_factors(make_group(8), (1, 1, 0, 0, 0, 0, 0, 0)) == [2, 2, 2, 0]
+    # Z/5 at 2 + x: 3 and the norm of 2 + zeta_5, Phi_5(-2) = 11.
+    assert norm_factors(make_group(5), (2, 1, 0, 0, 0)) == [3, 11]
+    # 4x2, orbits of the characters (0,0), (0,1), (1,0), (1,1), (2,0), (2,1):
+    # sums 5, -1, 3, -1 - 2i, 1, -1, so norms 5, -1, 9, 5, 1, -1 (product 225).
+    assert norm_factors(make_group((4, 2)), (1, 2, 0, 1, 0, 0, 1, 0)) == [5, -1, 9, 5, 1, -1]
+
+
+def test_dim_one_group_at_box_zero():
+    assert list(scan_box((1,), 0, 0, 1)) == [((0,), [0])]
+    rep = search_values(make_group((1,)), 0)
+    assert rep.achieved == {0: (0,)} and rep.evaluated == 1
+
+
+@pytest.mark.parametrize("orders,box", [((2, 2), 1), ((3,), 2), ((4, 2), 1), ((5,), 1)])
+def test_engine_walks_the_box_in_order(orders, box):
+    dim = prod(orders)
+    points = [vals for vals, _ in scan_box(orders, box, 0, (2 * box + 1) ** dim)]
+    assert points == list(iter_box(dim, box))
+    g = make_group(orders)
+    for vals, norms in scan_box(orders, box, 0, len(points)):
+        if sum(map(abs, vals)) <= 2:
+            assert prod(norms) == group_determinant(g, vals)
+
+
+def test_orbit_minimal_keeps_the_old_filter_set():
+    for orders, box in [((4, 2), 1), ((2, 2), 2), ((6,), 1), ((3, 3), 1)]:
+        perms = _even_translations(make_group(orders))
+        for vals in iter_box(prod(orders), box):
+            full = not any(tuple(vals[p] for p in perm) < vals for perm in perms)
+            assert _orbit_minimal(vals, perms) == full
+
+
+@st.composite
+def shard_cuts(draw, total):
+    cuts = draw(st.lists(st.integers(0, total), max_size=4))
+    return [0] + sorted(cuts) + [total]
+
+
+def merged_search_shards(orders, box, perms, cuts):
+    evaluated, achieved = 0, {}
+    for start, stop in zip(cuts, cuts[1:]):
+        count, part = _search_shard(orders, box, None, perms, start, stop)
+        evaluated += count
+        for v, w in part.items():
+            if v not in achieved or w < achieved[v]:
+                achieved[v] = w
+    return evaluated, achieved
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_search_shards_at_any_cut_merge_to_one_scan(data):
+    orders, box = data.draw(st.sampled_from([((2, 2), 2), ((3,), 3), ((2, 3), 1), ((5,), 1)]))
+    total = (2 * box + 1) ** prod(orders)
+    cuts = data.draw(shard_cuts(total))
+    prune = data.draw(st.booleans())
+    perms = _even_translations(make_group(orders)) if prune else ()
+    whole = _search_shard(orders, box, None, perms, 0, total)
+    assert merged_search_shards(orders, box, perms, cuts) == whole
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_suite_shards_at_any_cut_sum_to_one_scan(data):
+    h_orders, l, box = data.draw(st.sampled_from([((2,), 1, 1), ((1,), 2, 2), ((3,), 1, 1)]))
+    total = (2 * box + 1) ** (prod(h_orders) << l)
+    cuts = data.draw(shard_cuts(total))
+    whole = _suite_shard(h_orders, l, box, 0, 0, total)
+    parts = [_suite_shard(h_orders, l, box, 0, a, b) for a, b in zip(cuts, cuts[1:])]
+    assert sum(p["checked"] for p in parts) == whole["checked"] == total
+    assert sum(p["even_count"] for p in parts) == whole["even_count"]
+    evens = [p["min_even_valuation"] for p in parts if p["min_even_valuation"] is not None]
+    assert (min(evens) if evens else None) == whole["min_even_valuation"]
+
+
+@pytest.mark.parametrize("orders,box", [((4, 2), 1), ((2, 3), 1), ((8,), 1)])
+@pytest.mark.parametrize("prune", [False, True])
+def test_reports_identical_across_jobs(orders, box, prune):
+    g = make_group(orders)
+    reports = [search_values(g, box, jobs=jobs, prune=prune) for jobs in (1, 2, 3)]
+    assert reports[0] == reports[1] == reports[2]
+    if prune:
+        assert reports[0].achieved == search_values(g, box).achieved
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_orbit_norms_by_sign_character_are_the_split_factors(data):
+    h_orders = data.draw(st.sampled_from([(1,), (2,), (3,), (4,), (5,), (6,), (2, 2)]))
+    l = data.draw(st.integers(1, 2))
+    n = prod(h_orders) << l
+    xs = tuple(data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n)))
+    orders = h_orders + (2,) * l
+    factors = [1] * (1 << l)
+    for orbit, norm in zip(orbit_plan(orders).orbits, norm_factors(make_group(orders), xs)):
+        factors[orbit.char % (1 << l)] *= norm
+    assert factors == integer_split_factors(make_group(h_orders), l, xs)

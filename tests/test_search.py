@@ -188,3 +188,34 @@ def test_loaded_report_witnesses_revalidate(tmp_path):
     loaded = SearchReport.load(path)
     for v, w in loaded.achieved.items():
         assert group_determinant(g, w) == v
+
+
+def test_value_cap_round_trips_through_saved_reports(tmp_path):
+    rep = search_values(make_group(2), 2, value_cap=3)
+    path = tmp_path / "capped.json"
+    rep.save(path)
+    assert json.loads(path.read_text())["value_cap"] == "3"
+    loaded = SearchReport.load(path)
+    assert loaded.value_cap == 3 and loaded == rep
+    # files written before value_cap was saved still load, as uncapped
+    data = json.loads(path.read_text())
+    del data["value_cap"]
+    path.write_text(json.dumps(data))
+    assert SearchReport.load(path).value_cap is None
+    uncapped = search_values(make_group(2), 2)
+    uncapped.save(path)
+    assert json.loads(path.read_text())["value_cap"] is None
+    assert SearchReport.load(path) == uncapped
+
+
+def test_witnesses_are_rechecked_by_bareiss(monkeypatch):
+    import groupdet.search
+
+    def off_by_one(group, values):
+        return group_determinant(group, values) + 1
+
+    monkeypatch.setattr(groupdet.search, "group_determinant", off_by_one)
+    with pytest.raises(ArithmeticError, match="Bareiss"):
+        search_values(make_group((2, 2)), 1)
+    with pytest.raises(ArithmeticError, match="Bareiss"):
+        find_witness(make_group((2, 2)), 2, 16)
