@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from itertools import islice, product
+from math import prod
+from bisect import bisect_left
+from itertools import accumulate, islice, product
 
 from .norms import orbit_plan
 
@@ -27,9 +29,17 @@ def box_size(dim: int, box: int) -> int:
 
 
 def ensure_budget(dim: int, box: int, budget: int, force: bool) -> int:
-    """Size of the box, raising when it exceeds the budget and force is off."""
+    """Size of the box, raising when it or dim^2, the size of the group's
+    orbit plan and translation tables, exceeds the budget and force is off."""
     total = box_size(dim, box)
-    if not force and total > budget:
+    if force:
+        return total
+    if dim * dim > budget:
+        raise BudgetExceededError(
+            f"a group of order {dim} needs tables of {dim * dim} entries, over the budget "
+            f"of {budget}; raise budget= or pass force=True to run anyway"
+        )
+    if total > budget:
         raise BudgetExceededError(
             f"box [-{box}, {box}]^{dim} needs {total} evaluations, over the budget of "
             f"{budget}; raise budget= or pass force=True to run anyway"
@@ -54,7 +64,8 @@ def scan_box(orders: tuple[int, ...], box: int, start: int, stop: int, perms=())
     at most sqrt of the box size many) are built once and one partial vector
     per prefix, so a point costs one vector add plus the norms. A point that
     some index permutation in perms maps to a lexicographically smaller point
-    is skipped.
+    is skipped without being visited: only the candidates of _candidates are
+    walked, and a tie on the first coordinate is broken by _orbit_minimal.
     """
     plan = orbit_plan(orders)
     norms = plan.norms
@@ -64,23 +75,87 @@ def scan_box(orders: tuple[int, ...], box: int, start: int, stop: int, perms=())
     suffixes = [(t, plan.coefficients(pad + t)) for t in iter_box(dim - cut, box)]
     size = len(suffixes)
     first = start // size
-    for base, prefix in zip(range(first * size, stop, size), iter_box(cut, box, first)):
+    prefixes = zip(range(first * size, stop, size), iter_box(cut, box, first))
+    if not perms:
+        for base, prefix in prefixes:
+            head = plan.coefficients(prefix)
+            for t, tail in suffixes[max(start - base, 0):stop - base]:
+                yield prefix + t, norms(head, tail)
+        return
+    lead, floors = _candidates(dim, box, perms)
+    walks = {
+        c: ([j for j, _, _ in entries], [(t, suffixes[j][1], tied) for j, t, tied in entries])
+        for c, entries in floors.items()
+    }
+    for base, prefix in prefixes:
+        c = prefix[0]
+        ties = _prefix_ties(prefix, lead)
+        if ties is None:
+            continue
+        index, entries = walks[c]
+        lo = bisect_left(index, start - base)
+        hi = bisect_left(index, stop - base)
+        if lo == hi:
+            continue
         head = plan.coefficients(prefix)
-        for t, tail in suffixes[max(start - base, 0):stop - base]:
+        for t, tail, tied in entries[lo:hi]:
             vals = prefix + t
-            if perms and not _orbit_minimal(vals, perms):
+            if (ties or tied) and not _orbit_minimal(vals, ties + tied):
                 continue
             yield vals, norms(head, tail)
 
 
+def _candidates(dim: int, box: int, perms):
+    """The candidate sub-boxes of a pruned scan. A point x is only minimal in
+    its orbit if x_0 <= x_s for every lead index s = perm[0], so with x_0 = c
+    every lead coordinate lies in [c, box].
+
+    Returns the perms whose lead index lies in the prefix (the first
+    dim - dim // 2 coordinates), and, for each c, the suffixes whose lead
+    coordinates are all >= c as (suffix index, suffix, perms tied at c
+    there), in box order.
+    """
+    cut = dim - dim // 2
+    lead = tuple(perm for perm in perms if perm[0] < cut)
+    rest = [(perm[0] - cut, perm) for perm in perms if perm[0] >= cut]
+    suffixes = list(iter_box(dim - cut, box))
+    floors = {
+        c: [
+            (j, t, tuple(perm for s, perm in rest if t[s] == c))
+            for j, t in enumerate(suffixes)
+            if all(t[s] >= c for s, _ in rest)
+        ]
+        for c in range(-box, box + 1)
+    }
+    return lead, floors
+
+
+def _prefix_ties(prefix: tuple, lead):
+    """None when a lead coordinate of the prefix is below prefix[0], else the
+    perms of lead whose lead coordinate equals it."""
+    c = prefix[0]
+    ties = []
+    for perm in lead:
+        x = prefix[perm[0]]
+        if x < c:
+            return None
+        if x == c:
+            ties.append(perm)
+    return tuple(ties)
+
+
 def _orbit_minimal(vals: tuple, perms) -> bool:
-    """No perm maps vals to a lexicographically smaller tuple. The first entry
-    decides most comparisons, so the permuted tuple is built only on a tie."""
-    first = vals[0]
+    """No perm maps vals to a lexicographically smaller tuple. Each comparison
+    stops at the first position where the translate differs from vals, which
+    for most perms is the first."""
     for perm in perms:
-        lead = vals[perm[0]]
-        if lead < first or lead == first and tuple([vals[i] for i in perm]) < vals:
-            return False
+        for i, p in enumerate(perm):
+            x = vals[p]
+            y = vals[i]
+            if x != y:
+                if x < y:
+                    return False
+                break
     return True
 
 
@@ -97,8 +172,33 @@ def shard_ranges(total: int, jobs: int) -> list[tuple[int, int]]:
     return ranges
 
 
-def map_shards(worker, args: tuple, total: int, jobs: int | None) -> list:
-    """worker(*args, start, stop) over the shards of [0, total), results in shard order.
+def candidate_ranges(orders: tuple[int, ...], box: int, perms, total: int, jobs: int):
+    """Split the box [0, total) of a pruned scan into at most `jobs` contiguous
+    ranges holding near-equal numbers of candidates. The cuts lie on prefix
+    boundaries: a prefix holds as many candidates as its floor has suffixes,
+    or none when it leaves the candidate sub-boxes."""
+    dim = prod(orders)
+    cut = dim - dim // 2
+    lead, floors = _candidates(dim, box, perms)
+    weights = [
+        0 if _prefix_ties(prefix, lead) is None else len(floors[prefix[0]])
+        for prefix in iter_box(cut, box)
+    ]
+    # jobs times the candidate count before each prefix boundary
+    scaled = [jobs * n for n in accumulate(weights, initial=0)]
+    size = total // len(weights)
+    bounds = [0]
+    for k in range(1, jobs):
+        # the first boundary with at least k/jobs of all candidates before it
+        i = bisect_left(scaled, k * sum(weights))
+        if bounds[-1] < i < len(weights):
+            bounds.append(i)
+    return [(a * size, b * size) for a, b in zip(bounds, bounds[1:] + [len(weights)])]
+
+
+def map_shards(worker, args: tuple, total: int, jobs: int | None, split=shard_ranges) -> list:
+    """worker(*args, start, stop) over the shards split(total, jobs) of
+    [0, total), results in shard order.
 
     jobs defaults to, and is clamped to, the CPU count; a value below 1 raises
     ValueError. A single shard runs in this process, more run in a process pool.
@@ -109,7 +209,7 @@ def map_shards(worker, args: tuple, total: int, jobs: int | None) -> list:
     elif jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     jobs = min(jobs, cpus)
-    shard_args = [(*args, start, stop) for start, stop in shard_ranges(total, jobs)]
+    shard_args = [(*args, start, stop) for start, stop in split(total, jobs)]
     if len(shard_args) == 1:
         return [worker(*shard_args[0])]
     with multiprocessing.Pool(len(shard_args)) as pool:

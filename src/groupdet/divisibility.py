@@ -143,14 +143,15 @@ def _suite_shard(h_orders, l, box, exp, start, stop) -> dict:
     failures = []
     for vals, norms in scan_box(orders, box, start, stop):
         checked += 1
-        factors = [1] * width
-        for i, n in zip(signs, norms):
-            factors[i] *= n
-        det = prod(factors)
+        # the product of all orbit norms is the determinant, however they group
+        det = prod(norms)
         if det % 2:
             # every factor is odd: the parities agree and the bound does not apply
             continue
         even_count += 1
+        factors = [1] * width
+        for i, n in zip(signs, norms):
+            factors[i] *= n
         found = []
         if any(f % 2 for f in factors):
             found.append(

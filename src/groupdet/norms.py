@@ -58,7 +58,8 @@ class OrbitPlan:
 
         phi(d) = 1 means d = 1 or 2 and the norm is the coefficient itself;
         phi(d) = 2 means d = 3, 4 or 6 and Phi_d = x^2 + p1 x + p0, whose norm
-        form is a0^2 - p1 a0 a1 + p0 a1^2.
+        form is a0^2 - p1 a0 a1 + p0 a1^2; phi(d) = 4 (d = 5, 8, 10, 12) goes
+        through _norm4, and larger phi(d) through integer Bareiss.
         """
         out = []
         at = 0
@@ -69,6 +70,8 @@ class OrbitPlan:
                 a0 = head[at] + tail[at]
                 a1 = head[at + 1] + tail[at + 1]
                 out.append(a0 * a0 - p[1] * a0 * a1 + p[0] * a1 * a1)
+            elif phi == 4:
+                out.append(_norm4(p, *map(add, head[at:at + 4], tail[at:at + 4])))
             else:
                 end = at + phi
                 out.append(_multiplication_det(p, list(map(add, head[at:end], tail[at:end]))))
@@ -82,6 +85,25 @@ class OrbitPlan:
             if x:
                 acc = list(map(add, acc, (x * c for c in col)))
         return acc
+
+
+def _norm4(p: tuple[int, ...], a0: int, a1: int, a2: int, a3: int) -> int:
+    """_multiplication_det for phi(d) = 4 (d = 5, 8, 10, 12) in straight-line
+    code: the multiplication matrix has the columns a, b = a zeta, c = b zeta
+    and d = c zeta, and its determinant is the Laplace expansion along the
+    first two columns, six products of complementary 2x2 minors."""
+    p0, p1, p2, p3, _ = p
+    b0, b1, b2, b3 = -a3 * p0, a0 - a3 * p1, a1 - a3 * p2, a2 - a3 * p3
+    c0, c1, c2, c3 = -b3 * p0, b0 - b3 * p1, b1 - b3 * p2, b2 - b3 * p3
+    d0, d1, d2, d3 = -c3 * p0, c0 - c3 * p1, c1 - c3 * p2, c2 - c3 * p3
+    return (
+        (a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+        - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+        + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+        + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+        - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+        + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)
+    )
 
 
 def _multiplication_det(p: tuple[int, ...], a: list[int]) -> int:

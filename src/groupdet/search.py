@@ -9,10 +9,19 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from math import gcd, prod
 from typing import Callable
 
-from .boxes import DEFAULT_BUDGET, BudgetExceededError, ensure_budget, map_shards, scan_box
+from .boxes import (
+    DEFAULT_BUDGET,
+    BudgetExceededError,
+    candidate_ranges,
+    ensure_budget,
+    map_shards,
+    scan_box,
+    shard_ranges,
+)
 from .determinant import group_determinant
 from .divisibility import two_adic_valuation
 from .groups import (
@@ -159,7 +168,9 @@ def search_values(
     value_cap drops values with |v| > cap from the report (they still count as
     evaluated). prune=True skips assignments that are not lexicographically
     minimal under determinant-preserving translations; the achieved value set
-    is unchanged and witnesses stay the lexicographically first ones.
+    is unchanged and witnesses stay the lexicographically first ones. A pruned
+    scan walks only the candidate sub-boxes and cuts its shards where they
+    hold equal numbers of candidates.
 
     Points are evaluated as products of orbit norms; every reported witness is
     then evaluated again by Bareiss elimination, and a disagreement raises
@@ -167,7 +178,8 @@ def search_values(
     """
     total = ensure_budget(group.order, box, budget, force)
     perms = _even_translations(group) if prune else ()
-    parts = map_shards(_search_shard, (group.orders, box, value_cap, perms), total, jobs)
+    split = partial(candidate_ranges, group.orders, box, perms) if perms else shard_ranges
+    parts = map_shards(_search_shard, (group.orders, box, value_cap, perms), total, jobs, split)
     achieved: dict[int, tuple[int, ...]] = {}
     evaluated = 0
     for count, part in parts:

@@ -234,6 +234,23 @@ def test_search_budget_guard(capsys, tmp_path):
     assert payload["counts"]["evaluated"] == 121
 
 
+@pytest.mark.parametrize("argv", [
+    ("search", "--group", "12", "--box", "0", "--out", "unused.json"),
+    ("witness", "--group", "12", "--box", "0", "--target", "0"),
+    ("verify", "--suite", "theorem2", "--H", "2", "--l", "2", "--box", "0"),
+])
+def test_group_order_squared_counts_against_the_budget(capsys, tmp_path, monkeypatch, argv):
+    # one point each, but |G|^2 = 144 (12) or 64 (2x2x2) table entries
+    monkeypatch.chdir(tmp_path)
+    code, payload = run_cli(capsys, *argv, "--budget", "50")
+    assert code == 2
+    assert payload["status"] == "error"
+    assert "budget" in payload["message"] and "order" in payload["message"]
+    assert not (tmp_path / "unused.json").exists()
+    code, payload = run_cli(capsys, *argv, "--budget", "50", "--force")
+    assert code == 0
+
+
 def test_missing_subcommand_exits_with_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main([])

@@ -16,7 +16,8 @@ from groupdet import (
 from groupdet.boxes import _orbit_minimal, iter_box, scan_box
 from groupdet.cyclotomic import euler_phi
 from groupdet.divisibility import _suite_shard
-from groupdet.norms import orbit_plan
+from groupdet.cyclotomic import cyclotomic_polynomial
+from groupdet.norms import _multiplication_det, _norm4, orbit_plan
 from groupdet.search import _even_translations, _search_shard
 from oracles import naive_group_det
 
@@ -166,3 +167,29 @@ def test_orbit_norms_by_sign_character_are_the_split_factors(data):
     for orbit, norm in zip(orbit_plan(orders).orbits, norm_factors(make_group(orders), xs)):
         factors[orbit.char % (1 << l)] *= norm
     assert factors == integer_split_factors(make_group(h_orders), l, xs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([5, 8, 10, 12]),
+    st.lists(st.integers(-10**6, 10**6), min_size=4, max_size=4),
+)
+def test_phi_four_norm_equals_bareiss(d, a):
+    p = cyclotomic_polynomial(d)
+    assert _norm4(p, *a) == _multiplication_det(p, a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape_and_assignment([(5,), (8,), (10,), (12,)]))
+def test_phi_four_orbit_norms_equal_bareiss(case):
+    orders, xs = case
+    plan = orbit_plan(orders)
+    coeffs = plan.coefficients(xs)
+    at = 0
+    for orbit, norm in zip(plan.orbits, norm_factors(make_group(orders), xs)):
+        phi = len(orbit.rows)
+        if phi == 4:
+            p = cyclotomic_polynomial(orbit.order)
+            assert norm == _multiplication_det(p, coeffs[at:at + 4])
+        at += phi
+    assert at == len(coeffs)
