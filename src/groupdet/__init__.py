@@ -1,9 +1,9 @@
 """Integer group determinants of finite abelian groups.
 
-Exact evaluation (fraction-free elimination over Z and over rings of
-cyclotomic integers, or one rational norm factor per Galois orbit of
-characters), character-product factorizations, 2-adic divisibility checks,
-and exhaustive value searches over bounded boxes.
+Exact evaluation (fraction-free elimination over Z, or one rational norm
+factor per Galois orbit of characters), character-product factorizations over
+rings of cyclotomic integers, 2-adic divisibility checks, and exhaustive value
+searches over bounded boxes.
 """
 
 from .boxes import DEFAULT_BUDGET, BudgetExceededError, box_size, iter_box

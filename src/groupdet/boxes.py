@@ -30,16 +30,15 @@ def box_size(dim: int, box: int) -> int:
 
 def ensure_budget(dim: int, box: int, budget: int, force: bool) -> int:
     """Size of the box, raising when it or dim^2, the size of the group's
-    orbit plan and translation tables, exceeds the budget and force is off."""
-    total = box_size(dim, box)
-    if force:
-        return total
-    if dim * dim > budget:
+    orbit plan and translation tables, exceeds the budget and force is off;
+    dim^2 goes first, as (2*box+1)^dim of a huge group takes long to compute."""
+    if not force and dim * dim > budget:
         raise BudgetExceededError(
             f"a group of order {dim} needs tables of {dim * dim} entries, over the budget "
             f"of {budget}; raise budget= or pass force=True to run anyway"
         )
-    if total > budget:
+    total = box_size(dim, box)
+    if not force and total > budget:
         raise BudgetExceededError(
             f"box [-{box}, {box}]^{dim} needs {total} evaluations, over the budget of "
             f"{budget}; raise budget= or pass force=True to run anyway"

@@ -8,7 +8,6 @@ never mix implicitly: combining different levels requires an explicit embed().
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -202,43 +201,6 @@ class CyclotomicInt:
             out[i * k] = c
         return CyclotomicInt.from_polynomial(target_level, out)
 
-    def exact_div(self, other) -> CyclotomicInt:
-        """Exact ring division; ArithmeticError when the quotient leaves Z[zeta_N]."""
-        if isinstance(other, int):
-            if other == 0:
-                raise ZeroDivisionError("cyclotomic division by zero")
-            quot = []
-            for c in self.coeffs:
-                q, rem = divmod(c, other)
-                if rem:
-                    raise ArithmeticError(
-                        f"inexact cyclotomic division: {self.render()} by {other}"
-                    )
-                quot.append(q)
-            return CyclotomicInt(self.level, tuple(quot))
-        o = self._coerce(other)
-        if o is None:
-            raise TypeError(f"cannot divide by {other!r}")
-        if not o:
-            raise ZeroDivisionError("cyclotomic division by zero")
-        inv = _rational_inverse(o.level, o.coeffs)
-        out = [Fraction(0)] * (len(self.coeffs) + len(inv) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(inv):
-                    if b:
-                        out[i + j] += a * b
-        reduced = _reduce(out, self.level)
-        coeffs = []
-        for f in reduced:
-            f = Fraction(f)
-            if f.denominator != 1:
-                raise ArithmeticError(
-                    f"inexact cyclotomic division: {self.render()} by {o.render()}"
-                )
-            coeffs.append(int(f))
-        return CyclotomicInt(self.level, tuple(coeffs))
-
     def render(self) -> str:
         """Human-readable form "c0 + c1*z + ..." (z = zeta_level); for reports only."""
         terms = []
@@ -268,55 +230,3 @@ def root_power(N: int, k: int) -> CyclotomicInt:
     e = k % N
     return CyclotomicInt.from_polynomial(N, [0] * e + [1])
 
-
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _q_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    quot = [Fraction(0)] * max(len(a) - db, 0)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if c:
-            q = c / lead
-            quot[i - db] = q
-            for j in range(db + 1):
-                a[i - db + j] -= q * b[j]
-    return quot, _trim(a)
-
-
-def _rational_inverse(level: int, coeffs: Sequence[int]) -> tuple[Fraction, ...]:
-    """Coefficients over Q of the inverse of the given element modulo Phi_level.
-
-    Extended Euclid in Q[x] against Phi_level; Phi_level is irreducible over Q,
-    so every nonzero residue is invertible.
-    """
-    phi = [Fraction(c) for c in cyclotomic_polynomial(level)]
-    b = _trim([Fraction(c) for c in coeffs])
-    r0, r1 = phi, b
-    u0, u1 = [Fraction(0)], [Fraction(1)]
-    while len(r1) > 1:
-        q, r = _q_divmod(r0, r1)
-        r0, r1 = r1, r
-        prod = [Fraction(0)] * (len(q) + len(u1) - 1)
-        for i, qi in enumerate(q):
-            if qi:
-                for j, uj in enumerate(u1):
-                    prod[i + j] += qi * uj
-        u0, u1 = u1, _trim([x - y for x, y in _zip_pad(u0, prod)])
-    if not r1:
-        raise ArithmeticError("element shares a factor with the modulus; not invertible")
-    c = r1[0]
-    return tuple(u / c for u in u1)
-
-
-def _zip_pad(a: list[Fraction], b: list[Fraction]):
-    n = max(len(a), len(b))
-    za = a + [Fraction(0)] * (n - len(a))
-    zb = b + [Fraction(0)] * (n - len(b))
-    return zip(za, zb)

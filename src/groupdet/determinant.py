@@ -1,8 +1,7 @@
-"""Group matrices and exact fraction-free determinants.
+"""Group matrices and exact fraction-free integer determinants.
 
-Entries may be Python ints or CyclotomicInt values at one fixed level; the
-elimination is Bareiss (fraction-free), so every internal division is exact
-in the entry domain and is checked.
+Entries are Python ints; the elimination is Bareiss (fraction-free), so every
+internal division is an exact integer division, and each one is checked.
 """
 
 from __future__ import annotations
@@ -10,7 +9,6 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-from .cyclotomic import CyclotomicInt
 from .groups import (
     AbelianGroup,
     enumerate_elements,
@@ -52,11 +50,11 @@ def build_group_matrix(group: AbelianGroup, values: Sequence) -> list[list]:
 
 
 def bareiss_det(matrix: Sequence[Sequence]):
-    """Exact determinant by fraction-free elimination.
+    """Exact integer determinant by fraction-free elimination.
 
     Zero pivots are repaired by row swaps (sign tracked); a pivot column that
-    is entirely zero short-circuits to 0. Entries must be all int or all
-    CyclotomicInt at one level.
+    is entirely zero short-circuits to 0. Every entry must be an int; any other
+    entry (a CyclotomicInt, say) raises ValueError.
     """
     n = len(matrix)
     if n == 0:
@@ -65,15 +63,9 @@ def bareiss_det(matrix: Sequence[Sequence]):
     for r in rows:
         if len(r) != n:
             raise ValueError("matrix is not square")
-    first = rows[0][0]
-    if isinstance(first, int):
-        if all(isinstance(e, int) for r in rows for e in r):
-            return _eliminate_int(rows, n)
-    elif isinstance(first, CyclotomicInt):
-        level = first.level
-        if all(isinstance(e, CyclotomicInt) and e.level == level for r in rows for e in r):
-            return _eliminate_domain(rows, n)
-    raise ValueError("matrix entries must be all int or all CyclotomicInt at one level")
+    if not all(isinstance(e, int) for r in rows for e in r):
+        raise ValueError("matrix entries must all be int")
+    return _eliminate_int(rows, n)
 
 
 def _eliminate_int(rows: list[list[int]], n: int) -> int:
@@ -124,33 +116,8 @@ def _eliminate_int(rows: list[list[int]], n: int) -> int:
     return sign * rows[n - 1][n - 1]
 
 
-def _eliminate_domain(rows: list[list[CyclotomicInt]], n: int) -> CyclotomicInt:
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        if not rows[k][k]:
-            for i in range(k + 1, n):
-                if rows[i][k]:
-                    rows[k], rows[i] = rows[i], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return rows[0][0] * 0
-        rk = rows[k]
-        pivot = rk[k]
-        for i in range(k + 1, n):
-            ri = rows[i]
-            a = ri[k]
-            for j in range(k + 1, n):
-                num = ri[j] * pivot - a * rk[j]
-                ri[j] = num if prev is None else num.exact_div(prev)
-        prev = pivot
-    det = rows[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
 def group_determinant(group: AbelianGroup, values: Sequence):
-    """Determinant of the group matrix; an exact integer for integer assignments."""
+    """Exact integer determinant of the group matrix of an integer assignment."""
     return bareiss_det(build_group_matrix(group, values))
 
 

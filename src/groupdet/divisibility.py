@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .boxes import DEFAULT_BUDGET, ensure_budget, map_shards, scan_box
+from .boxes import DEFAULT_BUDGET, BudgetExceededError, ensure_budget, map_shards, scan_box
 from .determinant import _index_table, bareiss_det
 from .factorization import integer_split_factors, sign_twists
 from .groups import AbelianGroup, direct_product
@@ -209,6 +209,12 @@ def run_divisibility_suite(
     failure again by Bareiss elimination and raises ArithmeticError on a
     disagreement.
     """
+    if not force and l > budget.bit_length():
+        # |G|^2 >= 4^l > budget: refuse before 2^l, (2,) * l or the box is built
+        raise BudgetExceededError(
+            f"H x (Z/2Z)^{l} has order at least 2^{l}, so its tables exceed the budget "
+            f"of {budget}; raise budget= or pass force=True to run anyway"
+        )
     exp = bound_exponent(H, l, exponent)
     G = direct_product(H, AbelianGroup((2,) * l))
     total = ensure_budget(G.order, box, budget, force)

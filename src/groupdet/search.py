@@ -46,6 +46,17 @@ __all__ = [
 ]
 
 
+def _field(obj, key: str, kind, where: str):
+    """obj[key] of a loaded report, where an int may be saved as a decimal string;
+    ValueError naming where unless it is a kind."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if kind is int and isinstance(value, str) and value.removeprefix("-").isdecimal():
+        value = int(value)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"malformed report: bad or missing {where}")
+    return value
+
+
 @dataclass
 class SearchReport:
     """Achieved determinant values over a box, each with its first witness."""
@@ -95,16 +106,30 @@ class SearchReport:
             fh.write("\n")
 
     @staticmethod
-    def from_json_dict(data: dict) -> "SearchReport":
-        achieved = {int(row["v"]): tuple(row["witness"]) for row in data["values"]}
+    def from_json_dict(data) -> "SearchReport":
+        """Rebuild a saved report; a malformed one raises ValueError naming the bad field."""
+        if not isinstance(data, dict):
+            raise ValueError(f"malformed report: expected a JSON object, got {type(data).__name__}")
+        spec = _field(data, "group", str, "group")
+        try:
+            group = parse_group_spec(spec)
+        except ValueError as exc:
+            raise ValueError(f"malformed report: group: {exc}") from None
+        achieved = {}
+        for i, row in enumerate(_field(data, "values", list, "values")):
+            witness = _field(row, "witness", list, f"values[{i}].witness")
+            if len(witness) != group.order or not all(type(w) is int for w in witness):
+                raise ValueError(f"malformed report: values[{i}].witness is not {group.order} ints")
+            achieved[_field(row, "v", int, f"values[{i}].v")] = tuple(witness)
+        counts = _field(data, "counts", dict, "counts")
         cap = data.get("value_cap")
         return SearchReport(
-            orders=parse_group_spec(data["group"]).orders,
-            box=int(data["box"]),
-            evaluated=int(data["counts"]["evaluated"]),
+            orders=group.orders,
+            box=_field(data, "box", int, "box"),
+            evaluated=_field(counts, "evaluated", int, "counts.evaluated"),
             achieved=achieved,
             pruned=bool(data.get("pruned", False)),
-            value_cap=None if cap is None else int(cap),
+            value_cap=None if cap is None else _field(data, "value_cap", int, "value_cap"),
         )
 
     @staticmethod

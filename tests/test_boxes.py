@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import groupdet.boxes
 from groupdet import BudgetExceededError, find_witness, make_group, search_values
-from groupdet.boxes import candidate_ranges, iter_box, map_shards, scan_box
+from groupdet.boxes import candidate_ranges, ensure_budget, iter_box, map_shards, scan_box
 from groupdet.norms import orbit_plan
 from groupdet.search import _even_translations, _search_shard
 
@@ -153,3 +153,15 @@ def test_group_tables_count_against_the_budget():
         find_witness(g, 0, 1, budget=20_000)
     assert orbit_plan.cache_info().misses == misses
     assert find_witness(make_group(12), 0, 0, budget=144) == (0,) * 12
+
+
+def test_group_tables_are_refused_before_the_box_size(monkeypatch):
+    # (2*box+1)^|G| of a huge group takes seconds to compute; it must not be reached
+    def unreachable(dim, box):
+        raise AssertionError("box_size reached on a group refused by its tables")
+
+    monkeypatch.setattr(groupdet.boxes, "box_size", unreachable)
+    with pytest.raises(BudgetExceededError, match="order 10000000"):
+        ensure_budget(10**7, 1, 10**7, False)
+    with pytest.raises(BudgetExceededError, match="order 10000000"):
+        search_values(make_group(10**7), 1)

@@ -189,6 +189,31 @@ def test_check_missing_report(capsys, tmp_path):
     assert payload["status"] == "error"
 
 
+@pytest.mark.parametrize("text,field", [
+    ("{}", "group"),
+    ("[]", "JSON object"),
+    ('{"group": "2", "box": 1, "pruned": false, "value_cap": null, '
+     '"counts": {"evaluated": 9, "distinct": 1}, "values": [{"v": "0", "witness": 3}]}',
+     "values[0].witness"),
+])
+def test_check_malformed_report_exits_2_as_json(capsys, tmp_path, text, field):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, payload = run_cli(capsys, "check", "--report", str(path), "--exponent", "1")
+    assert code == 2
+    assert payload["status"] == "error"
+    assert "malformed report" in payload["message"] and field in payload["message"]
+
+
+def test_verify_huge_l_exits_2_as_json(capsys):
+    code, payload = run_cli(
+        capsys, "verify", "--suite", "theorem2", "--H", "2", "--l", "100000", "--box", "1"
+    )
+    assert code == 2
+    assert payload["status"] == "error"
+    assert "budget" in payload["message"]
+
+
 def test_check_unknown_spec(capsys, tmp_path):
     out = str(tmp_path / "report.json")
     run_cli(capsys, "search", "--group", "2", "--box", "1", "--jobs", "1", "--out", out)

@@ -137,29 +137,6 @@ def test_embed_is_ring_homomorphism():
         assert root_power(n, 1).embed(m) == root_power(m, m // n)
 
 
-def test_exact_div_roundtrip():
-    rng = random.Random(13)
-    for level in (3, 4, 6, 12):
-        deg = euler_phi(level)
-        for _ in range(25):
-            a = CyclotomicInt(level, tuple(rng.randint(-4, 4) for _ in range(deg)))
-            b = CyclotomicInt(level, tuple(rng.randint(-4, 4) for _ in range(deg)))
-            if not b:
-                continue
-            assert (a * b).exact_div(b) == a
-    assert (root_power(6, 1) * 6).exact_div(2) == root_power(6, 1) * 3
-
-
-def test_exact_div_rejects_inexact():
-    with pytest.raises(ArithmeticError):
-        CyclotomicInt.integer(4, 3).exact_div(2)
-    # 1 / (1 + zeta_4) is (1 - zeta_4)/2, not a cyclotomic integer
-    with pytest.raises(ArithmeticError):
-        CyclotomicInt.one(4).exact_div(1 + root_power(4, 1))
-    with pytest.raises(ZeroDivisionError):
-        CyclotomicInt.one(4).exact_div(CyclotomicInt.zero(4))
-
-
 def test_from_polynomial_reduces():
     # x^2 mod Phi_6 = x - 1
     assert CyclotomicInt.from_polynomial(6, (0, 0, 1)).coeffs == (-1, 1)

@@ -7,7 +7,6 @@ import pytest
 
 import groupdet
 from groupdet import (
-    CyclotomicInt,
     bareiss_det,
     build_group_matrix,
     circulant_det,
@@ -101,37 +100,9 @@ def test_bareiss_rejects_bad_matrices():
         bareiss_det([[1, root_power(4, 1)], [0, 1]])
     with pytest.raises(ValueError):
         bareiss_det([[root_power(4, 1), root_power(3, 1)], [0, 0]])
-
-
-def test_bareiss_cyclotomic_lane_matches_int_lane():
-    # Z[zeta_1] is Z, so lifting an integer matrix to level 1 must not change anything
-    rng = random.Random(23)
-    for _ in range(60):
-        n = rng.randint(1, 4)
-        m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        lifted = [[CyclotomicInt.integer(1, e) for e in row] for row in m]
-        assert bareiss_det(lifted) == bareiss_det(m)
-
-
-def test_bareiss_cyclotomic_frozen():
-    z = root_power(4, 1)
-    one = CyclotomicInt.one(4)
-    # det [[1, z], [z, 1]] = 1 - z^2 = 2
-    assert bareiss_det([[one, z], [z, one]]) == 2
-    # det [[z, 1], [1, z]] = z^2 - 1 = -2; leading pivot is a proper cyclotomic
-    assert bareiss_det([[z, one], [one, z]]) == -2
-    # zero pivot swap in the cyclotomic lane
-    zero = CyclotomicInt.zero(4)
-    assert bareiss_det([[zero, one], [one, zero]]) == -1
-
-
-def test_group_determinant_accepts_cyclotomic_assignments():
-    # the determinant lanes agree on a twisted circulant assignment
-    g = make_group(2)
-    z = root_power(3, 1)
-    d = group_determinant(g, (z + 2, z * z))
-    direct = (z + 2) * (z + 2) - z * z * z * z
-    assert d == direct
+    # integer-only elimination: a cyclotomic assignment is refused, not evaluated
+    with pytest.raises(ValueError):
+        group_determinant(make_group(2), (root_power(3, 1) + 2, root_power(3, 2)))
 
 
 @pytest.mark.parametrize("orders", [(2,), (3,), (2, 2), (6,), (4, 2), (2, 2, 2), (8,)])

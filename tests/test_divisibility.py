@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+import groupdet.divisibility
 from groupdet import (
+    BudgetExceededError,
     bound_exponent,
     check_even_bound,
     check_factor_congruence,
@@ -174,3 +176,21 @@ def test_suite_rechecks_witnesses_by_bareiss(monkeypatch):
     monkeypatch.setattr(groupdet.divisibility, "bareiss_det", lambda m: real(m) + 2)
     with pytest.raises(ArithmeticError, match="Bareiss"):
         run_divisibility_suite(make_group(2), 1, 1, jobs=1)
+
+
+def test_suite_refuses_a_huge_l_before_building_anything(monkeypatch):
+    # 2^l, (2,) * l and the box of H x (Z/2Z)^l all grow with l; none may be built
+    def unreachable(*args):
+        raise AssertionError("built a group or box for a refused l")
+
+    for name in ("bound_exponent", "direct_product", "ensure_budget", "AbelianGroup"):
+        monkeypatch.setattr(groupdet.divisibility, name, unreachable)
+    with pytest.raises(BudgetExceededError, match="2\\^100000"):
+        run_divisibility_suite(make_group(2), 100_000, 1)
+    with pytest.raises(BudgetExceededError):
+        run_divisibility_suite(make_group(2), 25, 0, budget=10**7)
+    monkeypatch.undo()
+    # below the cut-off the order-squared check still refuses, and force still runs
+    with pytest.raises(BudgetExceededError, match="order"):
+        run_divisibility_suite(make_group(2), 22, 1)
+    assert run_divisibility_suite(make_group(1), 4, 0, budget=1, force=True)["status"] == "pass"

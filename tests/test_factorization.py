@@ -4,8 +4,10 @@ from collections import Counter
 import pytest
 
 from groupdet import (
+    CyclotomicInt,
     NotRationalError,
     char_sign,
+    char_value,
     character_sums,
     circulant_det,
     crt_decompose,
@@ -24,7 +26,7 @@ from groupdet import (
     split_factors,
 )
 from groupdet.factorization import sign_twists
-from oracles import naive_group_det
+from oracles import cofactor_det, naive_group_det, naive_group_matrix
 
 
 def test_character_sums_frozen():
@@ -126,6 +128,29 @@ def test_regrouping_identity_multisets():
             flat = [form for group in split_character_sums(h, k, x) for form in group]
             full = character_sums(g, x)
             assert Counter(flat) == Counter(full), (orders, cut, x)
+
+
+@pytest.mark.parametrize(
+    "orders,cut", [((2, 2), 1), ((4, 2), 1), ((2, 3), 1), ((3, 2), 1), ((2, 4), 1), ((2, 2, 2), 2)]
+)
+def test_direct_product_factor_is_twisted_h_determinant(orders, cut):
+    # factor i is the H-determinant of y_h = sum_k chi_i(k) x_(h,k), taken here
+    # by cofactor expansion over Z[zeta_L] on the twisted assignment itself
+    rng = random.Random(29)
+    h, k = split_factors(make_group(orders), cut)
+    level = direct_product(h, k).exponent
+    k_elems = enumerate_elements(k)
+    for _ in range(3):
+        x = tuple(rng.randint(-3, 3) for _ in range(h.order * k.order))
+        rep = direct_product_factors(h, k, x)
+        for chi, factor in zip(enumerate_characters(k), rep.factors, strict=True):
+            twist = [char_value(chi, g).embed(level) for g in k_elems]
+            zero = CyclotomicInt.zero(level)
+            y = [
+                sum((c * x[hi * k.order + ki] for ki, c in enumerate(twist)), zero)
+                for hi in range(h.order)
+            ]
+            assert factor == cofactor_det(naive_group_matrix(h.orders, y)), (orders, cut, x, chi)
 
 
 def test_integer_split_factors_frozen():

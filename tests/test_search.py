@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -206,6 +207,25 @@ def test_value_cap_round_trips_through_saved_reports(tmp_path):
     uncapped.save(path)
     assert json.loads(path.read_text())["value_cap"] is None
     assert SearchReport.load(path) == uncapped
+
+
+def test_malformed_saved_reports_name_the_bad_field():
+    good = search_values(make_group(2), 1).as_json_dict()
+    cases = [
+        ({k: v for k, v in good.items() if k != "values"}, "values"),
+        ({**good, "group": "2x0"}, "group"),
+        ({**good, "box": "two"}, "box"),
+        ({**good, "counts": {}}, "counts.evaluated"),
+        ({**good, "value_cap": [3]}, "value_cap"),
+        ({**good, "values": [7]}, "values[0].witness"),
+        ({**good, "values": [{"v": "0", "witness": [0]}]}, "values[0].witness"),
+        ({**good, "values": [{"v": "0", "witness": [0, True]}]}, "values[0].witness"),
+        ({**good, "values": [{"v": "zero", "witness": [0, 0]}]}, "values[0].v"),
+    ]
+    for data, field in cases:
+        with pytest.raises(ValueError, match=re.escape(field)):
+            SearchReport.from_json_dict(data)
+    assert SearchReport.from_json_dict(good) == search_values(make_group(2), 1)
 
 
 def test_witnesses_are_rechecked_by_bareiss(monkeypatch):
