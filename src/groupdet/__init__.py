@@ -44,7 +44,6 @@ from .factorization import (
     integer_split_factors,
     laquer_agrees_with_split,
     laquer_factors,
-    split_character_sums,
 )
 from .groups import (
     AbelianGroup,

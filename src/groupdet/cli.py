@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .boxes import DEFAULT_BUDGET, BudgetExceededError
+from .boxes import DEFAULT_BUDGET, BudgetExceededError, ensure_budget
 from .determinant import circulant_det, group_determinant
 from .divisibility import run_divisibility_suite
 from .factorization import dedekind_product, direct_product_factors, laquer_factors
@@ -39,6 +39,7 @@ def _parse_assignment(text: str) -> tuple[int, ...]:
 
 def _cmd_det(args) -> tuple[int, dict]:
     group = parse_group_spec(args.group)
+    ensure_budget(group.order, 0, DEFAULT_BUDGET, False)
     assign = _parse_assignment(args.assign)
     det = group_determinant(group, assign)
     return 0, {"status": "value", "group": format_group_spec(group), "det": str(det)}
@@ -46,6 +47,7 @@ def _cmd_det(args) -> tuple[int, dict]:
 
 def _cmd_dedekind(args) -> tuple[int, dict]:
     group = parse_group_spec(args.group)
+    ensure_budget(group.order, 0, DEFAULT_BUDGET, False)
     assign = _parse_assignment(args.assign)
     det = dedekind_product(group, assign)
     direct = group_determinant(group, assign)
@@ -62,6 +64,7 @@ def _cmd_dedekind(args) -> tuple[int, dict]:
 
 def _cmd_factor(args) -> tuple[int, dict]:
     group = parse_group_spec(args.group)
+    ensure_budget(group.order, 0, DEFAULT_BUDGET, False)
     H, K = split_factors(group, args.cut)
     report = direct_product_factors(H, K, _parse_assignment(args.assign))
     payload = {"status": "value" if report.match else "fail", "group": format_group_spec(group)}
@@ -70,6 +73,8 @@ def _cmd_factor(args) -> tuple[int, dict]:
 
 
 def _cmd_laquer(args) -> tuple[int, dict]:
+    # refuse a huge |G| x |G| matrix at once; r, s < 1 are left to laquer_factors
+    ensure_budget(max(args.r * args.s, 1), 0, DEFAULT_BUDGET, False)
     report = laquer_factors(args.r, args.s, _parse_assignment(args.assign))
     payload = {"status": "value" if report.match else "fail"}
     payload.update(report.as_json_dict())

@@ -30,12 +30,14 @@ def _index_table(orders: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 
 def check_assignment(group: AbelianGroup, values: Sequence) -> tuple:
-    """An assignment has exactly one entry per group element."""
+    """An assignment has exactly one int entry per group element."""
     vals = tuple(values)
     if len(vals) != group.order:
         raise ValueError(
             f"assignment length {len(vals)} does not match |G| = {group.order} for {group}"
         )
+    if not all(isinstance(v, int) for v in vals):
+        raise ValueError("assignment entries must all be int")
     return vals
 
 

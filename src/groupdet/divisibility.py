@@ -11,10 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from operator import mul
 
 from .boxes import DEFAULT_BUDGET, BudgetExceededError, ensure_budget, map_shards, scan_box
+from .characters import exponent_table
 from .determinant import _index_table, bareiss_det
-from .factorization import integer_split_factors, sign_twists
+from .factorization import _restriction_products, integer_split_factors
 from .groups import AbelianGroup, direct_product
 from .norms import orbit_plan
 
@@ -100,14 +102,19 @@ class BoundCheck:
 
 def check_even_bound(H: AbelianGroup, l: int, values, exponent: int | None = None) -> BoundCheck:
     """Check one assignment of H x (Z/2Z)^l: an even determinant must be divisible
-    by the bound; odd determinants are out of scope (not-applicable)."""
+    by the bound; odd determinants are out of scope (not-applicable). A failure
+    is confirmed by _recheck first."""
     exp = bound_exponent(H, l, exponent)
-    det = prod(integer_split_factors(H, l, values))
+    vals = tuple(values)
+    factors = integer_split_factors(H, l, vals)
+    det = prod(factors)
     if det % 2:
         return BoundCheck(NOT_APPLICABLE, det, 0, exp)
     if det == 0:
         return BoundCheck(PASS, det, None, exp)
     v = two_adic_valuation(det)
+    if v < exp:
+        _recheck(H.orders, l, vals, factors)
     return BoundCheck(PASS if v >= exp else FAIL, det, v, exp)
 
 
@@ -120,21 +127,19 @@ class CongruenceCheck:
 
 
 def check_factor_congruence(H: AbelianGroup, l: int, values) -> CongruenceCheck:
-    """Every split factor of one assignment must have the trivial factor's parity."""
-    factors = tuple(integer_split_factors(H, l, values))
-    lead = factors[0]
-    ok = all((f - lead) % 2 == 0 for f in factors)
-    return CongruenceCheck(PASS if ok else FAIL, factors)
+    """Every split factor of one assignment must have the trivial factor's parity;
+    a failure is confirmed by _recheck first."""
+    vals = tuple(values)
+    factors = integer_split_factors(H, l, vals)
+    ok = all((f - factors[0]) % 2 == 0 for f in factors)
+    if not ok:
+        _recheck(H.orders, l, vals, factors)
+    return CongruenceCheck(PASS if ok else FAIL, tuple(factors))
 
 
 def _suite_shard(h_orders, l, box, exp, start, stop) -> dict:
     orders = h_orders + (2,) * l
-    width = 1 << l
-    # Characters of H x (Z/2Z)^l run with the sign character fastest, and a
-    # Galois orbit never changes it (odd orders have the trivial one, odd
-    # units fix the rest), so each orbit norm belongs to one sign factor.
-    signs = [orbit.char % width for orbit in orbit_plan(orders).orbits]
-    table = _index_table(h_orders)
+    chars = [orbit.char for orbit in orbit_plan(orders).orbits]
     checked = 0
     even_count = 0
     min_even_val = None
@@ -149,9 +154,8 @@ def _suite_shard(h_orders, l, box, exp, start, stop) -> dict:
             # every factor is odd: the parities agree and the bound does not apply
             continue
         even_count += 1
-        factors = [1] * width
-        for i, n in zip(signs, norms):
-            factors[i] *= n
+        # the sign factors, grouped as integer_split_factors groups them
+        factors = _restriction_products(zip(chars, norms), 1 << l, 1)
         found = []
         if any(f % 2 for f in factors):
             found.append(
@@ -167,10 +171,10 @@ def _suite_shard(h_orders, l, box, exp, start, stop) -> dict:
         if found:
             failure_count += len(found)
             if len(failures) < KEPT_FAILURES:
-                _recheck(table, l, vals, factors)
+                _recheck(h_orders, l, vals, factors)
                 failures.extend(found[:KEPT_FAILURES - len(failures)])
     if min_even_point is not None:
-        _recheck(table, l, *min_even_point)
+        _recheck(h_orders, l, *min_even_point)
     return {
         "checked": checked,
         "even_count": even_count,
@@ -180,9 +184,18 @@ def _suite_shard(h_orders, l, box, exp, start, stop) -> dict:
     }
 
 
-def _recheck(table, l: int, vals: tuple, factors: list[int]) -> None:
+def sign_twists(l: int, vals) -> list[list[int]]:
+    """The twisted assignments y_h = sum_k chi_i(k) x_(h,k) of H, one per sign
+    character chi_i of (Z/2Z)^l, for an assignment of H x (Z/2Z)^l."""
+    rows = [[1 - 2 * k for k in row] for row in exponent_table((2,) * l)]
+    chunks = list(zip(*[iter(vals)] * len(rows)))
+    return [[sum(map(mul, signs, c)) for c in chunks] for signs in rows]
+
+
+def _recheck(h_orders, l: int, vals, factors: list[int]) -> None:
     """Raise ArithmeticError unless Bareiss elimination on the twisted H group
     matrices gives the same sign factors as the orbit norms."""
+    table = _index_table(h_orders)
     direct = [bareiss_det([[ys[j] for j in row] for row in table]) for ys in sign_twists(l, vals)]
     if direct != factors:
         raise ArithmeticError(

@@ -1,24 +1,24 @@
 """Character-product evaluation and factorizations of integer group determinants.
 
 The determinant of a finite abelian group factors over its characters into
-linear forms. Grouping those forms along a direct-product component yields one
-factor per character of that component; the coprime circulant split of Laquer
-is the cyclic special case, and sign characters of (Z/2Z)^l give all-integer
-factors.
+linear forms. Multiplying together the forms whose characters have the same
+restriction to a subgroup K yields one factor per character of K: the
+direct-product split is K a direct factor, the coprime circulant split of
+Laquer is K = <r> in Z/(r*s)Z, and for K = (Z/2Z)^l the orbit norms grouped
+the same way give all-integer factors.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from math import gcd, lcm
-from operator import mul
+from math import gcd
 
 from .characters import exponent_table
 from .cyclotomic import CyclotomicInt, NotRationalError
 from .determinant import check_assignment, circulant_det, group_determinant
-from .groups import AbelianGroup, direct_product
+from .groups import AbelianGroup, crt_decompose, direct_product
+from .norms import norm_factors, orbit_plan
 
 
 @dataclass(frozen=True)
@@ -68,6 +68,24 @@ def _product(forms, level: int) -> CyclotomicInt:
     return acc
 
 
+def _restriction_products(pairs, width: int, one) -> list:
+    """Product i of the items whose character restricts to the i-th character of
+    a subgroup K of order width, for (c, item) pairs with c the character index.
+
+    Character c restricts to c mod |K|: in H x K the K-character runs fastest,
+    and the character k of Z/(r*s)Z restricts to k mod s on <r> = Z/sZ.
+    """
+    out = [one] * width
+    for c, item in pairs:
+        out[c % width] *= item
+    return out
+
+
+def _report(split: str, factors, level: int, direct: int) -> FactorizationReport:
+    product = _product(factors, level).to_integer()
+    return FactorizationReport(split, tuple(factors), product, direct, product == direct)
+
+
 def dedekind_product(group: AbelianGroup, values) -> int:
     """The determinant as the exact product of all character sums.
 
@@ -77,61 +95,34 @@ def dedekind_product(group: AbelianGroup, values) -> int:
     return _product(character_sums(group, values), group.exponent).to_integer()
 
 
-def split_character_sums(H: AbelianGroup, K: AbelianGroup, values) -> list[list[CyclotomicInt]]:
-    """Character sums of H x K grouped by the K-character, all at level lcm(N_H, N_K).
-
-    Entry [i][j] is the form sum_h psi_j(h) * (sum_k chi_i(k) x_(h,k)): characters
-    of H x K run with the K-character fastest, so group i is every |K|-th sum.
-    """
-    sums = character_sums(direct_product(H, K), values)
-    return [sums[i::K.order] for i in range(K.order)]
-
-
 def direct_product_factors(H: AbelianGroup, K: AbelianGroup, values) -> FactorizationReport:
     """Factor the determinant of H x K into one factor per character of K.
 
     Factor i is the H-determinant of the chi_i-twisted assignment
-    y_h = sum_k chi_i(k) x_(h,k), evaluated as a character product at the
-    common level; the factor product is cross-checked against the direct
-    determinant of H x K.
+    y_h = sum_k chi_i(k) x_(h,k), evaluated as the product of the character
+    sums of H x K that restrict to chi_i; the factor product is cross-checked
+    against the direct determinant of H x K.
     """
-    grouped = split_character_sums(H, K, values)
-    L = lcm(H.exponent, K.exponent)
-    factors = tuple(_product(forms, L) for forms in grouped)
-    product = _product(factors, L).to_integer()
-    direct = group_determinant(direct_product(H, K), values)
-    return FactorizationReport(
-        split=f"H={H}, K={K}",
-        factors=factors,
-        product=product,
-        direct_det=direct,
-        match=product == direct,
-    )
-
-
-@lru_cache(maxsize=None)
-def _sign_rows(l: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(1 - 2 * k for k in row) for row in exponent_table((2,) * l))
-
-
-def sign_twists(l: int, vals: tuple) -> list[list[int]]:
-    """The twisted assignments y_h = sum_k chi_i(k) x_(h,k) of H, one per sign
-    character chi_i of (Z/2Z)^l, for an assignment of H x (Z/2Z)^l."""
-    rows = _sign_rows(l)
-    chunks = list(zip(*[iter(vals)] * len(rows)))
-    return [[sum(map(mul, signs, c)) for c in chunks] for signs in rows]
+    G = direct_product(H, K)
+    sums = character_sums(G, values)
+    factors = _restriction_products(enumerate(sums), K.order, CyclotomicInt.one(G.exponent))
+    return _report(f"H={H}, K={K}", factors, G.exponent, group_determinant(G, values))
 
 
 def integer_split_factors(H: AbelianGroup, l: int, values) -> list[int]:
     """All-integer factors of the determinant of H x (Z/2Z)^l, one per sign character.
 
     Factor i is the H-determinant of y_h = sum_k chi_i(k) x_(h,k) with
-    chi_i(k) in {+1,-1}; the trivial character comes first.
+    chi_i(k) in {+1,-1}, trivial character first: the product of the orbit
+    norms whose characters restrict to chi_i. A Galois orbit keeps its sign
+    character (trivial at odd order, fixed by odd units), so each norm belongs
+    to one factor.
     """
     if l < 1:
         raise ValueError("need at least one Z/2Z factor to split off")
-    vals = check_assignment(direct_product(H, AbelianGroup((2,) * l)), values)
-    return [group_determinant(H, ys) for ys in sign_twists(l, vals)]
+    G = direct_product(H, AbelianGroup((2,) * l))
+    chars = [orbit.char for orbit in orbit_plan(G.orders).orbits]
+    return _restriction_products(zip(chars, norm_factors(G, values)), 1 << l, 1)
 
 
 def laquer_factors(r: int, s: int, xs) -> FactorizationReport:
@@ -139,7 +130,8 @@ def laquer_factors(r: int, s: int, xs) -> FactorizationReport:
 
     y_j^i = sum_k zeta_s^(i*(k*r + j - 1)) x_(k*r + j) in the classical 1-based
     indexing, i.e. xs[t] is x_(t+1), the value at residue t. Factor i is the
-    character product of C_r(y^i) at level lcm(r, s) = r*s.
+    product of the character sums of Z/(r*s)Z that restrict to the character
+    r*i mod s of <r> = Z/sZ, at level r*s.
     """
     if r < 1 or s < 1 or gcd(r, s) != 1:
         raise ValueError(f"need coprime positive sizes, got r={r}, s={s}")
@@ -147,38 +139,23 @@ def laquer_factors(r: int, s: int, xs) -> FactorizationReport:
     xs = tuple(xs)
     if len(xs) != n:
         raise ValueError(f"assignment length {len(xs)} does not match r*s = {n}")
-    # The m-th C_r form of factor i weights x at residue t by
-    # zeta_r^(m*t) * zeta_s^(i*t) = zeta_n^((s*m + r*i) * t), so it is the
-    # character sum of Z/nZ with exponent (s*m + r*i) mod n.
     sums = character_sums(AbelianGroup((n,)), xs)
-    factors = [_product((sums[(s * m + r * i) % n] for m in range(r)), n) for i in range(s)]
-    product = _product(factors, n).to_integer()
-    direct = circulant_det(n, xs)
-    return FactorizationReport(
-        split=f"C{n} = C{r} * C{s} (coprime)",
-        factors=tuple(factors),
-        product=product,
-        direct_det=direct,
-        match=product == direct,
-    )
+    groups = _restriction_products(enumerate(sums), s, CyclotomicInt.one(n))
+    factors = [groups[r * i % s] for i in range(s)]
+    return _report(f"C{n} = C{r} * C{s} (coprime)", factors, n, circulant_det(n, xs))
 
 
 def crt_transport(r: int, s: int, xs) -> tuple[int, ...]:
-    """Carry a circulant assignment of Z/(r*s)Z to Z/rZ x Z/sZ.
-
-    The residue x = a*s + b*r mod r*s lands at element (a, b), so the value at
-    product index a*s + b is xs[(a*s + b*r) % (r*s)].
-    """
-    if r < 1 or s < 1 or gcd(r, s) != 1:
-        raise ValueError(f"need coprime positive sizes, got r={r}, s={s}")
+    """Carry a circulant assignment of Z/(r*s)Z to Z/rZ x Z/sZ: the residue x
+    lands at the element (a, b) = crt_decompose(r*s, r, s, x), index a*s + b."""
     n = r * s
     xs = tuple(xs)
     if len(xs) != n:
         raise ValueError(f"assignment length {len(xs)} does not match r*s = {n}")
     out = [0] * n
-    for a in range(r):
-        for b in range(s):
-            out[a * s + b] = xs[(a * s + b * r) % n]
+    for x, v in enumerate(xs):
+        a, b = crt_decompose(n, r, s, x)
+        out[a * s + b] = v
     return tuple(out)
 
 
@@ -186,14 +163,6 @@ def laquer_agrees_with_split(r: int, s: int, xs) -> bool:
     """Laquer's split must equal the transported direct-product split: same factor
     multiset, and both products equal to the circulant determinant."""
     lap = laquer_factors(r, s, xs)
-    split = direct_product_factors(
-        AbelianGroup((r,)), AbelianGroup((s,)), crt_transport(r, s, xs)
-    )
-    expected = lap.direct_det
-    return (
-        Counter(lap.factors) == Counter(split.factors)
-        and lap.match
-        and split.match
-        and lap.product == expected
-        and split.product == expected
-    )
+    split = direct_product_factors(AbelianGroup((r,)), AbelianGroup((s,)), crt_transport(r, s, xs))
+    same = Counter(lap.factors) == Counter(split.factors)
+    return same and lap.match and split.match and split.direct_det == lap.direct_det

@@ -122,13 +122,20 @@ class SearchReport:
                 raise ValueError(f"malformed report: values[{i}].witness is not {group.order} ints")
             achieved[_field(row, "v", int, f"values[{i}].v")] = tuple(witness)
         counts = _field(data, "counts", dict, "counts")
+        box = _field(data, "box", int, "box")
+        evaluated = _field(counts, "evaluated", int, "counts.evaluated")
+        pruned = data.get("pruned", False)
+        for where, bad in (("box", box < 0), ("counts.evaluated", evaluated < 0),
+                           ("pruned", not isinstance(pruned, bool))):
+            if bad:
+                raise ValueError(f"malformed report: bad {where}")
         cap = data.get("value_cap")
         return SearchReport(
             orders=group.orders,
-            box=_field(data, "box", int, "box"),
-            evaluated=_field(counts, "evaluated", int, "counts.evaluated"),
+            box=box,
+            evaluated=evaluated,
             achieved=achieved,
-            pruned=bool(data.get("pruned", False)),
+            pruned=pruned,
             value_cap=None if cap is None else _field(data, "value_cap", int, "value_cap"),
         )
 

@@ -214,6 +214,23 @@ def test_verify_huge_l_exits_2_as_json(capsys):
     assert "budget" in payload["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("det", "--group", "4000"),
+        ("dedekind", "--group", "100x40"),
+        ("factor", "--group", "4000x2", "--cut", "1"),
+        ("laquer", "--r", "3999", "--s", "2"),
+    ],
+)
+def test_per_assignment_commands_refuse_huge_groups(capsys, argv):
+    # |G|^2 > 10^7: refused before the (unparseable) assignment is read
+    code, payload = run_cli(capsys, *argv, "--assign", "not-an-assignment")
+    assert code == 2
+    assert payload["status"] == "error"
+    assert "budget" in payload["message"] and "order" in payload["message"]
+
+
 def test_check_unknown_spec(capsys, tmp_path):
     out = str(tmp_path / "report.json")
     run_cli(capsys, "search", "--group", "2", "--box", "1", "--jobs", "1", "--out", out)

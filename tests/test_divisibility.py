@@ -178,6 +178,27 @@ def test_suite_rechecks_witnesses_by_bareiss(monkeypatch):
         run_divisibility_suite(make_group(2), 1, 1, jobs=1)
 
 
+def test_single_checks_recheck_their_failures_by_bareiss(monkeypatch):
+    real = groupdet.divisibility.bareiss_det
+    monkeypatch.setattr(groupdet.divisibility, "bareiss_det", lambda m: real(m) + 2)
+    h = make_group(2)
+    # passing and not-applicable verdicts are returned as they are
+    assert check_even_bound(h, 1, (2, 0, 0, 0)).status == "pass"
+    assert check_factor_congruence(h, 1, (1, 1, 1, 0)).status == "pass"
+    # a failure is re-evaluated first, and the disagreement raises
+    with pytest.raises(ArithmeticError, match="Bareiss"):
+        check_even_bound(h, 1, (2, 0, 0, 0), exponent=3)
+    calls = []
+    monkeypatch.setattr(groupdet.divisibility, "bareiss_det", lambda m: calls.append(m) or real(m))
+    assert check_even_bound(h, 1, (2, 0, 0, 0), exponent=3).status == "fail"
+    assert len(calls) == 2
+    monkeypatch.setattr(
+        groupdet.divisibility, "integer_split_factors", lambda H, l, values: [4, 3]
+    )
+    with pytest.raises(ArithmeticError, match="Bareiss"):
+        check_factor_congruence(h, 1, (2, 0, 0, 0))
+
+
 def test_suite_refuses_a_huge_l_before_building_anything(monkeypatch):
     # 2^l, (2,) * l and the box of H x (Z/2Z)^l all grow with l; none may be built
     def unreachable(*args):

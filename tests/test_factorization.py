@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 
 import pytest
 
@@ -22,10 +21,11 @@ from groupdet import (
     laquer_agrees_with_split,
     laquer_factors,
     make_group,
-    split_character_sums,
+    root_power,
     split_factors,
 )
-from groupdet.factorization import sign_twists
+from groupdet.divisibility import sign_twists
+from groupdet.norms import norm_factors
 from oracles import cofactor_det, naive_group_det, naive_group_matrix
 
 
@@ -117,19 +117,6 @@ def test_report_json_rendering():
     assert any("z" in f for f in data["factors"])
 
 
-def test_regrouping_identity_multisets():
-    # all |G| linear forms regrouped by the K component, compared as multisets
-    rng = random.Random(19)
-    for orders, cut in [((2, 2), 1), ((2, 3), 1), ((4, 2), 1), ((2, 2, 2), 1), ((2, 2, 2), 2), ((3, 3), 1), ((2, 2, 3), 2)]:
-        g = make_group(orders)
-        h, k = split_factors(g, cut)
-        for _ in range(6):
-            x = tuple(rng.randint(-3, 3) for _ in range(g.order))
-            flat = [form for group in split_character_sums(h, k, x) for form in group]
-            full = character_sums(g, x)
-            assert Counter(flat) == Counter(full), (orders, cut, x)
-
-
 @pytest.mark.parametrize(
     "orders,cut", [((2, 2), 1), ((4, 2), 1), ((2, 3), 1), ((3, 2), 1), ((2, 4), 1), ((2, 2, 2), 2)]
 )
@@ -191,6 +178,24 @@ def test_integer_split_validation():
         integer_split_factors(make_group(2), 0, (1, 1))
     with pytest.raises(ValueError):
         integer_split_factors(make_group(2), 1, (1, 1, 1))
+    with pytest.raises(ValueError, match="int"):
+        integer_split_factors(make_group(2), 1, (1, 1, 1, 0.5))
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda values: norm_factors(make_group(2), values),
+        lambda values: dedekind_product(make_group(2), values),
+        lambda values: character_sums(make_group(2), values),
+        lambda values: integer_split_factors(make_group(1), 1, values),
+    ],
+    ids=["norm_factors", "dedekind_product", "character_sums", "integer_split_factors"],
+)
+@pytest.mark.parametrize("values", [(0.5, 0.5), (1, 2.0), (1, "2"), (root_power(3, 1), 0)])
+def test_non_integer_assignments_are_rejected(evaluate, values):
+    with pytest.raises(ValueError, match="int"):
+        evaluate(values)
 
 
 def test_laquer_frozen_values():

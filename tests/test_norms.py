@@ -15,7 +15,8 @@ from groupdet import (
 )
 from groupdet.boxes import _orbit_minimal, iter_box, scan_box
 from groupdet.cyclotomic import euler_phi
-from groupdet.divisibility import _suite_shard
+from groupdet.determinant import _index_table, bareiss_det
+from groupdet.divisibility import _suite_shard, sign_twists
 from groupdet.cyclotomic import cyclotomic_polynomial
 from groupdet.norms import _multiplication_det, _norm4, orbit_plan
 from groupdet.search import _even_translations, _search_shard
@@ -162,11 +163,10 @@ def test_orbit_norms_by_sign_character_are_the_split_factors(data):
     l = data.draw(st.integers(1, 2))
     n = prod(h_orders) << l
     xs = tuple(data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n)))
-    orders = h_orders + (2,) * l
-    factors = [1] * (1 << l)
-    for orbit, norm in zip(orbit_plan(orders).orbits, norm_factors(make_group(orders), xs)):
-        factors[orbit.char % (1 << l)] *= norm
-    assert factors == integer_split_factors(make_group(h_orders), l, xs)
+    # the independent path: Bareiss on the H group matrix of each sign twist
+    table = _index_table(h_orders)
+    direct = [bareiss_det([[ys[j] for j in row] for row in table]) for ys in sign_twists(l, xs)]
+    assert integer_split_factors(make_group(h_orders), l, xs) == direct
 
 
 @settings(max_examples=100, deadline=None)

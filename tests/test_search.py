@@ -221,6 +221,11 @@ def test_malformed_saved_reports_name_the_bad_field():
         ({**good, "values": [{"v": "0", "witness": [0]}]}, "values[0].witness"),
         ({**good, "values": [{"v": "0", "witness": [0, True]}]}, "values[0].witness"),
         ({**good, "values": [{"v": "zero", "witness": [0, 0]}]}, "values[0].v"),
+        ({**good, "pruned": "false"}, "pruned"),
+        ({**good, "pruned": 0}, "pruned"),
+        ({**good, "box": -3}, "box"),
+        ({**good, "counts": {"evaluated": -1}}, "counts.evaluated"),
+        ({**good, "counts": {"evaluated": "-9"}}, "counts.evaluated"),
     ]
     for data, field in cases:
         with pytest.raises(ValueError, match=re.escape(field)):
