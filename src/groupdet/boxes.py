@@ -11,7 +11,7 @@ import multiprocessing
 import os
 from math import prod
 from bisect import bisect_left
-from itertools import accumulate, islice, product
+from itertools import accumulate, compress, islice, product
 
 from .norms import orbit_plan
 
@@ -23,8 +23,10 @@ class BudgetExceededError(RuntimeError):
 
 
 def box_size(dim: int, box: int) -> int:
-    if dim < 1 or box < 0:
-        raise ValueError(f"bad box [-{box}, {box}]^{dim}")
+    if box < 0:
+        raise ValueError(f"the box must be at least 0, got {box}")
+    if dim < 1:
+        raise ValueError(f"a box needs dimension at least 1, got {dim}")
     return (2 * box + 1) ** dim
 
 
@@ -35,13 +37,13 @@ def ensure_budget(dim: int, box: int, budget: int, force: bool) -> int:
     if not force and dim * dim > budget:
         raise BudgetExceededError(
             f"a group of order {dim} needs tables of {dim * dim} entries, over the budget "
-            f"of {budget}; raise budget= or pass force=True to run anyway"
+            f"of {budget}"
         )
     total = box_size(dim, box)
     if not force and total > budget:
         raise BudgetExceededError(
             f"box [-{box}, {box}]^{dim} needs {total} evaluations, over the budget of "
-            f"{budget}; raise budget= or pass force=True to run anyway"
+            f"{budget}"
         )
     return total
 
@@ -54,54 +56,64 @@ def iter_box(dim: int, box: int, start: int = 0, stop: int | None = None):
     return islice(it, start, stop)
 
 
-def scan_box(orders: tuple[int, ...], box: int, start: int, stop: int, perms=()):
-    """(vals, norms) for the points of [start, stop) of the box over the group
-    with these factor orders, in lexicographic order; norms are the point's
-    orbit norm factors in orbit_plan order, so their product is its determinant.
+def scan_box(orders: tuple[int, ...], box: int, start: int, stop: int, perms=(), keys=None):
+    """(prefix, suffixes, values) once per prefix for the points of [start, stop)
+    of the box over the group with these factor orders, in lexicographic
+    order: the points are prefix + t for t in suffixes, and values[j] is what
+    the plan's kernel for keys (see OrbitPlan.block) gives prefix + suffixes[j],
+    with keys None the determinant.
 
-    The coefficient vectors of every suffix (the last floor(dim/2) coordinates,
-    at most sqrt of the box size many) are built once and one partial vector
-    per prefix, so a point costs one vector add plus the norms. A point that
-    some index permutation in perms maps to a lexicographically smaller point
-    is skipped without being visited: only the candidates of _candidates are
-    walked, and a tie on the first coordinate is broken by _orbit_minimal.
+    The prefix is the first dim - dim // 2 coordinates. The coefficient
+    vectors of every suffix (at most sqrt of the box size many) are built
+    once and one per prefix, and one kernel call evaluates a prefix's whole
+    block of suffixes. A point that some index permutation in perms maps to a
+    lexicographically smaller point is left out: only the candidates of
+    _candidates are walked, and the points tied on the first coordinate that
+    _orbit_minimal rejects are dropped from a prefix's block before it is
+    evaluated.
     """
     plan = orbit_plan(orders)
-    norms = plan.norms
+    block = plan.block(keys)
     dim = len(plan.columns)
     cut = dim - dim // 2
     pad = (0,) * cut
-    suffixes = [(t, plan.coefficients(pad + t)) for t in iter_box(dim - cut, box)]
+    suffixes = list(iter_box(dim - cut, box))
+    tails = [plan.coefficients(pad + t) for t in suffixes]
     size = len(suffixes)
     first = start // size
     prefixes = zip(range(first * size, stop, size), iter_box(cut, box, first))
     if not perms:
         for base, prefix in prefixes:
-            head = plan.coefficients(prefix)
-            for t, tail in suffixes[max(start - base, 0):stop - base]:
-                yield prefix + t, norms(head, tail)
+            lo, hi = max(start - base, 0), stop - base
+            yield prefix, suffixes[lo:hi], block(plan.coefficients(prefix), tails[lo:hi])
         return
     lead, floors = _candidates(dim, box, perms)
     walks = {
-        c: ([j for j, _, _ in entries], [(t, suffixes[j][1], tied) for j, t, tied in entries])
+        c: (
+            [j for j, _, _ in entries],
+            [t for _, t, _ in entries],
+            [tails[j] for j, _, _ in entries],
+            [tied for _, _, tied in entries],
+        )
         for c, entries in floors.items()
     }
     for base, prefix in prefixes:
-        c = prefix[0]
         ties = _prefix_ties(prefix, lead)
         if ties is None:
             continue
-        index, entries = walks[c]
+        index, ts, tl, tieds = walks[prefix[0]]
         lo = bisect_left(index, start - base)
         hi = bisect_left(index, stop - base)
         if lo == hi:
             continue
-        head = plan.coefficients(prefix)
-        for t, tail, tied in entries[lo:hi]:
-            vals = prefix + t
-            if (ties or tied) and not _orbit_minimal(vals, ties + tied):
-                continue
-            yield vals, norms(head, tail)
+        ts, tl, tieds = ts[lo:hi], tl[lo:hi], tieds[lo:hi]
+        if ties or any(tieds):
+            keep = [
+                not (ties or tied) or _orbit_minimal(prefix + t, ties + tied)
+                for t, tied in zip(ts, tieds)
+            ]
+            ts, tl = list(compress(ts, keep)), list(compress(tl, keep))
+        yield prefix, ts, block(plan.coefficients(prefix), tl)
 
 
 def _candidates(dim: int, box: int, perms):

@@ -10,15 +10,14 @@ from finite search (a box can only certify an upper bound on e).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import gcd, prod
 from operator import mul
 
 from .boxes import DEFAULT_BUDGET, BudgetExceededError, ensure_budget, map_shards, scan_box
 from .characters import exponent_table
 from .determinant import _index_table, bareiss_det
-from .factorization import _restriction_products, integer_split_factors
+from .factorization import _sign_keys, integer_split_factors
 from .groups import AbelianGroup, direct_product
-from .norms import orbit_plan
 
 PASS = "pass"
 FAIL = "fail"
@@ -139,40 +138,44 @@ def check_factor_congruence(H: AbelianGroup, l: int, values) -> CongruenceCheck:
 
 def _suite_shard(h_orders, l, box, exp, start, stop) -> dict:
     orders = h_orders + (2,) * l
-    chars = [orbit.char for orbit in orbit_plan(orders).orbits]
     checked = 0
     even_count = 0
     min_even_val = None
     min_even_point = None
     failure_count = 0
     failures = []
-    for vals, norms in scan_box(orders, box, start, stop):
-        checked += 1
-        # the product of all orbit norms is the determinant, however they group
-        det = prod(norms)
-        if det % 2:
-            # every factor is odd: the parities agree and the bound does not apply
-            continue
-        even_count += 1
-        # the sign factors, grouped as integer_split_factors groups them
-        factors = _restriction_products(zip(chars, norms), 1 << l, 1)
-        found = []
-        if any(f % 2 for f in factors):
-            found.append(
-                {"kind": "congruence", "factors": [str(f) for f in factors], "witness": list(vals)}
-            )
-        if det:
-            v = two_adic_valuation(det)
-            if min_even_val is None or v < min_even_val:
-                min_even_val = v
-                min_even_point = vals, factors
-            if v < exp:
-                found.append({"kind": "bound", "det": str(det), "witness": list(vals)})
-        if found:
-            failure_count += len(found)
-            if len(failures) < KEPT_FAILURES:
-                _recheck(h_orders, l, vals, factors)
-                failures.extend(found[:KEPT_FAILURES - len(failures)])
+    keys = _sign_keys(orders, l)
+    for prefix, suffixes, values in scan_box(orders, box, start, stop, keys=keys):
+        checked += len(values)
+        # the product of the sign factors is the determinant
+        for j, det in enumerate(map(prod, values)):
+            if det % 2:
+                # every factor is odd: the parities agree and the bound does not apply
+                continue
+            even_count += 1
+            factors = values[j]
+            vals = prefix + suffixes[j]
+            found = []
+            # an even determinant has an even factor; all of them are even
+            # exactly when their gcd is
+            if gcd(*factors) % 2:
+                found.append({
+                    "kind": "congruence",
+                    "factors": [str(f) for f in factors],
+                    "witness": list(vals),
+                })
+            if det:
+                v = two_adic_valuation(det)
+                if min_even_val is None or v < min_even_val:
+                    min_even_val = v
+                    min_even_point = vals, factors
+                if v < exp:
+                    found.append({"kind": "bound", "det": str(det), "witness": list(vals)})
+            if found:
+                failure_count += len(found)
+                if len(failures) < KEPT_FAILURES:
+                    _recheck(h_orders, l, vals, factors)
+                    failures.extend(found[:KEPT_FAILURES - len(failures)])
     if min_even_point is not None:
         _recheck(h_orders, l, *min_even_point)
     return {
@@ -192,14 +195,14 @@ def sign_twists(l: int, vals) -> list[list[int]]:
     return [[sum(map(mul, signs, c)) for c in chunks] for signs in rows]
 
 
-def _recheck(h_orders, l: int, vals, factors: list[int]) -> None:
+def _recheck(h_orders, l: int, vals, factors) -> None:
     """Raise ArithmeticError unless Bareiss elimination on the twisted H group
     matrices gives the same sign factors as the orbit norms."""
     table = _index_table(h_orders)
     direct = [bareiss_det([[ys[j] for j in row] for row in table]) for ys in sign_twists(l, vals)]
-    if direct != factors:
+    if direct != list(factors):
         raise ArithmeticError(
-            f"orbit norms gave sign factors {factors} at {list(vals)} "
+            f"orbit norms gave sign factors {list(factors)} at {list(vals)} "
             f"but Bareiss elimination gives {direct}"
         )
 
@@ -226,7 +229,7 @@ def run_divisibility_suite(
         # |G|^2 >= 4^l > budget: refuse before 2^l, (2,) * l or the box is built
         raise BudgetExceededError(
             f"H x (Z/2Z)^{l} has order at least 2^{l}, so its tables exceed the budget "
-            f"of {budget}; raise budget= or pass force=True to run anyway"
+            f"of {budget}"
         )
     exp = bound_exponent(H, l, exponent)
     G = direct_product(H, AbelianGroup((2,) * l))

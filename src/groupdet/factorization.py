@@ -18,7 +18,7 @@ from .characters import exponent_table
 from .cyclotomic import CyclotomicInt, NotRationalError
 from .determinant import check_assignment, circulant_det, group_determinant
 from .groups import AbelianGroup, crt_decompose, direct_product
-from .norms import norm_factors, orbit_plan
+from .norms import grouped_norms, orbit_plan
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,14 @@ def integer_split_factors(H: AbelianGroup, l: int, values) -> list[int]:
     if l < 1:
         raise ValueError("need at least one Z/2Z factor to split off")
     G = direct_product(H, AbelianGroup((2,) * l))
-    chars = [orbit.char for orbit in orbit_plan(G.orders).orbits]
-    return _restriction_products(zip(chars, norm_factors(G, values)), 1 << l, 1)
+    return grouped_norms(G, values, _sign_keys(G.orders, l))
+
+
+def _sign_keys(orders: tuple[int, ...], l: int) -> tuple[int, ...]:
+    """The sign factor of H x (Z/2Z)^l that each orbit norm belongs to, in
+    orbit_plan order: an orbit's first character c restricts to the sign
+    character c mod 2^l, as in _restriction_products."""
+    return tuple(orbit.char % (1 << l) for orbit in orbit_plan(orders).orbits)
 
 
 def laquer_factors(r: int, s: int, xs) -> FactorizationReport:

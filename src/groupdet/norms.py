@@ -9,7 +9,9 @@ Frobenius-Dedekind product by orbit therefore writes
 
 one integer factor per orbit. Each orbit's form is stored reduced mod Phi_d
 as phi(d) integer coefficient rows over the |G| coordinates, so evaluating an
-assignment is a few integer dot products and one small norm per orbit.
+assignment is a few integer dot products and one small norm per orbit. Each
+plan compiles these norms, multiplied together in the groups a caller needs,
+into one straight-line kernel per grouping (OrbitPlan.block).
 """
 
 from __future__ import annotations
@@ -51,32 +53,73 @@ class OrbitPlan:
         flat = [row for orbit in self.orbits for row in orbit.rows]
         self.columns = tuple(tuple(row[g] for row in flat) for g in range(order))
         self._moduli = tuple((len(o.rows), cyclotomic_polynomial(o.order)) for o in self.orbits)
+        self._blocks: dict = {}
 
-    def norms(self, head, tail) -> list[int]:
-        """One norm per orbit of the coefficient vector head + tail, both laid
-        out like columns; the box engine passes a prefix and a suffix part.
-
-        phi(d) = 1 means d = 1 or 2 and the norm is the coefficient itself;
-        phi(d) = 2 means d = 3, 4 or 6 and Phi_d = x^2 + p1 x + p0, whose norm
-        form is a0^2 - p1 a0 a1 + p0 a1^2; phi(d) = 4 (d = 5, 8, 10, 12) goes
-        through _norm4, and larger phi(d) through integer Bareiss.
+    def block(self, keys=None):
+        """The kernel block(head, tails) of one grouping of the orbits, compiled
+        once per plan: for every tail, the products of the orbit norms of the
+        coefficient vector head + tail (both laid out like columns) grouped by
+        keys, a tuple giving each orbit its output slot. Each tail gives a tuple
+        of max(keys) + 1 slot products, or with keys None one integer, the
+        product of all norms: the determinant.
         """
-        out = []
+        kernel = self._blocks.get(keys)
+        if kernel is None:
+            if keys is not None and (
+                len(keys) != len(self.orbits) or not all(type(k) is int and k >= 0 for k in keys)
+            ):
+                raise ValueError(f"need one slot index >= 0 per orbit, got {keys!r}")
+            namespace = {
+                "__builtins__": {}, "_norm4": _norm4, "_multiplication_det": _multiplication_det
+            }
+            exec(self._block_source(keys), namespace)
+            kernel = self._blocks[keys] = namespace["block"]
+        return kernel
+
+    def _block_source(self, keys) -> str:
+        """Straight-line source of block(head, tails): a_i = h_i + t_i unrolled,
+        phi(d) = 1 norms as the coefficient itself, phi(d) = 2 norms with the
+        constants of Phi_d folded in, phi(d) = 4 through _norm4 and larger
+        phi(d) through _multiplication_det. It holds only integer literals of
+        the plan and fixed identifiers."""
+        dim = len(self.columns)
+        sums = []
+        slots: dict[int, list[str]] = {}
         at = 0
-        for phi, p in self._moduli:
+        for key, (phi, p) in zip(keys or [0] * len(self.orbits), self._moduli):
             if phi == 1:
-                out.append(head[at] + tail[at])
-            elif phi == 2:
-                a0 = head[at] + tail[at]
-                a1 = head[at + 1] + tail[at + 1]
-                out.append(a0 * a0 - p[1] * a0 * a1 + p[0] * a1 * a1)
-            elif phi == 4:
-                out.append(_norm4(p, *map(add, head[at:at + 4], tail[at:at + 4])))
+                norm = f"(h{at} + t{at})"
             else:
-                end = at + phi
-                out.append(_multiplication_det(p, list(map(add, head[at:end], tail[at:end]))))
+                a = [f"a{i}" for i in range(at, at + phi)]
+                sums.append("; ".join(f"a{i} = h{i} + t{i}" for i in range(at, at + phi)))
+                if phi == 2:
+                    norm = _QUADRATIC_NORMS[p].format(*a)
+                else:
+                    poly = ", ".join(f"{c:d}" for c in p)
+                    if phi == 4:
+                        norm = f"_norm4(({poly}), {', '.join(a)})"
+                    else:
+                        norm = f"_multiplication_det(({poly}), [{', '.join(a)}])"
+            slots.setdefault(key, []).append(norm)
             at += phi
-        return out
+        if keys is None:
+            value = _product_source(slots[0])
+        else:
+            products = [_product_source(slots.get(k, [])) for k in range(max(keys) + 1)]
+            value = f"({', '.join(products)},)"
+        hs = ", ".join(f"h{i}" for i in range(dim))
+        ts = ", ".join(f"t{i}" for i in range(dim))
+        body = "".join(f"        {line}\n" for line in sums)
+        return (
+            "def block(head, tails):\n"
+            f"    {hs}, = head\n"
+            "    out = []\n"
+            "    append = out.append\n"
+            f"    for {ts}, in tails:\n"
+            f"{body}"
+            f"        append({value})\n"
+            "    return out\n"
+        )
 
     def coefficients(self, values) -> list[int]:
         """The coefficient vector of an assignment: sum of x_g * columns[g]."""
@@ -85,6 +128,26 @@ class OrbitPlan:
             if x:
                 acc = list(map(add, acc, (x * c for c in col)))
         return acc
+
+
+# N(a0 + a1 zeta) = a0^2 - p1 a0 a1 + p0 a1^2 for the three quadratic
+# Phi_d = x^2 + p1 x + p0, keyed by Phi_d, with the constants folded in
+_QUADRATIC_NORMS = {
+    (1, 1, 1): "({0} * ({0} - {1}) + {1} * {1})",  # d = 3
+    (1, 0, 1): "({0} * {0} + {1} * {1})",  # d = 4
+    (1, -1, 1): "({0} * ({0} + {1}) + {1} * {1})",  # d = 6
+}
+
+
+def _product_source(factors: list[str]) -> str:
+    """Source of the product of the factors, multiplied as a balanced tree so
+    that a group with thousands of orbits does not nest thousands deep."""
+    if not factors:
+        return "1"
+    while len(factors) > 1:
+        pairs = zip(factors[0::2], factors[1::2])
+        factors = [f"({a} * {b})" for a, b in pairs] + factors[len(factors) - len(factors) % 2:]
+    return factors[0]
 
 
 def _norm4(p: tuple[int, ...], a0: int, a1: int, a2: int, a3: int) -> int:
@@ -141,9 +204,16 @@ def orbit_plan(orders: tuple[int, ...]) -> OrbitPlan:
     return OrbitPlan(orbits, group.order)
 
 
+def grouped_norms(group: AbelianGroup, values, keys) -> list[int]:
+    """The products of the orbit norms of one assignment, grouped by keys as
+    in OrbitPlan.block."""
+    vals = check_assignment(group, values)
+    plan = orbit_plan(group.orders)
+    return list(plan.block(tuple(keys))(plan.coefficients(vals), [(0,) * len(vals)])[0])
+
+
 def norm_factors(group: AbelianGroup, values) -> list[int]:
     """The rational norm factors of the determinant, one per Galois orbit of
     characters in orbit_plan order; their product is the group determinant."""
     vals = check_assignment(group, values)
-    plan = orbit_plan(group.orders)
-    return plan.norms(plan.coefficients(vals), [0] * len(vals))
+    return grouped_norms(group, vals, range(len(orbit_plan(group.orders).orbits)))

@@ -10,7 +10,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import partial
-from math import gcd, prod
+from math import gcd
 from typing import Callable
 
 from .boxes import (
@@ -125,18 +125,19 @@ class SearchReport:
         box = _field(data, "box", int, "box")
         evaluated = _field(counts, "evaluated", int, "counts.evaluated")
         pruned = data.get("pruned", False)
+        cap = None if data.get("value_cap") is None else _field(data, "value_cap", int, "value_cap")
         for where, bad in (("box", box < 0), ("counts.evaluated", evaluated < 0),
-                           ("pruned", not isinstance(pruned, bool))):
+                           ("pruned", not isinstance(pruned, bool)),
+                           ("value_cap", cap is not None and cap < 0)):
             if bad:
                 raise ValueError(f"malformed report: bad {where}")
-        cap = data.get("value_cap")
         return SearchReport(
             orders=group.orders,
             box=box,
             evaluated=evaluated,
             achieved=achieved,
             pruned=pruned,
-            value_cap=None if cap is None else _field(data, "value_cap", int, "value_cap"),
+            value_cap=cap,
         )
 
     @staticmethod
@@ -176,13 +177,12 @@ def _even_translations(group: AbelianGroup) -> tuple[tuple[int, ...], ...]:
 def _search_shard(orders, box, cap, perms, start, stop) -> tuple[int, dict[int, tuple[int, ...]]]:
     found: dict[int, tuple[int, ...]] = {}
     evaluated = 0
-    for vals, norms in scan_box(orders, box, start, stop, perms):
-        evaluated += 1
-        d = prod(norms)
-        if cap is not None and abs(d) > cap:
-            continue
-        if d not in found:
-            found[d] = vals
+    for prefix, suffixes, ds in scan_box(orders, box, start, stop, perms):
+        evaluated += len(ds)
+        # a witness only for values new to the shard, at their first point
+        for d in set(ds).difference(found):
+            if cap is None or abs(d) <= cap:
+                found[d] = prefix + suffixes[ds.index(d)]
     return evaluated, found
 
 
@@ -198,8 +198,9 @@ def search_values(
     """Evaluate the determinant on every assignment in [-box, box]^|G|.
 
     value_cap drops values with |v| > cap from the report (they still count as
-    evaluated). prune=True skips assignments that are not lexicographically
-    minimal under determinant-preserving translations; the achieved value set
+    evaluated); a negative cap raises ValueError. prune=True skips
+    assignments that are not lexicographically minimal under
+    determinant-preserving translations; the achieved value set
     is unchanged and witnesses stay the lexicographically first ones. A pruned
     scan walks only the candidate sub-boxes and cuts its shards where they
     hold equal numbers of candidates.
@@ -208,6 +209,8 @@ def search_values(
     then evaluated again by Bareiss elimination, and a disagreement raises
     ArithmeticError.
     """
+    if value_cap is not None and value_cap < 0:
+        raise ValueError(f"value_cap must be at least 0, got {value_cap}")
     total = ensure_budget(group.order, box, budget, force)
     perms = _even_translations(group) if prune else ()
     split = partial(candidate_ranges, group.orders, box, perms) if perms else shard_ranges
@@ -246,8 +249,9 @@ def find_witness(
     whose orbit norms multiply to target; Bareiss elimination then evaluates
     that witness again, and a disagreement raises ArithmeticError."""
     total = ensure_budget(group.order, box, budget, force)
-    for vals, norms in scan_box(group.orders, box, 0, total):
-        if prod(norms) == target:
+    for prefix, suffixes, ds in scan_box(group.orders, box, 0, total):
+        if target in ds:
+            vals = prefix + suffixes[ds.index(target)]
             _recheck(group, vals, target)
             return vals
     return None

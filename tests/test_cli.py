@@ -211,7 +211,7 @@ def test_verify_huge_l_exits_2_as_json(capsys):
     )
     assert code == 2
     assert payload["status"] == "error"
-    assert "budget" in payload["message"]
+    assert "budget" in payload["message"] and "force=True" not in payload["message"]
 
 
 @pytest.mark.parametrize(
@@ -229,6 +229,8 @@ def test_per_assignment_commands_refuse_huge_groups(capsys, argv):
     assert code == 2
     assert payload["status"] == "error"
     assert "budget" in payload["message"] and "order" in payload["message"]
+    # the message names no Python keyword the CLI does not take
+    assert "force=True" not in payload["message"]
 
 
 def test_check_unknown_spec(capsys, tmp_path):
@@ -266,7 +268,7 @@ def test_search_budget_guard(capsys, tmp_path):
     )
     assert code == 2
     assert payload["status"] == "error"
-    assert "budget" in payload["message"]
+    assert "budget" in payload["message"] and "force=True" not in payload["message"]
 
     code, payload = run_cli(
         capsys, "search", "--group", "2", "--box", "5", "--budget", "10",
@@ -330,6 +332,19 @@ def test_jobs_below_one_exit_2_as_json(capsys, tmp_path, command):
     assert code == 2
     assert payload["status"] == "error"
     assert "jobs must be at least 1" in payload["message"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("search", "--group", "2", "--box", "1", "--cap", "-1"), "value_cap must be at least 0, got -1"),
+    (("witness", "--group", "2", "--box", "-1", "--target", "1"), "box must be at least 0, got -1"),
+])
+def test_negative_cap_and_box_exit_2_as_json(capsys, tmp_path, argv, message):
+    out = tmp_path / "r.json"
+    code, payload = run_cli(capsys, *argv, *(["--out", str(out)] if argv[0] == "search" else []))
+    assert code == 2
+    assert payload["status"] == "error"
+    assert message in payload["message"]
+    assert not out.exists()
 
 
 def test_check_echoes_value_cap(capsys, tmp_path):

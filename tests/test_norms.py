@@ -1,6 +1,6 @@
 """Rational norm factors and the box engine, against Bareiss and the cofactor oracle."""
 
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -14,11 +14,13 @@ from groupdet import (
     search_values,
 )
 from groupdet.boxes import _orbit_minimal, iter_box, scan_box
-from groupdet.cyclotomic import euler_phi
+from groupdet.characters import exponent_table
+from groupdet.cyclotomic import CyclotomicInt, euler_phi
 from groupdet.determinant import _index_table, bareiss_det
-from groupdet.divisibility import _suite_shard, sign_twists
+from groupdet.divisibility import KEPT_FAILURES, _suite_shard, sign_twists
+from groupdet.factorization import _sign_keys, character_sums
 from groupdet.cyclotomic import cyclotomic_polynomial
-from groupdet.norms import _multiplication_det, _norm4, orbit_plan
+from groupdet.norms import _multiplication_det, _norm4, _product_source, orbit_plan
 from groupdet.search import _even_translations, _search_shard
 from oracles import naive_group_det
 
@@ -78,8 +80,18 @@ def test_norm_factors_frozen():
     assert norm_factors(make_group((4, 2)), (1, 2, 0, 1, 0, 0, 1, 0)) == [5, -1, 9, 5, 1, -1]
 
 
+def points(blocks):
+    """The (point, value) pairs of scan_box's per-prefix blocks, in box order."""
+    out = []
+    for prefix, suffixes, values in blocks:
+        assert len(suffixes) == len(values)
+        out += [(prefix + t, v) for t, v in zip(suffixes, values)]
+    return out
+
+
 def test_dim_one_group_at_box_zero():
-    assert list(scan_box((1,), 0, 0, 1)) == [((0,), [0])]
+    assert points(scan_box((1,), 0, 0, 1, keys=(0,))) == [((0,), (0,))]
+    assert points(scan_box((1,), 0, 0, 1)) == [((0,), 0)]
     rep = search_values(make_group((1,)), 0)
     assert rep.achieved == {0: (0,)} and rep.evaluated == 1
 
@@ -87,12 +99,12 @@ def test_dim_one_group_at_box_zero():
 @pytest.mark.parametrize("orders,box", [((2, 2), 1), ((3,), 2), ((4, 2), 1), ((5,), 1)])
 def test_engine_walks_the_box_in_order(orders, box):
     dim = prod(orders)
-    points = [vals for vals, _ in scan_box(orders, box, 0, (2 * box + 1) ** dim)]
-    assert points == list(iter_box(dim, box))
+    scanned = points(scan_box(orders, box, 0, (2 * box + 1) ** dim))
+    assert [vals for vals, _ in scanned] == list(iter_box(dim, box))
     g = make_group(orders)
-    for vals, norms in scan_box(orders, box, 0, len(points)):
+    for vals, d in scanned:
         if sum(map(abs, vals)) <= 2:
-            assert prod(norms) == group_determinant(g, vals)
+            assert d == group_determinant(g, vals)
 
 
 def test_orbit_minimal_keeps_the_old_filter_set():
@@ -132,16 +144,23 @@ def test_search_shards_at_any_cut_merge_to_one_scan(data):
     assert merged_search_shards(orders, box, perms, cuts) == whole
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_suite_shards_at_any_cut_sum_to_one_scan(data):
-    h_orders, l, box = data.draw(st.sampled_from([((2,), 1, 1), ((1,), 2, 2), ((3,), 1, 1)]))
+    # cuts slice a prefix's block anywhere; shards merge as run_divisibility_suite
+    # merges them, and an exponent above the true one keeps bound failures
+    h_orders, l, box = data.draw(
+        st.sampled_from([((2,), 1, 1), ((1,), 2, 2), ((3,), 1, 1), ((4,), 1, 1), ((2,), 2, 1)])
+    )
+    exp = data.draw(st.sampled_from([0, 4, 9, 30]))
     total = (2 * box + 1) ** (prod(h_orders) << l)
     cuts = data.draw(shard_cuts(total))
-    whole = _suite_shard(h_orders, l, box, 0, 0, total)
-    parts = [_suite_shard(h_orders, l, box, 0, a, b) for a, b in zip(cuts, cuts[1:])]
+    whole = _suite_shard(h_orders, l, box, exp, 0, total)
+    parts = [_suite_shard(h_orders, l, box, exp, a, b) for a, b in zip(cuts, cuts[1:])]
     assert sum(p["checked"] for p in parts) == whole["checked"] == total
     assert sum(p["even_count"] for p in parts) == whole["even_count"]
+    assert sum(p["failure_count"] for p in parts) == whole["failure_count"]
+    assert [f for p in parts for f in p["failures"]][:KEPT_FAILURES] == whole["failures"]
     evens = [p["min_even_valuation"] for p in parts if p["min_even_valuation"] is not None]
     assert (min(evens) if evens else None) == whole["min_even_valuation"]
 
@@ -193,3 +212,102 @@ def test_phi_four_orbit_norms_equal_bareiss(case):
             assert norm == _multiplication_det(p, coeffs[at:at + 4])
         at += phi
     assert at == len(coeffs)
+
+
+# The compiled kernels: phi(d) = 1 and 2 (4x2, 3x3, 2x2x3), phi(d) = 4 (5, 8,
+# 12) and phi(d) >= 6 (7, 9).
+KERNEL_SHAPES = [(4, 2), (3, 3), (5,), (8,), (12,), (7,), (9,), (2, 2, 3)]
+
+
+@st.composite
+def kernel_block(draw, shapes):
+    """A shape, a cut, one prefix and a few suffixes: the points of one block."""
+    orders = draw(st.sampled_from(shapes))
+    n = prod(orders)
+    cut = draw(st.integers(0, n))
+    entries = st.integers(-6, 6)
+    prefix = tuple(draw(st.lists(entries, min_size=cut, max_size=cut)))
+    tail = st.lists(entries, min_size=n - cut, max_size=n - cut).map(tuple)
+    return orders, prefix, draw(st.lists(tail, min_size=1, max_size=4))
+
+
+def run_block(plan, keys, prefix, suffixes):
+    """The kernel for keys on one head and its tails, laid out as scan_box does."""
+    n = len(plan.columns)
+    head = plan.coefficients(prefix + (0,) * (n - len(prefix)))
+    tails = [plan.coefficients((0,) * len(prefix) + t) for t in suffixes]
+    return plan.block(keys)(head, tails)
+
+
+def orbit_character_norms(orders, xs):
+    """Each orbit's norm as the product of the character sums of its members
+    in Z[zeta_N], without the plan's reduced rows."""
+    group = make_group(orders)
+    table = exponent_table(orders)
+    index = {row: c for c, row in enumerate(table)}
+    sums = character_sums(group, xs)
+    N = group.exponent
+    out = []
+    for orbit in orbit_plan(orders).orbits:
+        d = orbit.order
+        units = [u for u in range(1, d + 1) if gcd(u, d) == 1]
+        members = {index[tuple(u * k % N for k in table[orbit.char])] for u in units}
+        acc = CyclotomicInt.one(N)
+        for c in members:
+            acc = acc * sums[c]
+        out.append(acc.to_integer())
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_block(KERNEL_SHAPES))
+def test_determinant_and_orbit_kernels_match_bareiss(case):
+    orders, prefix, suffixes = case
+    plan = orbit_plan(orders)
+    g = make_group(orders)
+    xs = [prefix + t for t in suffixes]
+    dets = run_block(plan, None, prefix, suffixes)
+    assert dets == [group_determinant(g, x) for x in xs]
+    per_orbit = run_block(plan, tuple(range(len(plan.orbits))), prefix, suffixes)
+    assert [list(norms) for norms in per_orbit] == [orbit_character_norms(orders, x) for x in xs]
+    assert [prod(norms) for norms in per_orbit] == dets
+
+
+@settings(max_examples=10, deadline=None)
+@given(kernel_block([s for s in KERNEL_SHAPES if prod(s) <= 8]))
+def test_determinant_kernel_matches_cofactor_oracle(case):
+    orders, prefix, suffixes = case
+    dets = run_block(orbit_plan(orders), None, prefix, suffixes)
+    assert dets == [naive_group_det(orders, prefix + t) for t in suffixes]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_sign_kernel_matches_bareiss_and_oracle(data):
+    # G = H x Z/2, H a kernel shape, with sign factors keyed by c mod 2
+    h_orders = data.draw(st.sampled_from(KERNEL_SHAPES))
+    orders = h_orders + (2,)
+    _, prefix, suffixes = data.draw(kernel_block([orders]))
+    plan = orbit_plan(orders)
+    factors = run_block(plan, _sign_keys(orders, 1), prefix, suffixes)
+    table = _index_table(h_orders)
+    for x, fs in zip((prefix + t for t in suffixes), factors):
+        twists = sign_twists(1, x)
+        assert list(fs) == [bareiss_det([[ys[j] for j in row] for row in table]) for ys in twists]
+        if prod(h_orders) <= 7:
+            assert list(fs) == [naive_group_det(h_orders, ys) for ys in twists]
+
+
+def test_kernels_are_compiled_once_per_grouping():
+    plan = orbit_plan((4, 2))
+    keys = _sign_keys((4, 2), 1)
+    assert plan.block(keys) is plan.block(keys) and plan.block() is plan.block(None)
+    assert plan.block(keys) is not plan.block()
+    for bad in [(0,), (0, 1, 0, 1, 0, -1), (0, 1, 0, 1, 0, "1")]:
+        with pytest.raises(ValueError, match="one slot index"):
+            plan.block(bad)
+    source = plan._block_source(keys)
+    # integer literals and fixed identifiers only: Phi_4 = x^2 + 1 folded in
+    assert "a2 * a2 + a3 * a3" in source and "_norm4" not in source
+    # thousands of orbits in one slot: a flat product would nest too deep to compile
+    assert eval(_product_source(["2"] * 5000)) == 2**5000

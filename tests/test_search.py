@@ -77,6 +77,8 @@ def test_value_cap_drops_large_values():
     rep = search_values(g, 2, value_cap=3)
     assert set(rep.achieved) == {-3, -1, 0, 1, 3}
     assert rep.evaluated == 25
+    with pytest.raises(ValueError, match="value_cap must be at least 0, got -1"):
+        search_values(g, 1, value_cap=-1)
 
 
 def test_budget_guard():
@@ -88,6 +90,8 @@ def test_budget_guard():
     # force runs anyway (keep it tiny)
     rep = search_values(make_group(2), 1, budget=2, force=True)
     assert rep.evaluated == 9
+    with pytest.raises(ValueError, match="box must be at least 0, got -1"):
+        find_witness(make_group(2), -1, 1)
 
 
 def test_find_witness_frozen():
@@ -226,6 +230,7 @@ def test_malformed_saved_reports_name_the_bad_field():
         ({**good, "box": -3}, "box"),
         ({**good, "counts": {"evaluated": -1}}, "counts.evaluated"),
         ({**good, "counts": {"evaluated": "-9"}}, "counts.evaluated"),
+        ({**good, "value_cap": "-1"}, "value_cap"),
     ]
     for data, field in cases:
         with pytest.raises(ValueError, match=re.escape(field)):
