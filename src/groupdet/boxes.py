@@ -12,6 +12,7 @@ import os
 from math import prod
 from bisect import bisect_left
 from itertools import accumulate, compress, islice, product
+from operator import itemgetter
 
 from .norms import orbit_plan
 
@@ -56,12 +57,13 @@ def iter_box(dim: int, box: int, start: int = 0, stop: int | None = None):
     return islice(it, start, stop)
 
 
-def scan_box(orders: tuple[int, ...], box: int, start: int, stop: int, perms=(), keys=None):
-    """(prefix, suffixes, values) once per prefix for the points of [start, stop)
+def scan_box(orders: tuple[int, ...], box: int, start: int, stop: int, perms=(), kernel=None):
+    """(prefix, suffixes, result) once per prefix for the points of [start, stop)
     of the box over the group with these factor orders, in lexicographic
-    order: the points are prefix + t for t in suffixes, and values[j] is what
-    the plan's kernel for keys (see OrbitPlan.block) gives prefix + suffixes[j],
-    with keys None the determinant.
+    order: the points are prefix + t for t in suffixes, and result is what
+    kernel, a compiled kernel of the shape's plan (OrbitPlan.block or
+    OrbitPlan.suite), returns for the prefix and those suffixes; kernel None
+    is the determinant kernel, whose result lists one determinant per suffix.
 
     The prefix is the first dim - dim // 2 coordinates. The coefficient
     vectors of every suffix (at most sqrt of the box size many) are built
@@ -73,7 +75,7 @@ def scan_box(orders: tuple[int, ...], box: int, start: int, stop: int, perms=(),
     evaluated.
     """
     plan = orbit_plan(orders)
-    block = plan.block(keys)
+    kernel = kernel or plan.block()
     dim = len(plan.columns)
     cut = dim - dim // 2
     pad = (0,) * cut
@@ -85,7 +87,7 @@ def scan_box(orders: tuple[int, ...], box: int, start: int, stop: int, perms=(),
     if not perms:
         for base, prefix in prefixes:
             lo, hi = max(start - base, 0), stop - base
-            yield prefix, suffixes[lo:hi], block(plan.coefficients(prefix), tails[lo:hi])
+            yield prefix, suffixes[lo:hi], kernel(plan.coefficients(prefix), tails[lo:hi])
         return
     lead, floors = _candidates(dim, box, perms)
     walks = {
@@ -113,7 +115,7 @@ def scan_box(orders: tuple[int, ...], box: int, start: int, stop: int, perms=(),
                 for t, tied in zip(ts, tieds)
             ]
             ts, tl = list(compress(ts, keep)), list(compress(tl, keep))
-        yield prefix, ts, block(plan.coefficients(prefix), tl)
+        yield prefix, ts, kernel(plan.coefficients(prefix), tl)
 
 
 def _candidates(dim: int, box: int, perms):
@@ -121,18 +123,21 @@ def _candidates(dim: int, box: int, perms):
     its orbit if x_0 <= x_s for every lead index s = perm[0], so with x_0 = c
     every lead coordinate lies in [c, box].
 
-    Returns the perms whose lead index lies in the prefix (the first
-    dim - dim // 2 coordinates), and, for each c, the suffixes whose lead
-    coordinates are all >= c as (suffix index, suffix, perms tied at c
+    Each perm is kept as its lead index and itemgetter(*perm), which applies
+    it to a whole tuple in one C call. Returns the (lead index, getter) pairs
+    whose lead index lies in the prefix (the first dim - dim // 2
+    coordinates), and, for each c, the suffixes whose lead coordinates are
+    all >= c as (suffix index, suffix, getters of the perms tied at c
     there), in box order.
     """
     cut = dim - dim // 2
-    lead = tuple(perm for perm in perms if perm[0] < cut)
-    rest = [(perm[0] - cut, perm) for perm in perms if perm[0] >= cut]
+    getters = [(perm[0], itemgetter(*perm)) for perm in perms]
+    lead = tuple((s, g) for s, g in getters if s < cut)
+    rest = [(s - cut, g) for s, g in getters if s >= cut]
     suffixes = list(iter_box(dim - cut, box))
     floors = {
         c: [
-            (j, t, tuple(perm for s, perm in rest if t[s] == c))
+            (j, t, tuple(g for s, g in rest if t[s] == c))
             for j, t in enumerate(suffixes)
             if all(t[s] >= c for s, _ in rest)
         ]
@@ -143,30 +148,24 @@ def _candidates(dim: int, box: int, perms):
 
 def _prefix_ties(prefix: tuple, lead):
     """None when a lead coordinate of the prefix is below prefix[0], else the
-    perms of lead whose lead coordinate equals it."""
+    getters of lead whose lead coordinate equals it."""
     c = prefix[0]
     ties = []
-    for perm in lead:
-        x = prefix[perm[0]]
+    for s, g in lead:
+        x = prefix[s]
         if x < c:
             return None
         if x == c:
-            ties.append(perm)
+            ties.append(g)
     return tuple(ties)
 
 
-def _orbit_minimal(vals: tuple, perms) -> bool:
-    """No perm maps vals to a lexicographically smaller tuple. Each comparison
-    stops at the first position where the translate differs from vals, which
-    for most perms is the first."""
-    for perm in perms:
-        for i, p in enumerate(perm):
-            x = vals[p]
-            y = vals[i]
-            if x != y:
-                if x < y:
-                    return False
-                break
+def _orbit_minimal(vals: tuple, getters) -> bool:
+    """No getter (itemgetter(*perm) of an index permutation perm) maps vals
+    to a lexicographically smaller tuple."""
+    for g in getters:
+        if g(vals) < vals:
+            return False
     return True
 
 

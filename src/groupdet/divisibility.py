@@ -18,6 +18,7 @@ from .characters import exponent_table
 from .determinant import _index_table, bareiss_det
 from .factorization import _sign_keys, integer_split_factors
 from .groups import AbelianGroup, direct_product
+from .norms import orbit_plan
 
 PASS = "pass"
 FAIL = "fail"
@@ -81,6 +82,8 @@ def bound_exponent(H: AbelianGroup, l: int, exponent: int | None = None) -> int:
         if fact is None:
             raise ValueError(f"no known even-value exponent for {H}; pass exponent=")
         exponent = fact.exponent
+    elif exponent < 0:
+        raise ValueError(f"the even-value exponent must be at least 0, got {exponent}")
     return exponent * (1 << l)
 
 
@@ -138,23 +141,35 @@ def check_factor_congruence(H: AbelianGroup, l: int, values) -> CongruenceCheck:
 
 def _suite_shard(h_orders, l, box, exp, start, stop) -> dict:
     orders = h_orders + (2,) * l
+    plan = orbit_plan(orders)
+    keys = _sign_keys(orders, l)
+    signs = plan.block(keys)
+    zero = (0,) * len(plan.columns)
+    # coefficient vectors of the suffixes that hold a flagged point
+    tails: dict[tuple, list[int]] = {}
     checked = 0
     even_count = 0
-    min_even_val = None
-    min_even_point = None
+    least = 0
+    least_point = None
     failure_count = 0
     failures = []
-    keys = _sign_keys(orders, l)
-    for prefix, suffixes, values in scan_box(orders, box, start, stop, keys=keys):
-        checked += len(values)
-        # the product of the sign factors is the determinant
-        for j, det in enumerate(map(prod, values)):
-            if det % 2:
-                # every factor is odd: the parities agree and the bound does not apply
-                continue
-            even_count += 1
-            factors = values[j]
-            vals = prefix + suffixes[j]
+    blocks = scan_box(orders, box, start, stop, kernel=plan.suite(keys, exp))
+    for prefix, suffixes, (even, low, at, flagged) in blocks:
+        checked += len(suffixes)
+        even_count += even
+        if low and (low < least or not least):
+            least, least_point = low, prefix + suffixes[at]
+        if not flagged:
+            continue
+        # the rare flagged points: their sign factors, the failures they hold
+        ts = [suffixes[j] for j in flagged]
+        for t in ts:
+            if t not in tails:
+                tails[t] = plan.coefficients((0,) * len(prefix) + t)
+        factors_of = signs(plan.coefficients(prefix), [tails[t] for t in ts])
+        for t, factors in zip(ts, factors_of):
+            vals = prefix + t
+            det = prod(factors)
             found = []
             # an even determinant has an even factor; all of them are even
             # exactly when their gcd is
@@ -164,24 +179,18 @@ def _suite_shard(h_orders, l, box, exp, start, stop) -> dict:
                     "factors": [str(f) for f in factors],
                     "witness": list(vals),
                 })
-            if det:
-                v = two_adic_valuation(det)
-                if min_even_val is None or v < min_even_val:
-                    min_even_val = v
-                    min_even_point = vals, factors
-                if v < exp:
-                    found.append({"kind": "bound", "det": str(det), "witness": list(vals)})
-            if found:
-                failure_count += len(found)
-                if len(failures) < KEPT_FAILURES:
-                    _recheck(h_orders, l, vals, factors)
-                    failures.extend(found[:KEPT_FAILURES - len(failures)])
-    if min_even_point is not None:
-        _recheck(h_orders, l, *min_even_point)
+            if det and two_adic_valuation(det) < exp:
+                found.append({"kind": "bound", "det": str(det), "witness": list(vals)})
+            failure_count += len(found)
+            if found and len(failures) < KEPT_FAILURES:
+                _recheck(h_orders, l, vals, factors)
+                failures.extend(found[:KEPT_FAILURES - len(failures)])
+    if least_point is not None:
+        _recheck(h_orders, l, least_point, signs(zero, [plan.coefficients(least_point)])[0])
     return {
         "checked": checked,
         "even_count": even_count,
-        "min_even_valuation": min_even_val,
+        "min_even_valuation": None if least_point is None else least.bit_length() - 1,
         "failure_count": failure_count,
         "failures": failures,
     }

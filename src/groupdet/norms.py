@@ -11,7 +11,9 @@ one integer factor per orbit. Each orbit's form is stored reduced mod Phi_d
 as phi(d) integer coefficient rows over the |G| coordinates, so evaluating an
 assignment is a few integer dot products and one small norm per orbit. Each
 plan compiles these norms, multiplied together in the groups a caller needs,
-into one straight-line kernel per grouping (OrbitPlan.block).
+into one straight-line kernel per grouping (OrbitPlan.block), and the theorem2
+checks on top of the sign grouping into a kernel that returns only aggregates
+(OrbitPlan.suite).
 """
 
 from __future__ import annotations
@@ -63,27 +65,47 @@ class OrbitPlan:
         of max(keys) + 1 slot products, or with keys None one integer, the
         product of all norms: the determinant.
         """
-        kernel = self._blocks.get(keys)
+        return self._kernel(keys, None)
+
+    def suite(self, keys, exp: int):
+        """The theorem2 kernel suite(head, tails) of the grouping keys and the
+        bound exponent exp, compiled once per plan from the same per-point code
+        as block(keys): with f0, f1, ... the slot products of a tail and d
+        their product, it returns the aggregates (even, least, at, flagged) of
+        the whole block. even counts the even d; least is the smallest d & -d
+        over the nonzero even d (0 when there is none) and at the index of its
+        first tail (-1 when there is none); flagged lists, in order, the
+        indices of the even d where some slot product is odd or where d != 0
+        and the 2-adic valuation of d is below exp.
+        """
+        if type(exp) is not int or exp < 0:
+            raise ValueError(f"the bound exponent must be an integer >= 0, got {exp!r}")
+        return self._kernel(keys, exp)
+
+    def _kernel(self, keys, exp):
+        kernel = self._blocks.get((keys, exp))
         if kernel is None:
             if keys is not None and (
                 len(keys) != len(self.orbits) or not all(type(k) is int and k >= 0 for k in keys)
             ):
                 raise ValueError(f"need one slot index >= 0 per orbit, got {keys!r}")
             namespace = {
-                "__builtins__": {}, "_norm4": _norm4, "_multiplication_det": _multiplication_det
+                "__builtins__": {}, "enumerate": enumerate, "_norm4": _norm4,
+                "_multiplication_det": _multiplication_det,
             }
-            exec(self._block_source(keys), namespace)
-            kernel = self._blocks[keys] = namespace["block"]
+            exec(self._block_source(keys, exp), namespace)
+            kernel = self._blocks[keys, exp] = namespace["block"]
         return kernel
 
-    def _block_source(self, keys) -> str:
-        """Straight-line source of block(head, tails): a_i = h_i + t_i unrolled,
-        phi(d) = 1 norms as the coefficient itself, phi(d) = 2 norms with the
-        constants of Phi_d folded in, phi(d) = 4 through _norm4 and larger
-        phi(d) through _multiplication_det. It holds only integer literals of
-        the plan and fixed identifiers."""
+    def _block_source(self, keys, exp=None) -> str:
+        """Straight-line source of block(head, tails), or with exp given of
+        suite(head, tails): a_i = h_i + t_i unrolled, phi(d) = 1 norms as the
+        coefficient itself, phi(d) = 2 norms with the constants of Phi_d folded
+        in, phi(d) = 4 through _norm4 and larger phi(d) through
+        _multiplication_det. It holds only integer literals of the plan and of
+        exp and fixed identifiers."""
         dim = len(self.columns)
-        sums = []
+        lines = []
         slots: dict[int, list[str]] = {}
         at = 0
         for key, (phi, p) in zip(keys or [0] * len(self.orbits), self._moduli):
@@ -91,7 +113,7 @@ class OrbitPlan:
                 norm = f"(h{at} + t{at})"
             else:
                 a = [f"a{i}" for i in range(at, at + phi)]
-                sums.append("; ".join(f"a{i} = h{i} + t{i}" for i in range(at, at + phi)))
+                lines.append("; ".join(f"a{i} = h{i} + t{i}" for i in range(at, at + phi)))
                 if phi == 2:
                     norm = _QUADRATIC_NORMS[p].format(*a)
                 else:
@@ -102,24 +124,43 @@ class OrbitPlan:
                         norm = f"_multiplication_det(({poly}), [{', '.join(a)}])"
             slots.setdefault(key, []).append(norm)
             at += phi
-        if keys is None:
-            value = _product_source(slots[0])
-        else:
-            products = [_product_source(slots.get(k, [])) for k in range(max(keys) + 1)]
-            value = f"({', '.join(products)},)"
+        width = 1 if keys is None else max(keys) + 1
+        products = [_product_source(slots.get(k, [])) for k in range(width)]
         hs = ", ".join(f"h{i}" for i in range(dim))
         ts = ", ".join(f"t{i}" for i in range(dim))
-        body = "".join(f"        {line}\n" for line in sums)
-        return (
-            "def block(head, tails):\n"
-            f"    {hs}, = head\n"
-            "    out = []\n"
-            "    append = out.append\n"
-            f"    for {ts}, in tails:\n"
-            f"{body}"
-            f"        append({value})\n"
-            "    return out\n"
-        )
+        if exp is None:
+            value = products[0] if keys is None else f"({', '.join(products)},)"
+            setup = ["out = []", "append = out.append"]
+            loop = f"for {ts}, in tails:"
+            lines.append(f"append({value})")
+            result = "out"
+        else:
+            fs = [f"f{k}" for k in range(width)]
+            setup = ["even = least = 0", "at = -1", "flagged = []", "flag = flagged.append"]
+            loop = f"for j, ({ts},) in enumerate(tails):"
+            lines += [f"{f} = {product}" for f, product in zip(fs, products)]
+            lines += [
+                f"d = {_product_source(fs)}",
+                "if d & 1:",
+                "    continue",
+                "even += 1",
+                "low = d & -d",
+                # an odd slot product, or d != 0 with 2^exp not dividing it
+                f"if ({' | '.join(fs)}) & 1 or low and not low >> {exp:d}:",
+                "    flag(j)",
+                "if low and (low < least or not least):",
+                "    least = low",
+                "    at = j",
+            ]
+            result = "even, least, at, flagged"
+        return "".join([
+            "def block(head, tails):\n",
+            f"    {hs}, = head\n",
+            *(f"    {line}\n" for line in setup),
+            f"    {loop}\n",
+            *(f"        {line}\n" for line in lines),
+            f"    return {result}\n",
+        ])
 
     def coefficients(self, values) -> list[int]:
         """The coefficient vector of an assignment: sum of x_g * columns[g]."""

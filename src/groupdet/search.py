@@ -276,12 +276,15 @@ class CheckResult:
 
 
 def check_even_divisibility(report: SearchReport, exponent: int) -> CheckResult:
-    """Every even achieved value (0 included) must be divisible by 2^exponent."""
-    modulus = 1 << exponent
+    """Every even achieved value (0 included) must be divisible by 2^exponent,
+    decided by 2-adic valuation, so 2^exponent is never built; a negative
+    exponent raises ValueError."""
+    if exponent < 0:
+        raise ValueError(f"the exponent must be at least 0, got {exponent}")
     bad = tuple(
         (v, report.achieved[v])
         for v in sorted(report.achieved)
-        if v % 2 == 0 and v % modulus
+        if v and v % 2 == 0 and two_adic_valuation(v) < exponent
     )
     return CheckResult(f"2^{exponent} divides even values", "pass" if not bad else "fail", bad)
 

@@ -172,6 +172,16 @@ def test_search_then_check_exponent(capsys, tmp_path):
     assert payload["status"] == "fail"
     assert [row["v"] for row in payload["violations"]] == ["-16"]
 
+    # decided by valuation: 2^(10^11) is never built, and only 0 is divisible by it
+    code, payload = run_cli(capsys, "check", "--report", out, "--exponent", "100000000000")
+    assert code == 1
+    assert [row["v"] for row in payload["violations"]] == ["-16"]
+
+    code, payload = run_cli(capsys, "check", "--report", out, "--exponent", "-1")
+    assert code == 2
+    assert payload["status"] == "error"
+    assert "exponent must be at least 0, got -1" in payload["message"]
+
 
 def test_check_modes_are_exclusive(capsys, tmp_path):
     out = str(tmp_path / "report.json")

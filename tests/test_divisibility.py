@@ -1,4 +1,6 @@
 import random
+from functools import lru_cache
+from math import prod
 
 import pytest
 
@@ -15,7 +17,8 @@ from groupdet import (
     two_adic_valuation,
 )
 from groupdet.boxes import iter_box
-from groupdet.divisibility import KEPT_FAILURES
+from groupdet.determinant import _index_table, bareiss_det
+from groupdet.divisibility import KEPT_FAILURES, sign_twists
 
 
 def test_two_adic_valuation_frozen():
@@ -74,6 +77,8 @@ def test_bound_validation():
         bound_exponent(make_group(2), 0)
     with pytest.raises(ValueError):
         even_divisibility_bound(make_group(6), 1)  # no table entry, no override
+    with pytest.raises(ValueError, match="at least 0, got -1"):
+        bound_exponent(make_group(6), 1, exponent=-1)
 
 
 def test_check_even_bound_frozen():
@@ -215,3 +220,65 @@ def test_suite_refuses_a_huge_l_before_building_anything(monkeypatch):
     with pytest.raises(BudgetExceededError, match="order"):
         run_divisibility_suite(make_group(2), 22, 1)
     assert run_divisibility_suite(make_group(1), 4, 0, budget=1, force=True)["status"] == "pass"
+
+
+@lru_cache(maxsize=None)
+def twisted_factors(h_orders, l, box):
+    """Every point of the box of H x (Z/2Z)^l with its split factors, each
+    the Bareiss determinant of the H group matrix of one sign twist."""
+    table = _index_table(h_orders)
+    dets = {}
+    points = []
+    for x in iter_box(prod(h_orders) << l, box):
+        factors = []
+        for ys in map(tuple, sign_twists(l, x)):
+            if ys not in dets:
+                dets[ys] = bareiss_det([[ys[j] for j in row] for row in table])
+            factors.append(dets[ys])
+        points.append((x, factors))
+    return points
+
+
+def reference_summary(h_orders, l, box, exp):
+    """The suite's counts and kept failures by the rules as the paper states
+    them: every factor has the trivial factor's parity, and 2^exp divides
+    every even determinant."""
+    even = failure_count = 0
+    least = None
+    failures = []
+    for x, factors in twisted_factors(h_orders, l, box):
+        det = prod(factors)
+        if det % 2:
+            continue
+        even += 1
+        found = []
+        if any((f - factors[0]) % 2 for f in factors):
+            found.append({"kind": "congruence", "factors": [str(f) for f in factors], "witness": list(x)})
+        if det:
+            v = two_adic_valuation(det)
+            least = v if least is None else min(least, v)
+            if det % (1 << exp):
+                found.append({"kind": "bound", "det": str(det), "witness": list(x)})
+        failure_count += len(found)
+        failures += found
+    return {
+        "assignments_checked": (2 * box + 1) ** (prod(h_orders) << l),
+        "even_count": even,
+        "min_even_valuation": least,
+        "bound_exponent": exp,
+        "failure_count": failure_count,
+        "failures": failures[:KEPT_FAILURES],
+        "status": "fail" if failure_count else "pass",
+    }
+
+
+@pytest.mark.parametrize(
+    "h_orders,l,box",
+    # l = 3, a phi(d) = 4 orbit (H = 5), and shapes whose bounds hold or fail
+    [((1,), 3, 1), ((5,), 1, 1), ((2,), 2, 1), ((4,), 1, 1), ((3,), 1, 2)],
+)
+@pytest.mark.parametrize("exponent", [0, 1, 2, 15])
+def test_suite_summaries_match_bareiss_on_sign_twists(h_orders, l, box, exponent):
+    summary = run_divisibility_suite(make_group(h_orders), l, box, exponent=exponent, jobs=1)
+    expected = reference_summary(h_orders, l, box, exponent << l)
+    assert {k: summary[k] for k in expected} == expected

@@ -1,6 +1,7 @@
 """Rational norm factors and the box engine, against Bareiss and the cofactor oracle."""
 
 from math import gcd, prod
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from groupdet.boxes import _orbit_minimal, iter_box, scan_box
 from groupdet.characters import exponent_table
 from groupdet.cyclotomic import CyclotomicInt, euler_phi
 from groupdet.determinant import _index_table, bareiss_det
-from groupdet.divisibility import KEPT_FAILURES, _suite_shard, sign_twists
+from groupdet.divisibility import KEPT_FAILURES, _suite_shard, sign_twists, two_adic_valuation
 from groupdet.factorization import _sign_keys, character_sums
 from groupdet.cyclotomic import cyclotomic_polynomial
 from groupdet.norms import _multiplication_det, _norm4, _product_source, orbit_plan
@@ -90,7 +91,7 @@ def points(blocks):
 
 
 def test_dim_one_group_at_box_zero():
-    assert points(scan_box((1,), 0, 0, 1, keys=(0,))) == [((0,), (0,))]
+    assert points(scan_box((1,), 0, 0, 1, kernel=orbit_plan((1,)).block((0,)))) == [((0,), (0,))]
     assert points(scan_box((1,), 0, 0, 1)) == [((0,), 0)]
     rep = search_values(make_group((1,)), 0)
     assert rep.achieved == {0: (0,)} and rep.evaluated == 1
@@ -112,7 +113,7 @@ def test_orbit_minimal_keeps_the_old_filter_set():
         perms = _even_translations(make_group(orders))
         for vals in iter_box(prod(orders), box):
             full = not any(tuple(vals[p] for p in perm) < vals for perm in perms)
-            assert _orbit_minimal(vals, perms) == full
+            assert _orbit_minimal(vals, [itemgetter(*perm) for perm in perms]) == full
 
 
 @st.composite
@@ -306,8 +307,90 @@ def test_kernels_are_compiled_once_per_grouping():
     for bad in [(0,), (0, 1, 0, 1, 0, -1), (0, 1, 0, 1, 0, "1")]:
         with pytest.raises(ValueError, match="one slot index"):
             plan.block(bad)
+    assert plan.suite(keys, 8) is plan.suite(keys, 8)
+    assert plan.suite(keys, 8) is not plan.suite(keys, 9) and plan.suite(keys, 8) is not plan.block(keys)
+    for bad in [-1, True, 8.0, "8"]:
+        with pytest.raises(ValueError, match="bound exponent"):
+            plan.suite(keys, bad)
     source = plan._block_source(keys)
     # integer literals and fixed identifiers only: Phi_4 = x^2 + 1 folded in
     assert "a2 * a2 + a3 * a3" in source and "_norm4" not in source
     # thousands of orbits in one slot: a flat product would nest too deep to compile
     assert eval(_product_source(["2"] * 5000)) == 2**5000
+
+
+# The theorem2 suite kernel against the literal per-point rules. Shapes
+# H x (Z/2Z)^l with l = 1, 2, 3; 5 x 2 has a phi(d) = 4 orbit.
+SUITE_SHAPES = [((5, 2), 1), ((4, 2), 1), ((3, 2), 1), ((1, 2, 2), 2), ((2, 2, 2), 3)]
+
+
+def wrong_keys(keys, l):
+    """A deliberately wrong grouping: the trivial orbit moved to the next sign
+    slot. Unlike the true split it fails the congruence at even points."""
+    return ((keys[0] + 1) % (1 << l),) + keys[1:]
+
+
+def rule_aggregates(group, keys, exp, points):
+    """(even, least, at, flagged) of a block of points by the literal rules:
+    each point's slot products are its norm_factors multiplied by keys, a
+    congruence failure is gcd(*factors) % 2 and a bound failure
+    two_adic_valuation(det) < exp."""
+    even, lows, flagged = 0, [], []
+    for j, x in enumerate(points):
+        norms = norm_factors(group, x)
+        factors = [prod(n for n, k in zip(norms, keys) if k == s) for s in range(max(keys) + 1)]
+        det = prod(factors)
+        if det % 2:
+            continue
+        even += 1
+        if det:
+            lows.append((two_adic_valuation(det), j))
+        if gcd(*factors) % 2 or (det and two_adic_valuation(det) < exp):
+            flagged.append(j)
+    v, at = min(lows, default=(None, -1))
+    return even, 0 if v is None else 1 << v, at, flagged
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_suite_kernel_matches_the_per_point_rules(data):
+    orders, l = data.draw(st.sampled_from(SUITE_SHAPES))
+    plan = orbit_plan(orders)
+    true = _sign_keys(orders, l)
+    width = len(true)
+    keys = data.draw(
+        st.sampled_from([true, wrong_keys(true, l)])
+        | st.lists(st.integers(0, 1 << l), min_size=width, max_size=width).map(tuple)
+    )
+    exp = data.draw(st.sampled_from([0, 4, 9, 30, 10**12]))
+    # cut the box anywhere: blocks are sliced at both ends
+    total = 3 ** prod(orders)
+    start = data.draw(st.integers(0, total))
+    stop = data.draw(st.integers(start, min(total, start + 400)))
+    group = make_group(orders)
+    for prefix, suffixes, result in scan_box(orders, 1, start, stop, kernel=plan.suite(keys, exp)):
+        assert result == rule_aggregates(group, keys, exp, [prefix + t for t in suffixes])
+
+
+def test_suite_kernel_on_a_whole_box_reaches_every_rule():
+    # (Z/2Z)^2 over box 2 under the true sign grouping and a wrong one: zero
+    # and negative even determinants, determinants of valuation exactly 4
+    # (flagged below exp = 4 + 1 only), and under the wrong grouping
+    # congruence failures, at exp = 9 also failing the bound
+    orders, l = (1, 2, 2), 2
+    group = make_group(orders)
+    plan = orbit_plan(orders)
+    true = _sign_keys(orders, l)
+    wrong = wrong_keys(true, l)
+    points = list(iter_box(4, 2))
+    dets = [group_determinant(group, x) for x in points]
+    assert 0 in dets and any(d < 0 and d % 2 == 0 for d in dets)
+    assert any(d and two_adic_valuation(d) == 4 for d in dets)
+    slots = [[prod(n for n, k in zip(norm_factors(group, x), wrong) if k == s) for s in range(4)]
+             for x in points]
+    odd = [d % 2 == 0 and gcd(*fs) % 2 for d, fs in zip(dets, slots)]
+    assert any(o and d and two_adic_valuation(d) < 9 for o, d in zip(odd, dets))
+    for keys in [true, wrong]:
+        for exp in [0, 4, 5, 9, 30]:
+            for prefix, suffixes, result in scan_box(orders, 2, 0, 625, kernel=plan.suite(keys, exp)):
+                assert result == rule_aggregates(group, keys, exp, [prefix + t for t in suffixes])
