@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .boxes import DEFAULT_BUDGET, BudgetExceededError, ensure_budget
+from .boxes import DEFAULT_BUDGET, IN_PROCESS_WORK, BudgetExceededError, ensure_tables
 from .determinant import circulant_det, group_determinant
 from .divisibility import run_divisibility_suite
 from .factorization import dedekind_product, direct_product_factors, laquer_factors
@@ -39,7 +39,7 @@ def _parse_assignment(text: str) -> tuple[int, ...]:
 
 def _cmd_det(args) -> tuple[int, dict]:
     group = parse_group_spec(args.group)
-    ensure_budget(group.order, 0, DEFAULT_BUDGET, False)
+    ensure_tables(group.order)
     assign = _parse_assignment(args.assign)
     det = group_determinant(group, assign)
     return 0, {"status": "value", "group": format_group_spec(group), "det": str(det)}
@@ -47,7 +47,7 @@ def _cmd_det(args) -> tuple[int, dict]:
 
 def _cmd_dedekind(args) -> tuple[int, dict]:
     group = parse_group_spec(args.group)
-    ensure_budget(group.order, 0, DEFAULT_BUDGET, False)
+    ensure_tables(group.order)
     assign = _parse_assignment(args.assign)
     det = dedekind_product(group, assign)
     direct = group_determinant(group, assign)
@@ -64,7 +64,7 @@ def _cmd_dedekind(args) -> tuple[int, dict]:
 
 def _cmd_factor(args) -> tuple[int, dict]:
     group = parse_group_spec(args.group)
-    ensure_budget(group.order, 0, DEFAULT_BUDGET, False)
+    ensure_tables(group.order)
     H, K = split_factors(group, args.cut)
     report = direct_product_factors(H, K, _parse_assignment(args.assign))
     payload = {"status": "value" if report.match else "fail", "group": format_group_spec(group)}
@@ -74,7 +74,7 @@ def _cmd_factor(args) -> tuple[int, dict]:
 
 def _cmd_laquer(args) -> tuple[int, dict]:
     # refuse a huge |G| x |G| matrix at once; r, s < 1 are left to laquer_factors
-    ensure_budget(max(args.r * args.s, 1), 0, DEFAULT_BUDGET, False)
+    ensure_tables(max(args.r * args.s, 1))
     report = laquer_factors(args.r, args.s, _parse_assignment(args.assign))
     payload = {"status": "value" if report.match else "fail"}
     payload.update(report.as_json_dict())
@@ -148,12 +148,17 @@ def _cmd_witness(args) -> tuple[int, dict]:
     }
 
 
-JOBS_HELP = "worker processes, at least 1 (default and maximum: the CPU count)"
+JOBS_HELP = (
+    "worker processes, at least 1, at most the CPU count (default: 1 when the estimated "
+    "work, the box size or for --prune the box size over the number of pruning maps, is "
+    f"below {IN_PROCESS_WORK:,} points, else the CPU count)"
+)
 
 
 def _add_common_box_flags(sub) -> None:
     sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                     help=f"evaluation budget (default {DEFAULT_BUDGET})")
+                     help="bound on the box size, on the |G|^3 steps of a Bareiss re-check and "
+                          f"on the pruning tables (default {DEFAULT_BUDGET})")
     sub.add_argument("--force", action="store_true",
                      help="run even when the box exceeds the budget")
 
@@ -209,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     sea.add_argument("--cap", type=int, default=None, help="drop values with |v| above this")
     sea.add_argument("--jobs", type=int, default=None, help=JOBS_HELP)
     sea.add_argument("--prune", action="store_true",
-                     help="skip assignments that are not minimal in their translation orbit")
+                     help="evaluate only assignments minimal under the group's automorphisms "
+                          "and even translations")
     sea.add_argument("--out", required=True, help="write the full report JSON here")
     _add_common_box_flags(sea)
     sea.set_defaults(func=_cmd_search)

@@ -18,7 +18,7 @@ from .characters import exponent_table
 from .determinant import _index_table, bareiss_det
 from .factorization import _sign_keys, integer_split_factors
 from .groups import AbelianGroup, direct_product
-from .norms import orbit_plan
+from .norms import grouped_norms, orbit_plan
 
 PASS = "pass"
 FAIL = "fail"
@@ -143,10 +143,6 @@ def _suite_shard(h_orders, l, box, exp, start, stop) -> dict:
     orders = h_orders + (2,) * l
     plan = orbit_plan(orders)
     keys = _sign_keys(orders, l)
-    signs = plan.block(keys)
-    zero = (0,) * len(plan.columns)
-    # coefficient vectors of the suffixes that hold a flagged point
-    tails: dict[tuple, list[int]] = {}
     checked = 0
     even_count = 0
     least = 0
@@ -159,16 +155,9 @@ def _suite_shard(h_orders, l, box, exp, start, stop) -> dict:
         even_count += even
         if low and (low < least or not least):
             least, least_point = low, prefix + suffixes[at]
-        if not flagged:
-            continue
-        # the rare flagged points: their sign factors, the failures they hold
-        ts = [suffixes[j] for j in flagged]
-        for t in ts:
-            if t not in tails:
-                tails[t] = plan.coefficients((0,) * len(prefix) + t)
-        factors_of = signs(plan.coefficients(prefix), [tails[t] for t in ts])
-        for t, factors in zip(ts, factors_of):
-            vals = prefix + t
+        # the rare flagged points, with their sign factors: the failures they hold
+        for j, factors in flagged:
+            vals = prefix + suffixes[j]
             det = prod(factors)
             found = []
             # an even determinant has an even factor; all of them are even
@@ -186,7 +175,7 @@ def _suite_shard(h_orders, l, box, exp, start, stop) -> dict:
                 _recheck(h_orders, l, vals, factors)
                 failures.extend(found[:KEPT_FAILURES - len(failures)])
     if least_point is not None:
-        _recheck(h_orders, l, least_point, signs(zero, [plan.coefficients(least_point)])[0])
+        _recheck(h_orders, l, least_point, grouped_norms(AbelianGroup(orders), least_point, keys))
     return {
         "checked": checked,
         "even_count": even_count,

@@ -108,6 +108,44 @@ def group_op(group: AbelianGroup, g: Element, h: Element) -> Element:
     return tuple((gi + hi) % ni for gi, hi, ni in zip(g, h, group.orders))
 
 
+def addition_table(group: AbelianGroup) -> list[list[int]]:
+    """add[i][j] is the index of the sum of the elements of index i and j."""
+    elems = enumerate_elements(group)
+    return [[index_of(group, group_op(group, g, h)) for h in elems] for g in elems]
+
+
+def translation_is_even(group: AbelianGroup, a: Element) -> bool:
+    """Whether translation by a is an even permutation of the elements: it
+    has |G|/ord(a) cycles of length ord(a), so it is odd exactly when ord(a)
+    is even and |G|/ord(a) is odd."""
+    order = lcm(*(n // gcd(n, c) for n, c in zip(group.orders, a)))
+    return order % 2 == 1 or group.order // order % 2 == 0
+
+
+def automorphisms(group: AbelianGroup, add: list[list[int]]):
+    """Image tables, by element index, of the automorphisms of the group with
+    addition table add, depth first over the images of the generators: a
+    partial table (the images of the subgroup the first generators span, in
+    element order) is only extended while it is injective."""
+
+    def extend(table, i):
+        if i == len(group.orders):
+            yield table
+            return
+        n = group.orders[i]
+        for h in range(len(add)):
+            multiples = [0]
+            for _ in range(n - 1):
+                multiples.append(add[multiples[-1]][h])
+            if add[multiples[-1]][h]:
+                continue  # the order of h does not divide n
+            ext = [add[s][m] for s in table for m in multiples]
+            if len(set(ext)) == len(ext):
+                yield from extend(ext, i + 1)
+
+    return extend([0], 0)
+
+
 def group_inv(group: AbelianGroup, g: Element) -> Element:
     check_element(group, g)
     return tuple(-gi % ni for gi, ni in zip(g, group.orders))

@@ -74,9 +74,9 @@ class OrbitPlan:
         their product, it returns the aggregates (even, least, at, flagged) of
         the whole block. even counts the even d; least is the smallest d & -d
         over the nonzero even d (0 when there is none) and at the index of its
-        first tail (-1 when there is none); flagged lists, in order, the
-        indices of the even d where some slot product is odd or where d != 0
-        and the 2-adic valuation of d is below exp.
+        first tail (-1 when there is none); flagged lists, in order, (index,
+        slot products) of the even d where some slot product is odd or where
+        d != 0 and the 2-adic valuation of d is below exp.
         """
         if type(exp) is not int or exp < 0:
             raise ValueError(f"the bound exponent must be an integer >= 0, got {exp!r}")
@@ -147,7 +147,7 @@ class OrbitPlan:
                 "low = d & -d",
                 # an odd slot product, or d != 0 with 2^exp not dividing it
                 f"if ({' | '.join(fs)}) & 1 or low and not low >> {exp:d}:",
-                "    flag(j)",
+                f"    flag((j, ({', '.join(fs)},)))",
                 "if low and (low < least or not least):",
                 "    least = low",
                 "    at = j",

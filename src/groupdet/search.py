@@ -9,28 +9,29 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache
 from math import gcd
 from typing import Callable
 
 from .boxes import (
     DEFAULT_BUDGET,
     BudgetExceededError,
-    candidate_ranges,
+    dealt_shards,
     ensure_budget,
     map_shards,
+    orderly_scan,
     scan_box,
-    shard_ranges,
 )
 from .determinant import group_determinant
 from .divisibility import two_adic_valuation
 from .groups import (
     AbelianGroup,
+    addition_table,
+    automorphisms,
     enumerate_elements,
     format_group_spec,
-    group_op,
-    index_of,
     parse_group_spec,
+    translation_is_even,
 )
 
 __all__ = [
@@ -146,44 +147,66 @@ class SearchReport:
             return SearchReport.from_json_dict(json.load(fh))
 
 
-def _parity_even(perm: tuple[int, ...]) -> bool:
-    seen = [False] * len(perm)
-    transpositions = 0
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = perm[i]
-            length += 1
-        transpositions += length - 1
-    return transpositions % 2 == 0
+@lru_cache(maxsize=None)
+def holomorph_maps(
+    orders: tuple[int, ...], limit: int | None = None
+) -> tuple[tuple[int, ...], ...]:
+    """Index permutations g -> sigma(g) + a of the group with these factor
+    orders, for every automorphism sigma and every translation a whose row
+    permutation is even, the identity left out. The relabelling x -> x o
+    (sigma + a) of an assignment keeps the determinant, since det(x o (sigma +
+    a)) = sign(tau_a) det(x): sigma only reorders the characters. The parity
+    of sigma, or of the whole index permutation, does not matter (on Z/8,
+    g -> 3g + 1 is even but changes the sign).
+
+    Built once per shape and limit from the images of the generators; raises
+    BudgetExceededError as soon as there would be more than limit maps, the
+    identity counted.
+    """
+    group = AbelianGroup(orders)
+    add = addition_table(group)
+    shifts = [add[i] for i, a in enumerate(enumerate_elements(group))
+              if translation_is_even(group, a)]
+    identity = tuple(range(group.order))
+    maps = []
+    for table in automorphisms(group, add):
+        maps += (tuple(row[s] for s in table) for row in shifts)
+        if limit is not None and len(maps) > limit:
+            raise BudgetExceededError(
+                f"pruning a group of order {group.order} needs more than {limit} maps of "
+                f"{group.order} entries each, over the budget"
+            )
+    return tuple(m for m in maps if m != identity)
 
 
-def _even_translations(group: AbelianGroup) -> tuple[tuple[int, ...], ...]:
-    """Index permutations of the non-identity translations whose row permutation is
-    even; translating an assignment by one of these preserves the determinant."""
-    elems = enumerate_elements(group)
-    perms = []
-    for a in elems[1:]:
-        perm = tuple(index_of(group, group_op(group, g, a)) for g in elems)
-        if _parity_even(perm):
-            perms.append(perm)
-    return tuple(perms)
+def _blocks(orders, box, maps, start, stop, step=1):
+    """The blocks of scan_box over the points range(start, stop) of the box,
+    or with maps, of orderly_scan over the surviving prefixes range(start,
+    stop, step)."""
+    if maps:
+        return orderly_scan(orders, box, maps, range(start, stop, step))
+    return scan_box(orders, box, start, stop)
 
 
-def _search_shard(orders, box, cap, perms, start, stop) -> tuple[int, dict[int, tuple[int, ...]]]:
+def _search_shard(orders, box, cap, maps, start, stop, step=1):
+    """(evaluated, first witness per value) over the _blocks of one shard."""
     found: dict[int, tuple[int, ...]] = {}
     evaluated = 0
-    for prefix, suffixes, ds in scan_box(orders, box, start, stop, perms):
+    for prefix, suffixes, ds in _blocks(orders, box, maps, start, stop, step):
         evaluated += len(ds)
         # a witness only for values new to the shard, at their first point
         for d in set(ds).difference(found):
             if cap is None or abs(d) <= cap:
                 found[d] = prefix + suffixes[ds.index(d)]
     return evaluated, found
+
+
+def _pruning_maps(group: AbelianGroup, box: int, budget: int, force: bool):
+    """holomorph_maps of the group, counted against the budget as |maps| * |G|
+    table entries; none at box 0, whose one point needs no pruning."""
+    if box == 0:
+        return ()
+    return holomorph_maps(group.orders, None if force else budget // group.order)
 
 
 def search_values(
@@ -198,12 +221,12 @@ def search_values(
     """Evaluate the determinant on every assignment in [-box, box]^|G|.
 
     value_cap drops values with |v| > cap from the report (they still count as
-    evaluated); a negative cap raises ValueError. prune=True skips
-    assignments that are not lexicographically minimal under
-    determinant-preserving translations; the achieved value set
-    is unchanged and witnesses stay the lexicographically first ones. A pruned
-    scan walks only the candidate sub-boxes and cuts its shards where they
-    hold equal numbers of candidates.
+    evaluated); a negative cap raises ValueError. prune=True evaluates only
+    the assignments that are lexicographically minimal under holomorph_maps,
+    walked by orderly_scan; the achieved value set is unchanged and
+    witnesses stay the lexicographically first ones, as the first witness of
+    a value is minimal in its orbit. Pruned shards deal out the surviving
+    prefixes in turn.
 
     Points are evaluated as products of orbit norms; every reported witness is
     then evaluated again by Bareiss elimination, and a disagreement raises
@@ -212,9 +235,13 @@ def search_values(
     if value_cap is not None and value_cap < 0:
         raise ValueError(f"value_cap must be at least 0, got {value_cap}")
     total = ensure_budget(group.order, box, budget, force)
-    perms = _even_translations(group) if prune else ()
-    split = partial(candidate_ranges, group.orders, box, perms) if perms else shard_ranges
-    parts = map_shards(_search_shard, (group.orders, box, value_cap, perms), total, jobs, split)
+    maps = _pruning_maps(group, box, budget, force) if prune else ()
+    args = (group.orders, box, value_cap, maps)
+    if maps:
+        parts = map_shards(_search_shard, args, total, jobs, dealt_shards,
+                           work=total // (len(maps) + 1))
+    else:
+        parts = map_shards(_search_shard, args, total, jobs)
     achieved: dict[int, tuple[int, ...]] = {}
     evaluated = 0
     for count, part in parts:
@@ -245,11 +272,15 @@ def find_witness(
     force: bool = False,
 ) -> tuple[int, ...] | None:
     """Lexicographically first assignment in the box whose determinant is target,
-    or None when the box does not achieve it. The scan stops at the first point
-    whose orbit norms multiply to target; Bareiss elimination then evaluates
-    that witness again, and a disagreement raises ArithmeticError."""
+    or None when the box does not achieve it. The scan walks the points that
+    are minimal under holomorph_maps in box order, as search_values(prune=True)
+    does, since the first witness of a value is minimal in its orbit, and
+    stops at the first point whose orbit norms multiply to target; Bareiss
+    elimination then evaluates that witness again, and a disagreement raises
+    ArithmeticError."""
     total = ensure_budget(group.order, box, budget, force)
-    for prefix, suffixes, ds in scan_box(group.orders, box, 0, total):
+    maps = _pruning_maps(group, box, budget, force)
+    for prefix, suffixes, ds in _blocks(group.orders, box, maps, 0, total):
         if target in ds:
             vals = prefix + suffixes[ds.index(target)]
             _recheck(group, vals, target)

@@ -1,6 +1,7 @@
-"""Shard dispatch and the pruned candidate walk: job counts are validated and
-clamped before any process starts, pruned scans visit only the candidate
-sub-boxes, and their shards are cut by candidate count."""
+"""Shard dispatch and the pruned orderly walk: job counts are validated and
+clamped before any process starts and default to one process for short
+scans, the pruning maps keep the determinant, the walk keeps exactly the
+points no map sends lower, and its shards deal out the surviving prefixes."""
 
 from math import prod
 
@@ -9,10 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groupdet.boxes
-from groupdet import BudgetExceededError, find_witness, make_group, search_values
-from groupdet.boxes import candidate_ranges, ensure_budget, iter_box, map_shards, scan_box
+from groupdet import BudgetExceededError, find_witness, group_determinant, make_group, search_values
+from groupdet.boxes import (
+    IN_PROCESS_WORK,
+    dealt_shards,
+    ensure_budget,
+    iter_box,
+    map_shards,
+    orderly_scan,
+)
 from groupdet.norms import orbit_plan
-from groupdet.search import _even_translations, _search_shard
+from groupdet.search import _search_shard, holomorph_maps
 
 
 def shard_bounds(start, stop):
@@ -54,7 +62,8 @@ def test_jobs_below_one_are_rejected(two_cpus, jobs):
 
 @pytest.mark.parametrize("jobs", [None, 2, 3, 5000])
 def test_jobs_are_clamped_to_the_cpu_count(two_cpus, jobs):
-    assert map_shards(shard_bounds, (), 100, jobs) == [(0, 50), (50, 100)]
+    # the default uses every CPU once the work reaches IN_PROCESS_WORK
+    assert map_shards(shard_bounds, (), 100, jobs, work=IN_PROCESS_WORK) == [(0, 50), (50, 100)]
     assert two_cpus == [2]
 
 
@@ -73,7 +82,7 @@ def test_map_shards_runs_the_given_split(two_cpus):
 
 
 def scanned_points(blocks):
-    """The points of scan_box's per-prefix blocks, in box order."""
+    """The points of the per-prefix blocks of a box walk, in walk order."""
     out = []
     for prefix, suffixes, values in blocks:
         assert len(suffixes) == len(values)
@@ -81,76 +90,166 @@ def scanned_points(blocks):
     return out
 
 
-def old_filter(vals, perms):
-    """The original pruning rule: no translate of vals is lexicographically smaller."""
-    return not any(tuple(vals[p] for p in perm) < vals for perm in perms)
+def minimal(vals, maps):
+    """The pruning rule, point by point: no map sends vals to a lexicographically smaller point."""
+    return not any(tuple(vals[p] for p in phi) < vals for phi in maps)
 
 
-# 6 and 2x3 have odd translations, which the lead set leaves out.
+# 6 and 2x3 have odd translations, which the maps leave out.
 PRUNED_SHAPES = [(6,), (2, 3), (4, 2), (2, 2, 2), (3, 3)]
 
 
 @pytest.mark.parametrize("orders", PRUNED_SHAPES)
 def test_candidate_walk_keeps_the_old_filter_set(orders):
-    perms = _even_translations(make_group(orders))
+    maps = holomorph_maps(orders)
     dim = prod(orders)
     total = 3**dim
-    expected = [vals for vals in iter_box(dim, 1) if old_filter(vals, perms)]
-    assert scanned_points(scan_box(orders, 1, 0, total, perms)) == expected
-    # a range cut mid-suffix keeps exactly the points of the old filter inside it
-    start, stop = total // 3 + 1, 2 * total // 3 - 1
-    inside = [
-        v for i, v in enumerate(iter_box(dim, 1)) if start <= i < stop and old_filter(v, perms)
-    ]
-    assert scanned_points(scan_box(orders, 1, start, stop, perms)) == inside
+    expected = [vals for vals in iter_box(dim, 1) if minimal(vals, maps)]
+    assert scanned_points(orderly_scan(orders, 1, maps, range(total))) == expected
+    # dealt shards and contiguous ordinal ranges each partition the kept points
+    for shards in [[range(k, total, 3) for k in range(3)], [range(0, 7), range(7, total)]]:
+        parts = [scanned_points(orderly_scan(orders, 1, maps, shard)) for shard in shards]
+        assert sorted(p for part in parts for p in part) == expected
+        assert all(part == sorted(part) for part in parts)
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.data())
 def test_pruned_search_shards_cut_anywhere_merge_to_one_shard(data):
     orders = data.draw(st.sampled_from(PRUNED_SHAPES))
-    # cuts slice a prefix's block anywhere, pruned or not
-    perms = data.draw(st.sampled_from([_even_translations(make_group(orders)), ()]))
-    total = 3 ** prod(orders)
-    cuts = [0] + sorted(data.draw(st.lists(st.integers(0, total), max_size=4))) + [total]
+    maps = data.draw(st.sampled_from([holomorph_maps(orders), ()]))
+    dim = prod(orders)
+    total = 3**dim
+    # unpruned cuts slice a prefix's block anywhere; pruned ones cut the
+    # ordinals of the surviving prefixes, dealt with any step
+    top = total if not maps else 3 ** (dim - dim // 2)
+    step = 1 if not maps else data.draw(st.integers(1, 4))
+    cuts = [0] + sorted(data.draw(st.lists(st.integers(0, top), max_size=4))) + [top]
     evaluated, achieved = 0, {}
     for start, stop in zip(cuts, cuts[1:]):
-        count, part = _search_shard(orders, 1, None, perms, start, stop)
-        evaluated += count
-        for v, w in part.items():
-            if v not in achieved or w < achieved[v]:
-                achieved[v] = w
-    assert (evaluated, achieved) == _search_shard(orders, 1, None, perms, 0, total)
+        for k in range(step):
+            count, part = _search_shard(orders, 1, None, maps, start + k, stop, step)
+            evaluated += count
+            for v, w in part.items():
+                if v not in achieved or w < achieved[v]:
+                    achieved[v] = w
+    assert (evaluated, achieved) == _search_shard(orders, 1, None, maps, 0, total)
+    assert achieved == _search_shard(orders, 1, None, (), 0, total)[1]
 
 
 def test_pruned_shards_split_the_candidates_evenly():
-    # 4x2 at box 2: the shards are cut on prefix boundaries (625 suffixes
-    # each), and no shard gets more than 10% over its share of the
-    # candidates: 55% at jobs 2.
-    perms = _even_translations(make_group((4, 2)))
-    leads = [perm[0] for perm in perms]
+    # 4x2 at box 2: the walk evaluates 8,800 points, and dealing the
+    # surviving prefixes in turn gives no shard more than 10% over its share
+    maps = holomorph_maps((4, 2))
     total = 5**8
-    candidates = [
-        i for i, vals in enumerate(iter_box(8, 2)) if all(vals[s] >= vals[0] for s in leads)
-    ]
-    assert len(candidates) == 96_825
+    assert _search_shard((4, 2), 2, None, maps, 0, total)[0] == 8_800
     for jobs in (2, 3):
-        ranges = candidate_ranges((4, 2), 2, perms, total, jobs)
-        assert len(ranges) == jobs
-        assert ranges[0][0] == 0 and ranges[-1][1] == total
-        assert all(a < b == c for (a, b), (c, _) in zip(ranges, ranges[1:]))
-        assert all(a % 625 == 0 for a, _ in ranges)
-        counts = [sum(a <= i < b for i in candidates) for a, b in ranges]
-        assert max(counts) <= 1.1 * len(candidates) / jobs
+        counts = [_search_shard((4, 2), 2, None, maps, *shard)[0]
+                  for shard in dealt_shards(total, jobs)]
+        assert sum(counts) == 8_800
+        assert max(counts) <= 1.1 * 8_800 / jobs
 
 
-def test_pruned_search_dispatches_candidate_ranges(two_cpus, monkeypatch):
+def test_pruned_search_deals_the_surviving_prefixes(two_cpus, monkeypatch):
+    # every shard runs in a worker; the parent only merges and re-checks
     seen = []
-    monkeypatch.setattr(groupdet.search, "_search_shard", lambda *a: seen.append(a[-2:]) or (0, {}))
+    monkeypatch.setattr(groupdet.search, "_search_shard", lambda *a: seen.append(a[4:]) or (0, {}))
     search_values(make_group((4, 2)), 1, jobs=2, prune=True)
-    perms = _even_translations(make_group((4, 2)))
-    assert seen == candidate_ranges((4, 2), 1, perms, 3**8, 2)
-    assert seen != [(0, 3**8 // 2), (3**8 // 2, 3**8)]
+    assert seen == dealt_shards(3**8, 2) == [(0, 3**8, 2), (1, 3**8, 2)]
+    assert two_cpus == [2]
+
+
+def test_default_jobs_follow_the_work(two_cpus, monkeypatch):
+    # below IN_PROCESS_WORK the default runs in this process; a pruned scan's
+    # work is the box size over the number of maps, identity included
+    assert map_shards(shard_bounds, (), 100, None) == [(0, 100)]
+    assert map_shards(shard_bounds, (), 10**6, None, work=100) == [(0, 10**6)]
+    assert map_shards(shard_bounds, (), IN_PROCESS_WORK, None) == [
+        (0, IN_PROCESS_WORK // 2), (IN_PROCESS_WORK // 2, IN_PROCESS_WORK)]
+    assert two_cpus == [2]
+    seen = []
+    monkeypatch.setattr(groupdet.search, "_search_shard", lambda *a: seen.append(a[4:]) or (0, {}))
+    # 4x2 box 2: 390,625 / 64 = 6,103 estimated points, run in this process
+    search_values(make_group((4, 2)), 2, prune=True)
+    assert seen == [(0, 5**8, 1)] and two_cpus == [2]
+
+
+MAP_COUNTS = [((4, 2), 64), ((2, 2, 2), 1_344), ((3, 3), 432), ((7,), 42), ((8,), 16)]
+
+
+@pytest.mark.parametrize("orders,count", MAP_COUNTS)
+def test_map_counts(orders, count):
+    # |Aut(G)| times the translations of even row permutation, identity included
+    maps = holomorph_maps(orders)
+    assert len(maps) + 1 == len(set(maps) | {tuple(range(prod(orders)))}) == count
+    assert all(sorted(phi) == list(range(prod(orders))) for phi in maps)
+
+
+def test_translation_parity_decides_not_permutation_parity():
+    # on Z/8, g -> 3g + 1 is an even permutation but translation by 1 is an
+    # 8-cycle, which flips the determinant's sign; g -> 3g keeps it although
+    # it is an odd permutation
+    maps = holomorph_maps((8,))
+    assert tuple((3 * g + 1) % 8 for g in range(8)) not in maps
+    assert tuple(3 * g % 8 for g in range(8)) in maps
+    x = (1, 0, 0, 0, 0, 0, 0, 2)
+    g = make_group(8)
+    flipped = tuple(x[(3 * i + 1) % 8] for i in range(8))
+    assert group_determinant(g, flipped) == -group_determinant(g, x) != 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_every_map_keeps_the_bareiss_determinant(data):
+    orders = data.draw(st.sampled_from(
+        [(3,), (4,), (5,), (6,), (7,), (8,), (9,), (2, 2), (2, 3), (4, 2), (2, 2, 2), (3, 3),
+         (2, 2, 3)]))
+    n = prod(orders)
+    x = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+    g = make_group(orders)
+    det = group_determinant(g, x)
+    for phi in holomorph_maps(orders):
+        assert group_determinant(g, tuple(x[i] for i in phi)) == det
+
+
+def test_maps_count_against_the_budget():
+    # 2x2x2: 1,344 maps of 8 entries each, more than the 6,561 points of box 1
+    g = make_group((2, 2, 2))
+    misses = holomorph_maps.cache_info().misses
+    with pytest.raises(BudgetExceededError, match="maps"):
+        search_values(g, 1, budget=1_344 * 8 - 1, prune=True)
+    with pytest.raises(BudgetExceededError, match="maps"):
+        find_witness(g, 1, 1, budget=6_561)
+    # box 0 builds none
+    search_values(g, 0, budget=512, prune=True)
+    find_witness(g, 0, 1, budget=512)
+    assert holomorph_maps.cache_info().misses == misses + 2
+    full = search_values(g, 1, jobs=1).achieved
+    assert search_values(g, 1, budget=1_344 * 8, prune=True, jobs=1).achieved == full
+    assert search_values(g, 1, budget=100, force=True, prune=True, jobs=1).achieved == full
+
+
+PRUNED_REPORT_SHAPES = PRUNED_SHAPES + [(2, 2), (4,), (8,), (5,), (7,)]
+
+
+@pytest.mark.parametrize("orders", PRUNED_REPORT_SHAPES)
+def test_pruned_reports_equal_unpruned_at_any_jobs(two_cpus, orders):
+    g = make_group(orders)
+    full = search_values(g, 1, jobs=1)
+    for jobs in (1, 2, 3):
+        pruned = search_values(g, 1, jobs=jobs, prune=True)
+        assert pruned.achieved == full.achieved  # values and witnesses
+        assert pruned.evaluated < full.evaluated
+
+
+@pytest.mark.parametrize("orders", PRUNED_REPORT_SHAPES)
+def test_witness_hits_and_misses_equal_the_unpruned_scan(orders):
+    g = make_group(orders)
+    full = search_values(g, 1, jobs=1)
+    for v, w in full.achieved.items():
+        assert find_witness(g, 1, v) == w
+    misses = [v for v in range(-40, 41) if v not in full.achieved][:10]
+    assert misses and all(find_witness(g, 1, v) is None for v in misses)
 
 
 def test_group_tables_count_against_the_budget():
@@ -162,7 +261,10 @@ def test_group_tables_count_against_the_budget():
     with pytest.raises(BudgetExceededError, match="order 143"):
         find_witness(g, 0, 1, budget=20_000)
     assert orbit_plan.cache_info().misses == misses
-    assert find_witness(make_group(12), 0, 0, budget=144) == (0,) * 12
+    # one point still pays the |G|^3 Bareiss re-check of its witness
+    with pytest.raises(BudgetExceededError, match="order 12 needs 1728 steps"):
+        find_witness(make_group(12), 0, 0, budget=1727)
+    assert find_witness(make_group(12), 0, 0, budget=1728) == (0,) * 12
 
 
 def test_group_tables_are_refused_before_the_box_size(monkeypatch):

@@ -305,6 +305,34 @@ def test_group_order_squared_counts_against_the_budget(capsys, tmp_path, monkeyp
     assert code == 0
 
 
+@pytest.mark.parametrize("argv,budget,message", [
+    (("search", "--group", "12", "--box", "0", "--out", "unused.json"),
+     1000, "order 12 needs 1728"),
+    (("witness", "--group", "12", "--box", "0", "--target", "0"),
+     1000, "order 12 needs 1728"),
+    (("verify", "--suite", "theorem2", "--H", "2", "--l", "2", "--box", "0"),
+     500, "order 8 needs 512"),
+])
+def test_bareiss_recheck_counts_against_the_budget(capsys, tmp_path, monkeypatch, argv, budget,
+                                                   message):
+    # the |G|^2 tables fit the budget, but one Bareiss re-check takes |G|^3 steps
+    monkeypatch.chdir(tmp_path)
+    code, payload = run_cli(capsys, *argv, "--budget", str(budget))
+    assert code == 2
+    assert payload["status"] == "error" and message in payload["message"]
+    assert not (tmp_path / "unused.json").exists()
+    code, payload = run_cli(capsys, *argv, "--budget", str(budget), "--force")
+    assert code == 0
+
+
+def test_one_point_of_a_huge_group_is_refused_at_once(capsys, tmp_path):
+    # one point on a group of order 2,000 used to run a 31 s Bareiss re-check
+    out = str(tmp_path / "r.json")
+    code, payload = run_cli(capsys, "search", "--group", "2000", "--box", "0", "--out", out)
+    assert code == 2
+    assert payload["status"] == "error" and "order 2000" in payload["message"]
+
+
 def test_missing_subcommand_exits_with_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main([])

@@ -16,6 +16,7 @@ from groupdet import (
     parse_group_spec,
     split_factors,
 )
+from groupdet.groups import addition_table, automorphisms, translation_is_even
 from oracles import brute_crt
 
 
@@ -142,3 +143,28 @@ def test_crt_rejects_bad_split():
         crt_decompose(12, 6, 2, 1)
     with pytest.raises(ValueError):
         crt_decompose(6, 4, 2, 1)
+
+
+@pytest.mark.parametrize("orders,count", [
+    ((1,), 1), ((2,), 1), ((6,), 2), ((8,), 4), ((12,), 4), ((2, 2), 6), ((4, 2), 8), ((2, 4), 8),
+    ((2, 6), 12), ((3, 3), 48), ((2, 2, 2), 168), ((4, 4), 96),
+])
+def test_automorphisms_are_the_bijective_homomorphisms(orders, count):
+    g = make_group(orders)
+    add = addition_table(g)
+    tables = list(automorphisms(g, add))
+    assert len(tables) == len(set(map(tuple, tables))) == count
+    for t in tables:
+        assert sorted(t) == list(range(g.order))
+        assert all(t[add[i][j]] == add[t[i]][t[j]] for i in range(g.order) for j in range(g.order))
+
+
+def test_translation_parity():
+    # translation by a has |G|/ord(a) cycles of length ord(a)
+    assert not translation_is_even(make_group(8), (1,))
+    assert translation_is_even(make_group(8), (2,))
+    assert not translation_is_even(make_group(6), (3,))
+    assert translation_is_even(make_group(6), (2,))
+    assert not translation_is_even(make_group(2), (1,))
+    assert translation_is_even(make_group((2, 2)), (1, 0))
+    assert translation_is_even(make_group((4, 2)), (1, 1))

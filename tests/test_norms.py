@@ -1,7 +1,6 @@
 """Rational norm factors and the box engine, against Bareiss and the cofactor oracle."""
 
 from math import gcd, prod
-from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +13,7 @@ from groupdet import (
     norm_factors,
     search_values,
 )
-from groupdet.boxes import _orbit_minimal, iter_box, scan_box
+from groupdet.boxes import iter_box, orderly_scan, scan_box
 from groupdet.characters import exponent_table
 from groupdet.cyclotomic import CyclotomicInt, euler_phi
 from groupdet.determinant import _index_table, bareiss_det
@@ -22,7 +21,7 @@ from groupdet.divisibility import KEPT_FAILURES, _suite_shard, sign_twists, two_
 from groupdet.factorization import _sign_keys, character_sums
 from groupdet.cyclotomic import cyclotomic_polynomial
 from groupdet.norms import _multiplication_det, _norm4, _product_source, orbit_plan
-from groupdet.search import _even_translations, _search_shard
+from groupdet.search import _search_shard, holomorph_maps
 from oracles import naive_group_det
 
 # Shapes whose orbits reach phi(d) >= 4: orders 5, 8, 10, 12 and 16.
@@ -108,12 +107,17 @@ def test_engine_walks_the_box_in_order(orders, box):
             assert d == group_determinant(g, vals)
 
 
-def test_orbit_minimal_keeps_the_old_filter_set():
-    for orders, box in [((4, 2), 1), ((2, 2), 2), ((6,), 1), ((3, 3), 1)]:
-        perms = _even_translations(make_group(orders))
-        for vals in iter_box(prod(orders), box):
-            full = not any(tuple(vals[p] for p in perm) < vals for perm in perms)
-            assert _orbit_minimal(vals, [itemgetter(*perm) for perm in perms]) == full
+@pytest.mark.parametrize("orders,box", [((2, 2), 2), ((3,), 3), ((4,), 2), ((5,), 2), ((2, 3), 2)])
+def test_orderly_walk_keeps_the_minimal_points(orders, box):
+    maps = holomorph_maps(orders)
+    total = (2 * box + 1) ** prod(orders)
+    scanned = points(orderly_scan(orders, box, maps, range(total)))
+    g = make_group(orders)
+    assert all(d == group_determinant(g, vals) for vals, d in scanned)
+    assert [vals for vals, _ in scanned] == [
+        vals for vals in iter_box(prod(orders), box)
+        if not any(tuple(vals[p] for p in phi) < vals for phi in maps)
+    ]
 
 
 @st.composite
@@ -122,10 +126,10 @@ def shard_cuts(draw, total):
     return [0] + sorted(cuts) + [total]
 
 
-def merged_search_shards(orders, box, perms, cuts):
+def merged_search_shards(orders, box, maps, cuts):
     evaluated, achieved = 0, {}
     for start, stop in zip(cuts, cuts[1:]):
-        count, part = _search_shard(orders, box, None, perms, start, stop)
+        count, part = _search_shard(orders, box, None, maps, start, stop)
         evaluated += count
         for v, w in part.items():
             if v not in achieved or w < achieved[v]:
@@ -137,12 +141,13 @@ def merged_search_shards(orders, box, perms, cuts):
 @given(st.data())
 def test_search_shards_at_any_cut_merge_to_one_scan(data):
     orders, box = data.draw(st.sampled_from([((2, 2), 2), ((3,), 3), ((2, 3), 1), ((5,), 1)]))
-    total = (2 * box + 1) ** prod(orders)
-    cuts = data.draw(shard_cuts(total))
-    prune = data.draw(st.booleans())
-    perms = _even_translations(make_group(orders)) if prune else ()
-    whole = _search_shard(orders, box, None, perms, 0, total)
-    assert merged_search_shards(orders, box, perms, cuts) == whole
+    dim = prod(orders)
+    total = (2 * box + 1) ** dim
+    maps = holomorph_maps(orders) if data.draw(st.booleans()) else ()
+    # pruned shards cut the ordinals of the surviving prefixes
+    cuts = data.draw(shard_cuts(total if not maps else (2 * box + 1) ** (dim - dim // 2)))
+    whole = _search_shard(orders, box, None, maps, 0, total)
+    assert merged_search_shards(orders, box, maps, cuts) == whole
 
 
 @settings(max_examples=25, deadline=None)
@@ -332,9 +337,9 @@ def wrong_keys(keys, l):
 
 def rule_aggregates(group, keys, exp, points):
     """(even, least, at, flagged) of a block of points by the literal rules:
-    each point's slot products are its norm_factors multiplied by keys, a
-    congruence failure is gcd(*factors) % 2 and a bound failure
-    two_adic_valuation(det) < exp."""
+    each point's slot products, which flagged points carry, are its
+    norm_factors multiplied by keys, a congruence failure is gcd(*factors) % 2
+    and a bound failure two_adic_valuation(det) < exp."""
     even, lows, flagged = 0, [], []
     for j, x in enumerate(points):
         norms = norm_factors(group, x)
@@ -346,7 +351,7 @@ def rule_aggregates(group, keys, exp, points):
         if det:
             lows.append((two_adic_valuation(det), j))
         if gcd(*factors) % 2 or (det and two_adic_valuation(det) < exp):
-            flagged.append(j)
+            flagged.append((j, tuple(factors)))
     v, at = min(lows, default=(None, -1))
     return even, 0 if v is None else 1 << v, at, flagged
 
