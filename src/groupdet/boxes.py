@@ -10,8 +10,17 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+from functools import lru_cache
 from itertools import islice, product
+from math import prod
 
+from .groups import (
+    AbelianGroup,
+    addition_table,
+    automorphisms,
+    enumerate_elements,
+    translation_is_even,
+)
 from .norms import orbit_plan
 
 DEFAULT_BUDGET = 10_000_000
@@ -104,7 +113,56 @@ def scan_box(orders: tuple[int, ...], box: int, start: int, stop: int, kernel=No
         yield prefix, suffixes[lo:hi], kernel(plan.coefficients(prefix), tails[lo:hi])
 
 
-def _chains(maps, dim: int) -> list[list]:
+@lru_cache(maxsize=None)
+def holomorph_maps(
+    orders: tuple[int, ...], limit: int | None = None, split: int = 0
+) -> tuple[tuple[int, ...], ...]:
+    """Index permutations g -> sigma(g) + a of the group with these factor
+    orders, the identity left out, for one of two sets of sigma and a.
+
+    split 0 (search and witness): every automorphism sigma and every
+    translation a whose row permutation is even. The relabelling x -> x o
+    (sigma + a) of an assignment keeps the determinant, since det(x o (sigma
+    + a)) = sign(tau_a) det(x): sigma only reorders the characters. The
+    parity of sigma, or of the whole index permutation, does not matter (on
+    Z/8, g -> 3g + 1 is even but changes the sign).
+
+    split l > 0 (verify, the group being H x K with K = (Z/2Z)^l its last l
+    factors): every translation and every sigma with sigma(K) = K. A
+    translation multiplies each split factor by +-1, and such a sigma permutes
+    the restrictions to K of the characters, fixing the trivial one, so it
+    permutes the split factors and keeps the trivial one in place. The parity
+    of every split factor and the 2-adic valuation of the determinant stay.
+
+    Built once per shape, limit and split from the images of the generators;
+    raises BudgetExceededError as soon as there would be more than limit
+    maps, the identity counted.
+    """
+    group = AbelianGroup(orders)
+    add = addition_table(group)
+    shifts = [add[i] for i, a in enumerate(enumerate_elements(group))
+              if split or translation_is_even(group, a)]
+    identity = tuple(range(group.order))
+    maps = []
+    for table in automorphisms(group, add, split):
+        maps += (tuple(row[s] for s in table) for row in shifts)
+        if limit is not None and len(maps) > limit:
+            raise BudgetExceededError(
+                f"pruning a group of order {group.order} needs more than {limit} maps of "
+                f"{group.order} entries each, over the budget"
+            )
+    return tuple(m for m in maps if m != identity)
+
+
+def pruning_maps(orders: tuple[int, ...], box: int, budget: int, force: bool, split: int = 0):
+    """holomorph_maps of the shape, counted against the budget as |maps| * |G|
+    table entries; none at box 0, whose one point needs no pruning."""
+    if box == 0:
+        return ()
+    return holomorph_maps(orders, None if force else budget // prod(orders), split)
+
+
+def _chains(maps, dim: int, tied=None) -> list[list]:
     """The comparison of x o phi with x, for each index permutation phi in
     maps, as a chain of nodes bucketed by the depth that decides them.
 
@@ -113,9 +171,11 @@ def _chains(maps, dim: int) -> list[list]:
     coordinates decide form one node (g, h, rest, depth, next): its first
     pair (g, h = phi[g]) is the one that needs coordinate d = max(g, h),
     rest are the later pairs needing no coordinate beyond d, and next is the
-    following node, decided at depth. Returns, per depth d, the first nodes
-    decided there."""
-    buckets = [[] for _ in range(dim)]
+    following node, decided at depth. Returns, per depth d < dim, the first
+    nodes decided there, and an empty bucket dim: a chain ends in next =
+    tied at depth dim, so with tied not None the bucket holds one entry per
+    map that ties throughout, that is, fixes x."""
+    buckets = [[] for _ in range(dim + 1)]
     for phi in maps:
         groups = []
         for g, h in enumerate(phi):
@@ -123,7 +183,7 @@ def _chains(maps, dim: int) -> list[list]:
                 if not groups or max(g, h) > groups[-1][0]:
                     groups.append((max(g, h), []))
                 groups[-1][1].append((g, h))
-        node = depth = None
+        node, depth = tied, dim
         for d, pairs in reversed(groups):
             node = (*pairs[0], tuple(pairs[1:]), depth, node)
             depth = d
@@ -131,11 +191,18 @@ def _chains(maps, dim: int) -> list[list]:
     return buckets
 
 
-def orderly_scan(orders: tuple[int, ...], box: int, maps, shard: range):
-    """The determinant blocks of scan_box for the points of the box that no
-    index permutation phi in maps sends to a lexicographically smaller
-    point x o phi, restricted to the surviving prefixes whose ordinal lies
-    in shard.
+def orderly_scan(orders: tuple[int, ...], box: int, maps, shard: range, kernel=None,
+                 weighted: bool = False):
+    """The blocks of scan_box, for kernel (None is the determinant kernel),
+    over the points of the box that no index permutation phi in maps sends
+    to a lexicographically smaller point x o phi, restricted to the
+    surviving prefixes whose ordinal lies in shard.
+
+    With weighted, maps (the identity added) must form a group, each kept
+    point stands for its orbit, and every block is (prefix, suffixes,
+    result, sizes): sizes lists the orbit size of each kept point, |maps| + 1
+    over the number of maps fixing it (orbit-stabilizer), and the kernel is
+    called as kernel(head, tails, sizes).
 
     An orderly walk (Read 1978): coordinates are fixed one at a time in box
     order, depth first. For each map the walk keeps the node its comparison
@@ -144,14 +211,16 @@ def orderly_scan(orders: tuple[int, ...], box: int, maps, shard: range):
     one side, values outside every bound are never visited, and only at a
     bound are the later pairs of the tied nodes compared, dropping the value
     when one sends x lower and moving the node to its next depth when all
-    tie. A map that is decided higher, or that fixes x, is done. The prefix
-    walk is done in full by every shard, so the ordinals of the surviving
-    prefixes are the same in all of them; a prefix without a kept suffix
-    yields no block.
+    tie. A map that is decided higher is done; one that ties to its end
+    fixes x, and is counted when weighted. The prefix walk is done in full
+    by every shard, so the ordinals of the surviving prefixes are the same
+    in all of them; a prefix without a kept suffix yields no block.
     """
-    plan, kernel, cut, suffixes, tails = _halves(orders, box, None)
+    plan, kernel, cut, suffixes, tails = _halves(orders, box, kernel)
     dim = len(plan.columns)
-    buckets = _chains(maps, dim)
+    buckets = _chains(maps, dim, True if weighted else None)
+    fixing = buckets[dim]
+    group_size = len(maps) + 1
     x = [0] * dim
     width = 2 * box + 1
 
@@ -195,14 +264,17 @@ def orderly_scan(orders: tuple[int, ...], box: int, maps, shard: range):
             for depth in pushed:
                 buckets[depth].pop()
 
-    def descend(m, index, out):
+    def descend(m, index, out, sizes):
         """Append to out the suffix indices of the kept points below the
-        current node at depth m, index being the suffix index so far."""
+        current node at depth m, index being the suffix index so far, and
+        when weighted their orbit sizes to sizes."""
         for v in values(m):
             if m + 1 == dim:
                 out.append(index * width + v + box)
+                if weighted:
+                    sizes.append(group_size // (1 + len(fixing)))
             else:
-                descend(m + 1, index * width + v + box, out)
+                descend(m + 1, index * width + v + box, out, sizes)
 
     ordinal = 0
 
@@ -214,13 +286,16 @@ def orderly_scan(orders: tuple[int, ...], box: int, maps, shard: range):
             return
         ordinal += 1
         if ordinal - 1 in shard:
-            kept = []
-            descend(m, 0, kept)
+            kept, sizes = [], []
+            descend(m, 0, kept, sizes)
             if kept:
                 prefix = tuple(x[:cut])
-                yield prefix, [suffixes[j] for j in kept], kernel(
-                    plan.coefficients(prefix), [tails[j] for j in kept]
-                )
+                head, block = plan.coefficients(prefix), [tails[j] for j in kept]
+                points = [suffixes[j] for j in kept]
+                if weighted:
+                    yield prefix, points, kernel(head, block, sizes), sizes
+                else:
+                    yield prefix, points, kernel(head, block)
 
     return prefixes(0)
 

@@ -24,6 +24,7 @@ from .search import (
     check_membership,
     find_witness,
     membership_spec,
+    revalidate,
     search_values,
 )
 
@@ -120,6 +121,8 @@ def _cmd_search(args) -> tuple[int, dict]:
 
 def _cmd_check(args) -> tuple[int, dict]:
     report = SearchReport.load(args.report)
+    if args.revalidate:
+        revalidate(report)
     if args.spec is not None:
         result = check_membership(report, membership_spec(args.spec))
     else:
@@ -150,8 +153,8 @@ def _cmd_witness(args) -> tuple[int, dict]:
 
 JOBS_HELP = (
     "worker processes, at least 1, at most the CPU count (default: 1 when the estimated "
-    "work, the box size or for --prune the box size over the number of pruning maps, is "
-    f"below {IN_PROCESS_WORK:,} points, else the CPU count)"
+    f"work is below {IN_PROCESS_WORK:,} points, else the CPU count; the estimate is the box "
+    "size, divided for search --prune and for verify by the number of pruning maps)"
 )
 
 
@@ -226,6 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     group_mode.add_argument("--spec", help="membership spec: Z2Z2, Z2Z2Z2, Z4Z2, S2p(<p>)")
     group_mode.add_argument("--exponent", type=int,
                             help="instead: require 2^exponent to divide every even value")
+    chk.add_argument("--revalidate", action="store_true",
+                     help="first evaluate every witness again by Bareiss elimination; a witness "
+                          "outside the box or of another value exits 2")
     chk.set_defaults(func=_cmd_check)
 
     wit = subs.add_parser("witness", help="first assignment achieving a target value")

@@ -13,7 +13,15 @@ from dataclasses import dataclass
 from math import gcd, prod
 from operator import mul
 
-from .boxes import DEFAULT_BUDGET, BudgetExceededError, ensure_budget, map_shards, scan_box
+from .boxes import (
+    DEFAULT_BUDGET,
+    BudgetExceededError,
+    dealt_shards,
+    ensure_budget,
+    map_shards,
+    orderly_scan,
+    pruning_maps,
+)
 from .characters import exponent_table
 from .determinant import _index_table, bareiss_det
 from .factorization import _sign_keys, integer_split_factors
@@ -139,8 +147,46 @@ def check_factor_congruence(H: AbelianGroup, l: int, values) -> CongruenceCheck:
     return CongruenceCheck(PASS if ok else FAIL, tuple(factors))
 
 
-def _suite_shard(h_orders, l, box, exp, start, stop) -> dict:
+def _failures(vals, factors, exp: int) -> list[dict]:
+    """The failure records of a point of even determinant with these sign
+    factors, in report order: congruence when a factor is odd, bound when the
+    determinant is nonzero and of 2-adic valuation below exp."""
+    det = prod(factors)
+    found = []
+    # an even determinant has an even factor; all of them are even exactly
+    # when their gcd is
+    if gcd(*factors) % 2:
+        found.append({"kind": "congruence", "factors": [str(f) for f in factors],
+                      "witness": list(vals)})
+    if det and two_adic_valuation(det) < exp:
+        found.append({"kind": "bound", "det": str(det), "witness": list(vals)})
+    return found
+
+
+def _expand(group, keys, exp, maps, rep, below) -> list[tuple]:
+    """The failure records, as (point, rank at the point, record, sign
+    factors), of the first KEPT_FAILURES points in box order of the orbit of a
+    failing representative rep under maps (the identity added), only those
+    below the point below unless it is None. Every image fails the same way,
+    each with its own factors and determinant."""
+    images = {tuple(rep[i] for i in phi) for phi in maps} | {rep}
+    out = []
+    for p in sorted(p for p in images if below is None or p < below)[:KEPT_FAILURES]:
+        factors = grouped_norms(group, p, keys)
+        out += [(p, rank, r, factors) for rank, r in enumerate(_failures(p, factors, exp))]
+    return out
+
+
+def _suite_shard(h_orders, l, box, exp, maps, start, stop, step=1) -> dict:
+    """The theorem2 counts over the orbits under maps whose representatives,
+    the points orderly_scan keeps, lie in the surviving prefixes range(start,
+    stop, step): each representative counts with its orbit size. failures
+    lists the first KEPT_FAILURES records in box order among the images of
+    the failing representatives; as the representatives come in box order
+    and none exceeds its images, an orbit is expanded only while the kept
+    records do not all lie below it."""
     orders = h_orders + (2,) * l
+    group = AbelianGroup(orders)
     plan = orbit_plan(orders)
     keys = _sign_keys(orders, l)
     checked = 0
@@ -148,40 +194,34 @@ def _suite_shard(h_orders, l, box, exp, start, stop) -> dict:
     least = 0
     least_point = None
     failure_count = 0
-    failures = []
-    blocks = scan_box(orders, box, start, stop, kernel=plan.suite(keys, exp))
-    for prefix, suffixes, (even, low, at, flagged) in blocks:
-        checked += len(suffixes)
+    kept = []  # (point, rank at the point, record, factors), sorted
+    blocks = orderly_scan(orders, box, maps, range(start, stop, step),
+                          kernel=plan.suite(keys, exp), weighted=True)
+    for prefix, suffixes, (even, low, at, flagged), sizes in blocks:
+        checked += sum(sizes)
         even_count += even
         if low and (low < least or not least):
             least, least_point = low, prefix + suffixes[at]
-        # the rare flagged points, with their sign factors: the failures they hold
+        # the rare flagged representatives, with their sign factors
         for j, factors in flagged:
-            vals = prefix + suffixes[j]
-            det = prod(factors)
-            found = []
-            # an even determinant has an even factor; all of them are even
-            # exactly when their gcd is
-            if gcd(*factors) % 2:
-                found.append({
-                    "kind": "congruence",
-                    "factors": [str(f) for f in factors],
-                    "witness": list(vals),
-                })
-            if det and two_adic_valuation(det) < exp:
-                found.append({"kind": "bound", "det": str(det), "witness": list(vals)})
-            failure_count += len(found)
-            if found and len(failures) < KEPT_FAILURES:
-                _recheck(h_orders, l, vals, factors)
-                failures.extend(found[:KEPT_FAILURES - len(failures)])
+            rep = prefix + suffixes[j]
+            found = len(_failures(rep, factors, exp))
+            failure_count += found * sizes[j]
+            below = kept[-1][0] if len(kept) == KEPT_FAILURES else None
+            if found and (below is None or rep < below):
+                images = _expand(group, keys, exp, maps, rep, below)
+                kept = sorted(kept + images, key=lambda k: k[:2])[:KEPT_FAILURES]
+    for p, rank, _, factors in kept:
+        if rank == 0:
+            _recheck(h_orders, l, p, factors)
     if least_point is not None:
-        _recheck(h_orders, l, least_point, grouped_norms(AbelianGroup(orders), least_point, keys))
+        _recheck(h_orders, l, least_point, grouped_norms(group, least_point, keys))
     return {
         "checked": checked,
         "even_count": even_count,
         "min_even_valuation": None if least_point is None else least.bit_length() - 1,
         "failure_count": failure_count,
-        "failures": failures,
+        "failures": [r for _, _, r, _ in kept],
     }
 
 
@@ -217,11 +257,13 @@ def run_divisibility_suite(
     """Exhaustively check the parity congruence and the divisibility bound over
     the box [-box, box]^(|H| * 2^l); the summary is identical for any job count.
 
-    Every failure is counted in failure_count; failures lists the first
-    KEPT_FAILURES of them in box order. The sign factors come from orbit
-    norms; each shard evaluates its smallest-valuation witness and each kept
-    failure again by Bareiss elimination and raises ArithmeticError on a
-    disagreement.
+    The box is walked by orderly_scan under the split maps (holomorph_maps
+    with split=l; none at box 0), one point per orbit, counted with its orbit
+    size. Every failure is counted in failure_count; failures lists the first
+    KEPT_FAILURES of them in box order, taken from the images of the failing
+    orbits. The sign factors come from orbit norms; each shard evaluates its
+    smallest-valuation witness and each kept failure again by Bareiss
+    elimination and raises ArithmeticError on a disagreement.
     """
     if not force and l > budget.bit_length():
         # |G|^2 >= 4^l > budget: refuse before 2^l, (2,) * l or the box is built
@@ -232,9 +274,13 @@ def run_divisibility_suite(
     exp = bound_exponent(H, l, exponent)
     G = direct_product(H, AbelianGroup((2,) * l))
     total = ensure_budget(G.order, box, budget, force)
-    parts = map_shards(_suite_shard, (H.orders, l, box, exp), total, jobs)
+    maps = pruning_maps(G.orders, box, budget, force, split=l)
+    parts = map_shards(_suite_shard, (H.orders, l, box, exp, maps), total, jobs, dealt_shards,
+                       work=total // (len(maps) + 1))
     evens = [p["min_even_valuation"] for p in parts if p["min_even_valuation"] is not None]
-    failures = [f for p in parts for f in p["failures"]][:KEPT_FAILURES]
+    # each shard holds its own orbits, whose images lie anywhere in the box
+    failures = sorted((f for p in parts for f in p["failures"]),
+                      key=lambda f: (f["witness"], f["kind"] == "bound"))[:KEPT_FAILURES]
     failure_count = sum(p["failure_count"] for p in parts)
     return {
         "suite": "theorem2",

@@ -122,18 +122,24 @@ def translation_is_even(group: AbelianGroup, a: Element) -> bool:
     return order % 2 == 1 or group.order // order % 2 == 0
 
 
-def automorphisms(group: AbelianGroup, add: list[list[int]]):
+def automorphisms(group: AbelianGroup, add: list[list[int]], keep: int = 0):
     """Image tables, by element index, of the automorphisms of the group with
     addition table add, depth first over the images of the generators: a
     partial table (the images of the subgroup the first generators span, in
-    element order) is only extended while it is injective."""
+    element order) is only extended while it is injective.
+
+    keep > 0 gives only those mapping the subgroup K of the last keep factors
+    onto itself: its elements are the ones of index below |K|, so the images
+    of its generators are drawn from them."""
+    first = len(group.orders) - keep
+    inside = prod(group.orders[first:])
 
     def extend(table, i):
         if i == len(group.orders):
             yield table
             return
         n = group.orders[i]
-        for h in range(len(add)):
+        for h in range(len(add) if i < first else inside):
             multiples = [0]
             for _ in range(n - 1):
                 multiples.append(add[multiples[-1]][h])

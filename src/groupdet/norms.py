@@ -19,6 +19,7 @@ checks on top of the sign grouping into a kernel that returns only aggregates
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
 from math import gcd
 from operator import add
 from typing import NamedTuple
@@ -68,11 +69,12 @@ class OrbitPlan:
         return self._kernel(keys, None)
 
     def suite(self, keys, exp: int):
-        """The theorem2 kernel suite(head, tails) of the grouping keys and the
-        bound exponent exp, compiled once per plan from the same per-point code
-        as block(keys): with f0, f1, ... the slot products of a tail and d
-        their product, it returns the aggregates (even, least, at, flagged) of
-        the whole block. even counts the even d; least is the smallest d & -d
+        """The theorem2 kernel suite(head, tails, sizes) of the grouping keys
+        and the bound exponent exp, compiled once per plan from the same
+        per-point code as block(keys): with f0, f1, ... the slot products of a
+        tail and d their product, it returns the aggregates (even, least, at,
+        flagged) of the whole block. even counts the even d, each with its
+        weight in sizes (1 each when sizes is left out); least is the smallest d & -d
         over the nonzero even d (0 when there is none) and at the index of its
         first tail (-1 when there is none); flagged lists, in order, (index,
         slot products) of the even d where some slot product is odd or where
@@ -90,8 +92,8 @@ class OrbitPlan:
             ):
                 raise ValueError(f"need one slot index >= 0 per orbit, got {keys!r}")
             namespace = {
-                "__builtins__": {}, "enumerate": enumerate, "_norm4": _norm4,
-                "_multiplication_det": _multiplication_det,
+                "__builtins__": {}, "enumerate": enumerate, "zip": zip, "_ones": repeat(1),
+                "_norm4": _norm4, "_multiplication_det": _multiplication_det,
             }
             exec(self._block_source(keys, exp), namespace)
             kernel = self._blocks[keys, exp] = namespace["block"]
@@ -99,7 +101,7 @@ class OrbitPlan:
 
     def _block_source(self, keys, exp=None) -> str:
         """Straight-line source of block(head, tails), or with exp given of
-        suite(head, tails): a_i = h_i + t_i unrolled, phi(d) = 1 norms as the
+        suite(head, tails, sizes): a_i = h_i + t_i unrolled, phi(d) = 1 norms as the
         coefficient itself, phi(d) = 2 norms with the constants of Phi_d folded
         in, phi(d) = 4 through _norm4 and larger phi(d) through
         _multiplication_det. It holds only integer literals of the plan and of
@@ -130,20 +132,22 @@ class OrbitPlan:
         ts = ", ".join(f"t{i}" for i in range(dim))
         if exp is None:
             value = products[0] if keys is None else f"({', '.join(products)},)"
+            params = "head, tails"
             setup = ["out = []", "append = out.append"]
             loop = f"for {ts}, in tails:"
             lines.append(f"append({value})")
             result = "out"
         else:
             fs = [f"f{k}" for k in range(width)]
+            params = "head, tails, sizes=_ones"
             setup = ["even = least = 0", "at = -1", "flagged = []", "flag = flagged.append"]
-            loop = f"for j, ({ts},) in enumerate(tails):"
+            loop = f"for j, (({ts},), w) in enumerate(zip(tails, sizes)):"
             lines += [f"{f} = {product}" for f, product in zip(fs, products)]
             lines += [
                 f"d = {_product_source(fs)}",
                 "if d & 1:",
                 "    continue",
-                "even += 1",
+                "even += w",
                 "low = d & -d",
                 # an odd slot product, or d != 0 with 2^exp not dividing it
                 f"if ({' | '.join(fs)}) & 1 or low and not low >> {exp:d}:",
@@ -154,7 +158,7 @@ class OrbitPlan:
             ]
             result = "even, least, at, flagged"
         return "".join([
-            "def block(head, tails):\n",
+            f"def block({params}):\n",
             f"    {hs}, = head\n",
             *(f"    {line}\n" for line in setup),
             f"    {loop}\n",

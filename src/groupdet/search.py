@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import gcd
 from typing import Callable
 
@@ -20,24 +19,18 @@ from .boxes import (
     ensure_budget,
     map_shards,
     orderly_scan,
+    pruning_maps,
     scan_box,
 )
 from .determinant import group_determinant
 from .divisibility import two_adic_valuation
-from .groups import (
-    AbelianGroup,
-    addition_table,
-    automorphisms,
-    enumerate_elements,
-    format_group_spec,
-    parse_group_spec,
-    translation_is_even,
-)
+from .groups import AbelianGroup, format_group_spec, parse_group_spec
 
 __all__ = [
     "SearchReport",
     "search_values",
     "find_witness",
+    "revalidate",
     "CheckResult",
     "check_even_divisibility",
     "check_membership",
@@ -147,38 +140,6 @@ class SearchReport:
             return SearchReport.from_json_dict(json.load(fh))
 
 
-@lru_cache(maxsize=None)
-def holomorph_maps(
-    orders: tuple[int, ...], limit: int | None = None
-) -> tuple[tuple[int, ...], ...]:
-    """Index permutations g -> sigma(g) + a of the group with these factor
-    orders, for every automorphism sigma and every translation a whose row
-    permutation is even, the identity left out. The relabelling x -> x o
-    (sigma + a) of an assignment keeps the determinant, since det(x o (sigma +
-    a)) = sign(tau_a) det(x): sigma only reorders the characters. The parity
-    of sigma, or of the whole index permutation, does not matter (on Z/8,
-    g -> 3g + 1 is even but changes the sign).
-
-    Built once per shape and limit from the images of the generators; raises
-    BudgetExceededError as soon as there would be more than limit maps, the
-    identity counted.
-    """
-    group = AbelianGroup(orders)
-    add = addition_table(group)
-    shifts = [add[i] for i, a in enumerate(enumerate_elements(group))
-              if translation_is_even(group, a)]
-    identity = tuple(range(group.order))
-    maps = []
-    for table in automorphisms(group, add):
-        maps += (tuple(row[s] for s in table) for row in shifts)
-        if limit is not None and len(maps) > limit:
-            raise BudgetExceededError(
-                f"pruning a group of order {group.order} needs more than {limit} maps of "
-                f"{group.order} entries each, over the budget"
-            )
-    return tuple(m for m in maps if m != identity)
-
-
 def _blocks(orders, box, maps, start, stop, step=1):
     """The blocks of scan_box over the points range(start, stop) of the box,
     or with maps, of orderly_scan over the surviving prefixes range(start,
@@ -199,14 +160,6 @@ def _search_shard(orders, box, cap, maps, start, stop, step=1):
             if cap is None or abs(d) <= cap:
                 found[d] = prefix + suffixes[ds.index(d)]
     return evaluated, found
-
-
-def _pruning_maps(group: AbelianGroup, box: int, budget: int, force: bool):
-    """holomorph_maps of the group, counted against the budget as |maps| * |G|
-    table entries; none at box 0, whose one point needs no pruning."""
-    if box == 0:
-        return ()
-    return holomorph_maps(group.orders, None if force else budget // group.order)
 
 
 def search_values(
@@ -235,7 +188,7 @@ def search_values(
     if value_cap is not None and value_cap < 0:
         raise ValueError(f"value_cap must be at least 0, got {value_cap}")
     total = ensure_budget(group.order, box, budget, force)
-    maps = _pruning_maps(group, box, budget, force) if prune else ()
+    maps = pruning_maps(group.orders, box, budget, force) if prune else ()
     args = (group.orders, box, value_cap, maps)
     if maps:
         parts = map_shards(_search_shard, args, total, jobs, dealt_shards,
@@ -264,6 +217,25 @@ def _recheck(group: AbelianGroup, witness: tuple[int, ...], value: int) -> None:
         )
 
 
+def revalidate(report: SearchReport, budget: int = DEFAULT_BUDGET) -> None:
+    """Evaluate every witness of a loaded report again by Bareiss elimination,
+    in value order; ArithmeticError at the first witness that lies outside
+    the report's box or whose determinant is not its value. A group whose
+    Bareiss re-check of one point exceeds the budget raises
+    BudgetExceededError first."""
+    group = report.group
+    ensure_budget(group.order, 0, budget, False)
+    for v in sorted(report.achieved):
+        w = report.achieved[v]
+        if max(map(abs, w)) > report.box:
+            raise ArithmeticError(f"the witness {list(w)} of {v} lies outside the box {report.box}")
+        direct = group_determinant(group, w)
+        if direct != v:
+            raise ArithmeticError(
+                f"the report gives {v} at {list(w)} but Bareiss elimination gives {direct}"
+            )
+
+
 def find_witness(
     group: AbelianGroup,
     box: int,
@@ -279,7 +251,7 @@ def find_witness(
     elimination then evaluates that witness again, and a disagreement raises
     ArithmeticError."""
     total = ensure_budget(group.order, box, budget, force)
-    maps = _pruning_maps(group, box, budget, force)
+    maps = pruning_maps(group.orders, box, budget, force)
     for prefix, suffixes, ds in _blocks(group.orders, box, maps, 0, total):
         if target in ds:
             vals = prefix + suffixes[ds.index(target)]

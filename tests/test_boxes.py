@@ -10,17 +10,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groupdet.boxes
-from groupdet import BudgetExceededError, find_witness, group_determinant, make_group, search_values
+import groupdet.divisibility
+from groupdet import (
+    BudgetExceededError,
+    find_witness,
+    group_determinant,
+    make_group,
+    run_divisibility_suite,
+    search_values,
+)
 from groupdet.boxes import (
     IN_PROCESS_WORK,
     dealt_shards,
     ensure_budget,
+    holomorph_maps,
     iter_box,
     map_shards,
     orderly_scan,
 )
 from groupdet.norms import orbit_plan
-from groupdet.search import _search_shard, holomorph_maps
+from groupdet.search import _search_shard
 
 
 def shard_bounds(start, stop):
@@ -171,6 +180,14 @@ def test_default_jobs_follow_the_work(two_cpus, monkeypatch):
     monkeypatch.setattr(groupdet.search, "_search_shard", lambda *a: seen.append(a[4:]) or (0, {}))
     # 4x2 box 2: 390,625 / 64 = 6,103 estimated points, run in this process
     search_values(make_group((4, 2)), 2, prune=True)
+    assert seen == [(0, 5**8, 1)] and two_cpus == [2]
+    # and verify H = 4, l = 1 at box 2: 390,625 / 32 = 12,207 under its split maps
+    seen.clear()
+    part = {"checked": 0, "even_count": 0, "min_even_valuation": None, "failure_count": 0,
+            "failures": []}
+    monkeypatch.setattr(groupdet.divisibility, "_suite_shard",
+                        lambda *a: seen.append(a[5:]) or part)
+    run_divisibility_suite(make_group(4), 1, 2)
     assert seen == [(0, 5**8, 1)] and two_cpus == [2]
 
 

@@ -183,6 +183,31 @@ def test_search_then_check_exponent(capsys, tmp_path):
     assert "exponent must be at least 0, got -1" in payload["message"]
 
 
+def test_check_revalidate_catches_an_edited_value(capsys, tmp_path):
+    out = tmp_path / "report.json"
+    run_cli(capsys, "search", "--group", "2x2", "--box", "1", "--jobs", "1", "--out", str(out))
+    code, payload = run_cli(capsys, "check", "--report", str(out), "--spec", "Z2Z2",
+                            "--revalidate")
+    assert code == 0 and payload["status"] == "pass"
+    # -16 -> -64: still in the Z2Z2 value set, so only the re-evaluation sees it
+    data = json.loads(out.read_text())
+    row = next(row for row in data["values"] if row["v"] == "-16")
+    row["v"] = "-64"
+    out.write_text(json.dumps(data))
+    code, payload = run_cli(capsys, "check", "--report", str(out), "--spec", "Z2Z2")
+    assert code == 0 and payload["status"] == "pass"
+    code, payload = run_cli(capsys, "check", "--report", str(out), "--spec", "Z2Z2",
+                            "--revalidate")
+    assert code == 2 and payload["status"] == "error"
+    assert "gives -64" in payload["message"] and "gives -16" in payload["message"]
+    # a witness outside the box is refused too
+    row["v"], row["witness"] = "-16", [-2, 0, 0, 0]
+    out.write_text(json.dumps(data))
+    code, payload = run_cli(capsys, "check", "--report", str(out), "--exponent", "4",
+                            "--revalidate")
+    assert code == 2 and "outside the box 1" in payload["message"]
+
+
 def test_check_modes_are_exclusive(capsys, tmp_path):
     out = str(tmp_path / "report.json")
     run_cli(capsys, "search", "--group", "2", "--box", "1", "--jobs", "1", "--out", out)

@@ -3,7 +3,10 @@ from functools import lru_cache
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import groupdet.boxes
 import groupdet.divisibility
 from groupdet import (
     BudgetExceededError,
@@ -16,9 +19,11 @@ from groupdet import (
     run_divisibility_suite,
     two_adic_valuation,
 )
-from groupdet.boxes import iter_box
+from groupdet.boxes import dealt_shards, holomorph_maps, iter_box, orderly_scan
 from groupdet.determinant import _index_table, bareiss_det
-from groupdet.divisibility import KEPT_FAILURES, sign_twists
+from groupdet.divisibility import KEPT_FAILURES, _suite_shard, sign_twists
+from groupdet.factorization import _sign_keys
+from groupdet.norms import orbit_plan
 
 
 def test_two_adic_valuation_frozen():
@@ -282,3 +287,120 @@ def test_suite_summaries_match_bareiss_on_sign_twists(h_orders, l, box, exponent
     summary = run_divisibility_suite(make_group(h_orders), l, box, exponent=exponent, jobs=1)
     expected = reference_summary(h_orders, l, box, exponent << l)
     assert {k: summary[k] for k in expected} == expected
+
+
+def bareiss_sign_factors(h_orders, l, x):
+    """The split factors of x by the independent path: Bareiss on the H group
+    matrix of each sign twist."""
+    table = _index_table(h_orders)
+    return [bareiss_det([[ys[j] for j in row] for row in table]) for ys in sign_twists(l, x)]
+
+
+SPLIT_SHAPES = [((1,), 1), ((1,), 2), ((1,), 3), ((2,), 1), ((2,), 2), ((3,), 1), ((4,), 1),
+                ((6,), 1), ((2, 2), 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_split_maps_permute_the_bareiss_sign_factors(data):
+    # each split map sends the sign factors to a permutation of them up to
+    # sign that keeps the trivial factor in place: parities, the congruence
+    # and the 2-adic valuation of the determinant all stay
+    h_orders, l = data.draw(st.sampled_from(SPLIT_SHAPES))
+    n = prod(h_orders) << l
+    x = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+    base = bareiss_sign_factors(h_orders, l, x)
+    for phi in holomorph_maps(h_orders + (2,) * l, None, l):
+        image = bareiss_sign_factors(h_orders, l, tuple(x[i] for i in phi))
+        assert abs(image[0]) == abs(base[0])
+        assert sorted(map(abs, image)) == sorted(map(abs, base))
+
+
+SPLIT_MAP_COUNTS = [((4,), 1, 32), ((2,), 1, 8), ((1,), 2, 24), ((2, 2), 1, 192), ((3,), 1, 12),
+                    ((8,), 1, 128), ((2, 2, 2), 1, 21_504), ((2, 2), 2, 9_216)]
+
+
+@pytest.mark.parametrize("h_orders,l,count", SPLIT_MAP_COUNTS)
+def test_split_map_counts(h_orders, l, count):
+    # every translation times the automorphisms keeping (Z/2Z)^l, identity included
+    orders = h_orders + (2,) * l
+    maps = holomorph_maps(orders, None, l)
+    assert len(maps) + 1 == len(set(maps) | {tuple(range(prod(orders)))}) == count
+
+
+# The shapes and boxes the suite runs on in these tests.
+VERIFY_SHAPES = [((1,), 1, 4), ((1,), 2, 2), ((1,), 3, 1), ((2,), 1, 2), ((2,), 2, 1),
+                 ((3,), 1, 2), ((4,), 1, 1), ((5,), 1, 1)]
+
+
+@pytest.mark.parametrize("h_orders,l,box", VERIFY_SHAPES)
+def test_orbit_sizes_sum_to_the_box(h_orders, l, box):
+    # each kept point is the least of its orbit and stands for all of it
+    orders = h_orders + (2,) * l
+    dim = prod(orders)
+    maps = holomorph_maps(orders, None, l)
+    kernel = orbit_plan(orders).suite(_sign_keys(orders, l), 0)
+    total = (2 * box + 1) ** dim
+    weight = 0
+    for prefix, suffixes, _, sizes in orderly_scan(orders, box, maps, range(total), kernel,
+                                                   weighted=True):
+        for t, size in zip(suffixes, sizes):
+            x = prefix + t
+            orbit = {tuple(x[i] for i in phi) for phi in maps} | {x}
+            assert min(orbit) == x and len(orbit) == size
+            weight += size
+    assert weight == total
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    """Three CPUs, and a pool that runs its shards in this process."""
+
+    class Pool:
+        def __init__(self, size):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, args):
+            return [fn(*a) for a in args]
+
+    monkeypatch.setattr(groupdet.boxes.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(groupdet.boxes.multiprocessing, "Pool", Pool)
+
+
+@pytest.mark.parametrize("h_orders,l,box", [((2,), 1, 2), ((1,), 2, 2), ((4,), 1, 1),
+                                            ((1,), 3, 1), ((2,), 2, 1)])
+@pytest.mark.parametrize("exponent", [None, 3, 40])
+def test_suite_reports_equal_at_jobs_1_2_3(three_cpus, h_orders, l, box, exponent):
+    # shards hold whole orbits, whose failing images lie anywhere in the box
+    reports = [run_divisibility_suite(make_group(h_orders), l, box, exponent=exponent, jobs=jobs)
+               for jobs in (1, 2, 3)]
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_suite_expands_at_most_the_kept_failures_per_shard(monkeypatch):
+    # 4x2 at box 2 and exponent 40: nearly every even point fails the bound,
+    # yet a shard expands an orbit only while it can reach the first
+    # KEPT_FAILURES records
+    real = groupdet.divisibility._expand
+    calls = []
+    monkeypatch.setattr(groupdet.divisibility, "_expand",
+                        lambda *args: calls.append(args) or real(*args))
+    maps = holomorph_maps((4, 2), None, 1)
+    total = 5**8
+    full = run_divisibility_suite(make_group(4), 1, 2, exponent=40, jobs=1)
+    assert len(full["failures"]) == KEPT_FAILURES and full["failure_count"] > 70_000
+    for jobs in (1, 2, 3):
+        failures = []
+        for shard in dealt_shards(total, jobs):
+            calls.clear()
+            part = _suite_shard((4,), 1, 2, 40 << 1, maps, *shard)
+            assert 0 < len(calls) <= KEPT_FAILURES
+            failures += part["failures"]
+        failures.sort(key=lambda f: (f["witness"], f["kind"] == "bound"))
+        assert failures[:KEPT_FAILURES] == full["failures"]

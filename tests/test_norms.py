@@ -13,7 +13,7 @@ from groupdet import (
     norm_factors,
     search_values,
 )
-from groupdet.boxes import iter_box, orderly_scan, scan_box
+from groupdet.boxes import holomorph_maps, iter_box, orderly_scan, scan_box
 from groupdet.characters import exponent_table
 from groupdet.cyclotomic import CyclotomicInt, euler_phi
 from groupdet.determinant import _index_table, bareiss_det
@@ -21,7 +21,7 @@ from groupdet.divisibility import KEPT_FAILURES, _suite_shard, sign_twists, two_
 from groupdet.factorization import _sign_keys, character_sums
 from groupdet.cyclotomic import cyclotomic_polynomial
 from groupdet.norms import _multiplication_det, _norm4, _product_source, orbit_plan
-from groupdet.search import _search_shard, holomorph_maps
+from groupdet.search import _search_shard
 from oracles import naive_group_det
 
 # Shapes whose orbits reach phi(d) >= 4: orders 5, 8, 10, 12 and 16.
@@ -153,20 +153,28 @@ def test_search_shards_at_any_cut_merge_to_one_scan(data):
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_suite_shards_at_any_cut_sum_to_one_scan(data):
-    # cuts slice a prefix's block anywhere; shards merge as run_divisibility_suite
-    # merges them, and an exponent above the true one keeps bound failures
+    # shards cut the ordinals of the surviving prefixes and deal them with any
+    # step; they merge as run_divisibility_suite merges them, and an exponent
+    # above the true one keeps bound failures
     h_orders, l, box = data.draw(
         st.sampled_from([((2,), 1, 1), ((1,), 2, 2), ((3,), 1, 1), ((4,), 1, 1), ((2,), 2, 1)])
     )
     exp = data.draw(st.sampled_from([0, 4, 9, 30]))
-    total = (2 * box + 1) ** (prod(h_orders) << l)
-    cuts = data.draw(shard_cuts(total))
-    whole = _suite_shard(h_orders, l, box, exp, 0, total)
-    parts = [_suite_shard(h_orders, l, box, exp, a, b) for a, b in zip(cuts, cuts[1:])]
+    orders = h_orders + (2,) * l
+    dim = prod(orders)
+    total = (2 * box + 1) ** dim
+    maps = data.draw(st.sampled_from([holomorph_maps(orders, None, l), ()]))
+    cuts = data.draw(shard_cuts((2 * box + 1) ** (dim - dim // 2)))
+    step = data.draw(st.integers(1, 3))
+    whole = _suite_shard(h_orders, l, box, exp, maps, 0, total)
+    parts = [_suite_shard(h_orders, l, box, exp, maps, a + k, b, step)
+             for a, b in zip(cuts, cuts[1:]) for k in range(step)]
     assert sum(p["checked"] for p in parts) == whole["checked"] == total
     assert sum(p["even_count"] for p in parts) == whole["even_count"]
     assert sum(p["failure_count"] for p in parts) == whole["failure_count"]
-    assert [f for p in parts for f in p["failures"]][:KEPT_FAILURES] == whole["failures"]
+    merged = sorted((f for p in parts for f in p["failures"]),
+                    key=lambda f: (f["witness"], f["kind"] == "bound"))
+    assert merged[:KEPT_FAILURES] == whole["failures"]
     evens = [p["min_even_valuation"] for p in parts if p["min_even_valuation"] is not None]
     assert (min(evens) if evens else None) == whole["min_even_valuation"]
 
