@@ -1,9 +1,9 @@
 """Shared box enumeration and the box engine of the exhaustive harnesses.
 
 A box search walks [-B, B]^dim in lexicographic order (last coordinate
-fastest). Shards are contiguous index ranges of that one fixed order, or for
-the orderly walk of a pruned scan, every N-th of its surviving prefixes;
-either way the merged result is independent of the number of workers.
+fastest) as an orderly walk of its prefixes, with no maps when unpruned.
+Shards deal out the surviving prefixes, shard k of N taking every N-th, so
+the merged result is independent of the number of workers.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from functools import lru_cache
-from itertools import islice, product
+from itertools import product
 from math import prod
 
 from .groups import (
@@ -24,9 +24,9 @@ from .groups import (
 from .norms import orbit_plan
 
 DEFAULT_BUDGET = 10_000_000
-# Default jobs: work (points, or for a pruned walk the box size over the
-# number of maps) below this runs in one process; a pool costs more than it
-# saves there.
+# Default jobs: work (the box size over the number of maps, identity
+# included) below this runs in one process; a pool costs more than it saves
+# there.
 IN_PROCESS_WORK = 50_000
 
 
@@ -71,46 +71,9 @@ def ensure_budget(dim: int, box: int, budget: int, force: bool) -> int:
     return total
 
 
-def iter_box(dim: int, box: int, start: int = 0, stop: int | None = None):
-    """Assignment tuples in lexicographic order, sliced to [start, stop)."""
-    it = product(range(-box, box + 1), repeat=dim)
-    if start == 0 and stop is None:
-        return it
-    return islice(it, start, stop)
-
-
-def _halves(orders: tuple[int, ...], box: int, kernel):
-    """What both box walks share: the shape's plan, the kernel (None is the
-    determinant kernel), the prefix length dim - dim // 2, and the suffixes
-    of the box with their coefficient vectors, in box order."""
-    plan = orbit_plan(orders)
-    dim = len(plan.columns)
-    cut = dim - dim // 2
-    pad = (0,) * cut
-    suffixes = list(iter_box(dim - cut, box))
-    tails = [plan.coefficients(pad + t) for t in suffixes]
-    return plan, kernel or plan.block(), cut, suffixes, tails
-
-
-def scan_box(orders: tuple[int, ...], box: int, start: int, stop: int, kernel=None):
-    """(prefix, suffixes, result) once per prefix for the points of [start, stop)
-    of the box over the group with these factor orders, in lexicographic
-    order: the points are prefix + t for t in suffixes, and result is what
-    kernel, a compiled kernel of the shape's plan (OrbitPlan.block or
-    OrbitPlan.suite), returns for the prefix and those suffixes; kernel None
-    is the determinant kernel, whose result lists one determinant per suffix.
-
-    The prefix is the first dim - dim // 2 coordinates. The coefficient
-    vectors of every suffix (at most sqrt of the box size many) are built
-    once and one per prefix, and one kernel call evaluates a prefix's whole
-    block of suffixes.
-    """
-    plan, kernel, cut, suffixes, tails = _halves(orders, box, kernel)
-    size = len(suffixes)
-    first = start // size
-    for base, prefix in zip(range(first * size, stop, size), iter_box(cut, box, first)):
-        lo, hi = max(start - base, 0), stop - base
-        yield prefix, suffixes[lo:hi], kernel(plan.coefficients(prefix), tails[lo:hi])
+def iter_box(dim: int, box: int):
+    """Assignment tuples in lexicographic order."""
+    return product(range(-box, box + 1), repeat=dim)
 
 
 @lru_cache(maxsize=None)
@@ -193,10 +156,14 @@ def _chains(maps, dim: int, tied=None) -> list[list]:
 
 def orderly_scan(orders: tuple[int, ...], box: int, maps, shard: range, kernel=None,
                  weighted: bool = False):
-    """The blocks of scan_box, for kernel (None is the determinant kernel),
-    over the points of the box that no index permutation phi in maps sends
-    to a lexicographically smaller point x o phi, restricted to the
-    surviving prefixes whose ordinal lies in shard.
+    """(prefix, suffixes, result) in box order once per surviving prefix whose
+    ordinal lies in shard: the points prefix + t are those of the box over
+    the group with these factor orders that no index permutation phi in
+    maps sends to a lexicographically smaller point x o phi (maps () keeps
+    every point), and result is what kernel (OrbitPlan.block or
+    OrbitPlan.suite; None is the determinant kernel) returns for them in one
+    call. The prefix is the first dim - dim // 2 coordinates; the
+    coefficient vectors of the suffixes are built once.
 
     With weighted, maps (the identity added) must form a group, each kept
     point stands for its orbit, and every block is (prefix, suffixes,
@@ -212,12 +179,18 @@ def orderly_scan(orders: tuple[int, ...], box: int, maps, shard: range, kernel=N
     bound are the later pairs of the tied nodes compared, dropping the value
     when one sends x lower and moving the node to its next depth when all
     tie. A map that is decided higher is done; one that ties to its end
-    fixes x, and is counted when weighted. The prefix walk is done in full
-    by every shard, so the ordinals of the surviving prefixes are the same
-    in all of them; a prefix without a kept suffix yields no block.
+    fixes x, and is counted when weighted. A prefix below which no node is
+    pending keeps its whole block of suffixes, unwalked. The prefix walk is
+    done in full by every shard, so the ordinals of the surviving prefixes
+    are the same in all of them; a prefix without a kept suffix yields no
+    block.
     """
-    plan, kernel, cut, suffixes, tails = _halves(orders, box, kernel)
+    plan = orbit_plan(orders)
+    kernel = kernel or plan.block()
     dim = len(plan.columns)
+    cut = dim - dim // 2
+    suffixes = list(iter_box(dim - cut, box))
+    tails = [plan.coefficients((0,) * cut + t) for t in suffixes]
     buckets = _chains(maps, dim, True if weighted else None)
     fixing = buckets[dim]
     group_size = len(maps) + 1
@@ -285,32 +258,26 @@ def orderly_scan(orders: tuple[int, ...], box: int, maps, shard: range, kernel=N
                 yield from prefixes(m + 1)
             return
         ordinal += 1
-        if ordinal - 1 in shard:
+        if ordinal - 1 not in shard:
+            return
+        if not any(buckets[cut:dim]):
+            # no map is pending below the prefix: its whole block is kept
+            points, block = suffixes, tails
+            sizes = [group_size // (1 + len(fixing))] * len(suffixes)
+        else:
             kept, sizes = [], []
             descend(m, 0, kept, sizes)
-            if kept:
-                prefix = tuple(x[:cut])
-                head, block = plan.coefficients(prefix), [tails[j] for j in kept]
-                points = [suffixes[j] for j in kept]
-                if weighted:
-                    yield prefix, points, kernel(head, block, sizes), sizes
-                else:
-                    yield prefix, points, kernel(head, block)
+            if not kept:
+                return
+            points, block = [suffixes[j] for j in kept], [tails[j] for j in kept]
+        prefix = tuple(x[:cut])
+        head = plan.coefficients(prefix)
+        if weighted:
+            yield prefix, points, kernel(head, block, sizes), sizes
+        else:
+            yield prefix, points, kernel(head, block)
 
     return prefixes(0)
-
-
-def shard_ranges(total: int, jobs: int) -> list[tuple[int, int]]:
-    """Split [0, total) into at most `jobs` contiguous, near-equal ranges."""
-    jobs = max(1, min(jobs, total)) if total else 1
-    step, extra = divmod(total, jobs)
-    ranges = []
-    start = 0
-    for i in range(jobs):
-        stop = start + step + (1 if i < extra else 0)
-        ranges.append((start, stop))
-        start = stop
-    return ranges
 
 
 def dealt_shards(total: int, jobs: int) -> list[tuple[int, int, int]]:
@@ -320,23 +287,24 @@ def dealt_shards(total: int, jobs: int) -> list[tuple[int, int, int]]:
     return [(k, total, jobs) for k in range(jobs)]
 
 
-def map_shards(worker, args: tuple, total: int, jobs: int | None, split=shard_ranges,
-               work: int | None = None) -> list:
-    """worker(*args, *shard) over the shards split(total, jobs) of [0, total),
-    results in shard order.
+def map_shards(worker, args: tuple, dim: int, box: int, maps, jobs: int | None) -> list:
+    """worker(*args, *shard) over the dealt_shards of the prefixes of the
+    orderly walk under maps of the box [-box, box]^dim, results in shard
+    order.
 
-    jobs None runs in this process when work (by default total, the box
-    size) is below IN_PROCESS_WORK, and uses every CPU otherwise; jobs is
-    clamped to the CPU count, and a value below 1 raises ValueError. A
-    single shard runs in this process, more run in a process pool.
+    jobs None runs in this process when the estimated work, the box size
+    over |maps| + 1, is below IN_PROCESS_WORK, and uses every CPU otherwise;
+    jobs is clamped to the CPU count and to the (2 box + 1)^(dim - dim // 2)
+    prefixes, and a value below 1 raises ValueError. A single shard runs in
+    this process, more run in a process pool.
     """
     cpus = os.cpu_count() or 1
     if jobs is None:
-        jobs = 1 if (total if work is None else work) < IN_PROCESS_WORK else cpus
+        jobs = 1 if box_size(dim, box) // (len(maps) + 1) < IN_PROCESS_WORK else cpus
     elif jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    jobs = min(jobs, cpus)
-    shard_args = [(*args, *shard) for shard in split(total, jobs)]
+    prefixes = box_size(dim - dim // 2, box)
+    shard_args = [(*args, *shard) for shard in dealt_shards(prefixes, min(jobs, cpus, prefixes))]
     if len(shard_args) == 1:
         return [worker(*shard_args[0])]
     with multiprocessing.Pool(len(shard_args)) as pool:

@@ -16,7 +16,6 @@ from operator import mul
 from .boxes import (
     DEFAULT_BUDGET,
     BudgetExceededError,
-    dealt_shards,
     ensure_budget,
     map_shards,
     orderly_scan,
@@ -273,10 +272,9 @@ def run_divisibility_suite(
         )
     exp = bound_exponent(H, l, exponent)
     G = direct_product(H, AbelianGroup((2,) * l))
-    total = ensure_budget(G.order, box, budget, force)
+    ensure_budget(G.order, box, budget, force)
     maps = pruning_maps(G.orders, box, budget, force, split=l)
-    parts = map_shards(_suite_shard, (H.orders, l, box, exp, maps), total, jobs, dealt_shards,
-                       work=total // (len(maps) + 1))
+    parts = map_shards(_suite_shard, (H.orders, l, box, exp, maps), G.order, box, maps, jobs)
     evens = [p["min_even_valuation"] for p in parts if p["min_even_valuation"] is not None]
     # each shard holds its own orbits, whose images lie anywhere in the box
     failures = sorted((f for p in parts for f in p["failures"]),

@@ -260,5 +260,4 @@ def grouped_norms(group: AbelianGroup, values, keys) -> list[int]:
 def norm_factors(group: AbelianGroup, values) -> list[int]:
     """The rational norm factors of the determinant, one per Galois orbit of
     characters in orbit_plan order; their product is the group determinant."""
-    vals = check_assignment(group, values)
-    return grouped_norms(group, vals, range(len(orbit_plan(group.orders).orbits)))
+    return grouped_norms(group, values, range(len(orbit_plan(group.orders).orbits)))

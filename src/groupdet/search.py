@@ -15,12 +15,10 @@ from typing import Callable
 from .boxes import (
     DEFAULT_BUDGET,
     BudgetExceededError,
-    dealt_shards,
     ensure_budget,
     map_shards,
     orderly_scan,
     pruning_maps,
-    scan_box,
 )
 from .determinant import group_determinant
 from .divisibility import two_adic_valuation
@@ -140,20 +138,12 @@ class SearchReport:
             return SearchReport.from_json_dict(json.load(fh))
 
 
-def _blocks(orders, box, maps, start, stop, step=1):
-    """The blocks of scan_box over the points range(start, stop) of the box,
-    or with maps, of orderly_scan over the surviving prefixes range(start,
-    stop, step)."""
-    if maps:
-        return orderly_scan(orders, box, maps, range(start, stop, step))
-    return scan_box(orders, box, start, stop)
-
-
 def _search_shard(orders, box, cap, maps, start, stop, step=1):
-    """(evaluated, first witness per value) over the _blocks of one shard."""
+    """(evaluated, first witness per value) over the blocks of orderly_scan
+    under maps for the surviving prefixes range(start, stop, step)."""
     found: dict[int, tuple[int, ...]] = {}
     evaluated = 0
-    for prefix, suffixes, ds in _blocks(orders, box, maps, start, stop, step):
+    for prefix, suffixes, ds in orderly_scan(orders, box, maps, range(start, stop, step)):
         evaluated += len(ds)
         # a witness only for values new to the shard, at their first point
         for d in set(ds).difference(found):
@@ -178,8 +168,8 @@ def search_values(
     the assignments that are lexicographically minimal under holomorph_maps,
     walked by orderly_scan; the achieved value set is unchanged and
     witnesses stay the lexicographically first ones, as the first witness of
-    a value is minimal in its orbit. Pruned shards deal out the surviving
-    prefixes in turn.
+    a value is minimal in its orbit. Without prune the walk has no maps and
+    evaluates every point. Shards deal out the surviving prefixes in turn.
 
     Points are evaluated as products of orbit norms; every reported witness is
     then evaluated again by Bareiss elimination, and a disagreement raises
@@ -187,14 +177,10 @@ def search_values(
     """
     if value_cap is not None and value_cap < 0:
         raise ValueError(f"value_cap must be at least 0, got {value_cap}")
-    total = ensure_budget(group.order, box, budget, force)
+    ensure_budget(group.order, box, budget, force)
     maps = pruning_maps(group.orders, box, budget, force) if prune else ()
-    args = (group.orders, box, value_cap, maps)
-    if maps:
-        parts = map_shards(_search_shard, args, total, jobs, dealt_shards,
-                           work=total // (len(maps) + 1))
-    else:
-        parts = map_shards(_search_shard, args, total, jobs)
+    parts = map_shards(_search_shard, (group.orders, box, value_cap, maps), group.order, box,
+                       maps, jobs)
     achieved: dict[int, tuple[int, ...]] = {}
     evaluated = 0
     for count, part in parts:
@@ -252,7 +238,7 @@ def find_witness(
     ArithmeticError."""
     total = ensure_budget(group.order, box, budget, force)
     maps = pruning_maps(group.orders, box, budget, force)
-    for prefix, suffixes, ds in _blocks(group.orders, box, maps, 0, total):
+    for prefix, suffixes, ds in orderly_scan(group.orders, box, maps, range(total)):
         if target in ds:
             vals = prefix + suffixes[ds.index(target)]
             _recheck(group, vals, target)

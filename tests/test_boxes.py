@@ -20,7 +20,6 @@ from groupdet import (
     search_values,
 )
 from groupdet.boxes import (
-    IN_PROCESS_WORK,
     dealt_shards,
     ensure_budget,
     holomorph_maps,
@@ -32,8 +31,8 @@ from groupdet.norms import orbit_plan
 from groupdet.search import _search_shard
 
 
-def shard_bounds(start, stop):
-    return start, stop
+def shard_bounds(*shard):
+    return shard
 
 
 class RecordingPool:
@@ -65,29 +64,30 @@ def two_cpus(monkeypatch):
 @pytest.mark.parametrize("jobs", [0, -1, -5000])
 def test_jobs_below_one_are_rejected(two_cpus, jobs):
     with pytest.raises(ValueError, match="jobs must be at least 1"):
-        map_shards(shard_bounds, (), 100, jobs)
+        map_shards(shard_bounds, (), 8, 1, (), jobs)
     assert two_cpus == []
 
 
 @pytest.mark.parametrize("jobs", [None, 2, 3, 5000])
 def test_jobs_are_clamped_to_the_cpu_count(two_cpus, jobs):
-    # the default uses every CPU once the work reaches IN_PROCESS_WORK
-    assert map_shards(shard_bounds, (), 100, jobs, work=IN_PROCESS_WORK) == [(0, 50), (50, 100)]
+    # the default uses every CPU once the work reaches IN_PROCESS_WORK: 3^10
+    # = 59,049 points, dealt as 3^5 prefixes
+    assert map_shards(shard_bounds, (), 10, 1, (), jobs) == [(0, 3**5, 2), (1, 3**5, 2)]
     assert two_cpus == [2]
 
 
 def test_one_job_runs_in_process(two_cpus):
-    assert map_shards(shard_bounds, (), 100, 1) == [(0, 100)]
-    assert map_shards(shard_bounds, (), 1, 5000) == [(0, 1)]
+    assert map_shards(shard_bounds, (), 10, 1, (), 1) == [(0, 3**5, 1)]
+    # box 0 has one prefix, which makes one shard whatever the jobs
+    assert map_shards(shard_bounds, (), 10, 0, (), 5000) == [(0, 1, 1)]
     assert two_cpus == []
 
 
-def test_map_shards_runs_the_given_split(two_cpus):
-    def split(total, jobs):
-        return [(0, 10), (10, total)]
-
-    assert map_shards(shard_bounds, (), 100, 2, split) == [(0, 10), (10, 100)]
-    assert two_cpus == [2]
+def test_box_zero_starts_no_pool(two_cpus):
+    # one point, one prefix: verify and the unpruned search run in this process
+    assert run_divisibility_suite(make_group(2), 1, 0, jobs=2)["assignments_checked"] == 1
+    assert search_values(make_group((4, 2)), 0, jobs=2).evaluated == 1
+    assert two_cpus == []
 
 
 def scanned_points(blocks):
@@ -129,10 +129,9 @@ def test_pruned_search_shards_cut_anywhere_merge_to_one_shard(data):
     maps = data.draw(st.sampled_from([holomorph_maps(orders), ()]))
     dim = prod(orders)
     total = 3**dim
-    # unpruned cuts slice a prefix's block anywhere; pruned ones cut the
-    # ordinals of the surviving prefixes, dealt with any step
-    top = total if not maps else 3 ** (dim - dim // 2)
-    step = 1 if not maps else data.draw(st.integers(1, 4))
+    # cut the ordinals of the surviving prefixes anywhere, dealt with any step
+    top = 3 ** (dim - dim // 2)
+    step = data.draw(st.integers(1, 4))
     cuts = [0] + sorted(data.draw(st.lists(st.integers(0, top), max_size=4))) + [top]
     evaluated, achieved = 0, {}
     for start, stop in zip(cuts, cuts[1:]):
@@ -164,23 +163,23 @@ def test_pruned_search_deals_the_surviving_prefixes(two_cpus, monkeypatch):
     seen = []
     monkeypatch.setattr(groupdet.search, "_search_shard", lambda *a: seen.append(a[4:]) or (0, {}))
     search_values(make_group((4, 2)), 1, jobs=2, prune=True)
-    assert seen == dealt_shards(3**8, 2) == [(0, 3**8, 2), (1, 3**8, 2)]
+    assert seen == dealt_shards(3**4, 2) == [(0, 3**4, 2), (1, 3**4, 2)]
     assert two_cpus == [2]
 
 
 def test_default_jobs_follow_the_work(two_cpus, monkeypatch):
     # below IN_PROCESS_WORK the default runs in this process; a pruned scan's
     # work is the box size over the number of maps, identity included
-    assert map_shards(shard_bounds, (), 100, None) == [(0, 100)]
-    assert map_shards(shard_bounds, (), 10**6, None, work=100) == [(0, 10**6)]
-    assert map_shards(shard_bounds, (), IN_PROCESS_WORK, None) == [
-        (0, IN_PROCESS_WORK // 2), (IN_PROCESS_WORK // 2, IN_PROCESS_WORK)]
+    assert map_shards(shard_bounds, (), 8, 1, (), None) == [(0, 3**4, 1)]
+    assert map_shards(shard_bounds, (), 8, 2, holomorph_maps((4, 2)), None) == [(0, 5**4, 1)]
+    assert map_shards(shard_bounds, (), 8, 2, (), None) == [(0, 5**4, 2), (1, 5**4, 2)]
     assert two_cpus == [2]
     seen = []
     monkeypatch.setattr(groupdet.search, "_search_shard", lambda *a: seen.append(a[4:]) or (0, {}))
     # 4x2 box 2: 390,625 / 64 = 6,103 estimated points, run in this process
+    # over the 5^4 prefixes
     search_values(make_group((4, 2)), 2, prune=True)
-    assert seen == [(0, 5**8, 1)] and two_cpus == [2]
+    assert seen == [(0, 5**4, 1)] and two_cpus == [2]
     # and verify H = 4, l = 1 at box 2: 390,625 / 32 = 12,207 under its split maps
     seen.clear()
     part = {"checked": 0, "even_count": 0, "min_even_valuation": None, "failure_count": 0,
@@ -188,7 +187,7 @@ def test_default_jobs_follow_the_work(two_cpus, monkeypatch):
     monkeypatch.setattr(groupdet.divisibility, "_suite_shard",
                         lambda *a: seen.append(a[5:]) or part)
     run_divisibility_suite(make_group(4), 1, 2)
-    assert seen == [(0, 5**8, 1)] and two_cpus == [2]
+    assert seen == [(0, 5**4, 1)] and two_cpus == [2]
 
 
 MAP_COUNTS = [((4, 2), 64), ((2, 2, 2), 1_344), ((3, 3), 432), ((7,), 42), ((8,), 16)]
@@ -253,6 +252,10 @@ PRUNED_REPORT_SHAPES = PRUNED_SHAPES + [(2, 2), (4,), (8,), (5,), (7,)]
 def test_pruned_reports_equal_unpruned_at_any_jobs(two_cpus, orders):
     g = make_group(orders)
     full = search_values(g, 1, jobs=1)
+    assert full.evaluated == 3 ** g.order
+    for jobs in (2, 3):
+        unpruned = search_values(g, 1, jobs=jobs)
+        assert (unpruned.achieved, unpruned.evaluated) == (full.achieved, full.evaluated)
     for jobs in (1, 2, 3):
         pruned = search_values(g, 1, jobs=jobs, prune=True)
         assert pruned.achieved == full.achieved  # values and witnesses

@@ -13,7 +13,7 @@ from groupdet import (
     norm_factors,
     search_values,
 )
-from groupdet.boxes import holomorph_maps, iter_box, orderly_scan, scan_box
+from groupdet.boxes import holomorph_maps, iter_box, orderly_scan
 from groupdet.characters import exponent_table
 from groupdet.cyclotomic import CyclotomicInt, euler_phi
 from groupdet.determinant import _index_table, bareiss_det
@@ -81,7 +81,7 @@ def test_norm_factors_frozen():
 
 
 def points(blocks):
-    """The (point, value) pairs of scan_box's per-prefix blocks, in box order."""
+    """The (point, value) pairs of a box walk's per-prefix blocks, in box order."""
     out = []
     for prefix, suffixes, values in blocks:
         assert len(suffixes) == len(values)
@@ -90,8 +90,9 @@ def points(blocks):
 
 
 def test_dim_one_group_at_box_zero():
-    assert points(scan_box((1,), 0, 0, 1, kernel=orbit_plan((1,)).block((0,)))) == [((0,), (0,))]
-    assert points(scan_box((1,), 0, 0, 1)) == [((0,), 0)]
+    kernel = orbit_plan((1,)).block((0,))
+    assert points(orderly_scan((1,), 0, (), range(1), kernel=kernel)) == [((0,), (0,))]
+    assert points(orderly_scan((1,), 0, (), range(1))) == [((0,), 0)]
     rep = search_values(make_group((1,)), 0)
     assert rep.achieved == {0: (0,)} and rep.evaluated == 1
 
@@ -99,7 +100,7 @@ def test_dim_one_group_at_box_zero():
 @pytest.mark.parametrize("orders,box", [((2, 2), 1), ((3,), 2), ((4, 2), 1), ((5,), 1)])
 def test_engine_walks_the_box_in_order(orders, box):
     dim = prod(orders)
-    scanned = points(scan_box(orders, box, 0, (2 * box + 1) ** dim))
+    scanned = points(orderly_scan(orders, box, (), range((2 * box + 1) ** dim)))
     assert [vals for vals, _ in scanned] == list(iter_box(dim, box))
     g = make_group(orders)
     for vals, d in scanned:
@@ -144,8 +145,8 @@ def test_search_shards_at_any_cut_merge_to_one_scan(data):
     dim = prod(orders)
     total = (2 * box + 1) ** dim
     maps = holomorph_maps(orders) if data.draw(st.booleans()) else ()
-    # pruned shards cut the ordinals of the surviving prefixes
-    cuts = data.draw(shard_cuts(total if not maps else (2 * box + 1) ** (dim - dim // 2)))
+    # shards cut the ordinals of the surviving prefixes
+    cuts = data.draw(shard_cuts((2 * box + 1) ** (dim - dim // 2)))
     whole = _search_shard(orders, box, None, maps, 0, total)
     assert merged_search_shards(orders, box, maps, cuts) == whole
 
@@ -246,7 +247,7 @@ def kernel_block(draw, shapes):
 
 
 def run_block(plan, keys, prefix, suffixes):
-    """The kernel for keys on one head and its tails, laid out as scan_box does."""
+    """The kernel for keys on one head and its tails, laid out as orderly_scan does."""
     n = len(plan.columns)
     head = plan.coefficients(prefix + (0,) * (n - len(prefix)))
     tails = [plan.coefficients((0,) * len(prefix) + t) for t in suffixes]
@@ -376,13 +377,18 @@ def test_suite_kernel_matches_the_per_point_rules(data):
         | st.lists(st.integers(0, 1 << l), min_size=width, max_size=width).map(tuple)
     )
     exp = data.draw(st.sampled_from([0, 4, 9, 30, 10**12]))
-    # cut the box anywhere: blocks are sliced at both ends
-    total = 3 ** prod(orders)
-    start = data.draw(st.integers(0, total))
-    stop = data.draw(st.integers(start, min(total, start + 400)))
-    group = make_group(orders)
-    for prefix, suffixes, result in scan_box(orders, 1, start, stop, kernel=plan.suite(keys, exp)):
-        assert result == rule_aggregates(group, keys, exp, [prefix + t for t in suffixes])
+    # one prefix of box 1 and any slice of its block of suffixes, laid out as
+    # orderly_scan does, so the kernel also sees partial and empty blocks
+    dim = prod(orders)
+    cut = dim - dim // 2
+    prefix = tuple(data.draw(st.lists(st.integers(-1, 1), min_size=cut, max_size=cut)))
+    block = list(iter_box(dim - cut, 1))
+    lo = data.draw(st.integers(0, len(block)))
+    suffixes = block[lo:data.draw(st.integers(lo, len(block)))]
+    head = plan.coefficients(prefix + (0,) * (dim - cut))
+    tails = [plan.coefficients((0,) * cut + t) for t in suffixes]
+    result = plan.suite(keys, exp)(head, tails)
+    assert result == rule_aggregates(make_group(orders), keys, exp, [prefix + t for t in suffixes])
 
 
 def test_suite_kernel_on_a_whole_box_reaches_every_rule():
@@ -405,5 +411,6 @@ def test_suite_kernel_on_a_whole_box_reaches_every_rule():
     assert any(o and d and two_adic_valuation(d) < 9 for o, d in zip(odd, dets))
     for keys in [true, wrong]:
         for exp in [0, 4, 5, 9, 30]:
-            for prefix, suffixes, result in scan_box(orders, 2, 0, 625, kernel=plan.suite(keys, exp)):
+            kernel = plan.suite(keys, exp)
+            for prefix, suffixes, result in orderly_scan(orders, 2, (), range(625), kernel):
                 assert result == rule_aggregates(group, keys, exp, [prefix + t for t in suffixes])
