@@ -8,7 +8,6 @@ the merged result is independent of the number of workers.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from functools import lru_cache
 from itertools import product
@@ -307,5 +306,7 @@ def map_shards(worker, args: tuple, dim: int, box: int, maps, jobs: int | None) 
     shard_args = [(*args, *shard) for shard in dealt_shards(prefixes, min(jobs, cpus, prefixes))]
     if len(shard_args) == 1:
         return [worker(*shard_args[0])]
+    import multiprocessing  # about 10 ms, so only when a pool starts
+
     with multiprocessing.Pool(len(shard_args)) as pool:
         return pool.starmap(worker, shard_args)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -10,15 +9,35 @@ from .cyclotomic import CyclotomicInt, root_power
 from .groups import AbelianGroup, Element, check_element, enumerate_elements
 
 
-@dataclass(frozen=True)
 class Character:
-    """chi(g) = zeta_N^(sum_i (N/n_i) a_i g_i), N the group exponent, a the exponent tuple."""
+    """chi(g) = zeta_N^(sum_i (N/n_i) a_i g_i), N the group exponent, a the exponent tuple;
+    immutable."""
 
-    group: AbelianGroup
-    exponents: tuple[int, ...]
+    __slots__ = ("group", "exponents")
 
-    def __post_init__(self) -> None:
-        check_element(self.group, self.exponents)
+    def __init__(self, group: AbelianGroup, exponents: tuple[int, ...]) -> None:
+        check_element(group, exponents)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "exponents", exponents)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return Character, (self.group, self.exponents)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.group == other.group and self.exponents == other.exponents
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.exponents))
+
+    def __repr__(self) -> str:
+        return f"Character(group={self.group!r}, exponents={self.exponents!r})"
 
     @property
     def is_trivial(self) -> bool:

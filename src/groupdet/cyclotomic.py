@@ -7,7 +7,6 @@ never mix implicitly: combining different levels requires an explicit embed().
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -86,21 +85,28 @@ def _reduce(coeffs, N: int):
     return tuple(c[:deg])
 
 
-@dataclass(frozen=True, eq=False)
 class CyclotomicInt:
-    """An element of Z[zeta_level], reduced modulo Phi_level (coefficients low degree first)."""
+    """An element of Z[zeta_level], reduced modulo Phi_level (coefficients low degree
+    first); immutable."""
 
-    level: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("level", "coeffs")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.coeffs, tuple):
-            object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        deg = len(cyclotomic_polynomial(self.level)) - 1
-        if len(self.coeffs) != deg:
-            raise ValueError(
-                f"level {self.level} needs exactly {deg} coefficients, got {len(self.coeffs)}"
-            )
+    def __init__(self, level: int, coeffs: tuple[int, ...]) -> None:
+        if not isinstance(coeffs, tuple):
+            coeffs = tuple(coeffs)
+        deg = len(cyclotomic_polynomial(level)) - 1
+        if len(coeffs) != deg:
+            raise ValueError(f"level {level} needs exactly {deg} coefficients, got {len(coeffs)}")
+        _set_level(self, level)
+        _set_coeffs(self, coeffs)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return CyclotomicInt, (self.level, self.coeffs)
 
     @staticmethod
     def from_polynomial(level: int, coeffs: Sequence[int]) -> CyclotomicInt:
@@ -221,6 +227,12 @@ class CyclotomicInt:
 
     def __repr__(self) -> str:
         return f"CyclotomicInt({self.level}, {self.coeffs})"
+
+
+# Arithmetic builds many of these, so the constructor fills the slots through
+# their descriptors, which is faster than object.__setattr__.
+_set_level = CyclotomicInt.level.__set__
+_set_coeffs = CyclotomicInt.coeffs.__set__
 
 
 def root_power(N: int, k: int) -> CyclotomicInt:

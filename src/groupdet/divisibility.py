@@ -9,9 +9,9 @@ from finite search (a box can only certify an upper bound on e).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, prod
 from operator import mul
+from typing import NamedTuple
 
 from .boxes import (
     DEFAULT_BUDGET,
@@ -43,8 +43,7 @@ def two_adic_valuation(v: int) -> int:
     return (v & -v).bit_length() - 1
 
 
-@dataclass(frozen=True)
-class ExponentFact:
+class ExponentFact(NamedTuple):
     """A known largest exponent e with 2^e dividing every even determinant value."""
 
     orders: tuple[int, ...]
@@ -99,8 +98,7 @@ def even_divisibility_bound(H: AbelianGroup, l: int, exponent: int | None = None
     return 1 << bound_exponent(H, l, exponent)
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     """Divisibility verdict for one assignment; valuation is None only for det 0."""
 
     status: str
@@ -127,8 +125,7 @@ def check_even_bound(H: AbelianGroup, l: int, values, exponent: int | None = Non
     return BoundCheck(PASS if v >= exp else FAIL, det, v, exp)
 
 
-@dataclass(frozen=True)
-class CongruenceCheck:
+class CongruenceCheck(NamedTuple):
     """Parity verdict for one assignment's split factors."""
 
     status: str

@@ -11,8 +11,8 @@ the same way give all-integer factors.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .characters import exponent_table
 from .cyclotomic import CyclotomicInt, NotRationalError
@@ -21,8 +21,7 @@ from .groups import AbelianGroup, crt_decompose, direct_product
 from .norms import grouped_norms, orbit_plan
 
 
-@dataclass(frozen=True)
-class FactorizationReport:
+class FactorizationReport(NamedTuple):
     """One factor per character of the split-off component, with a cross-check
     of the factor product against the directly computed determinant."""
 

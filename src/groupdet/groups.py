@@ -7,7 +7,6 @@ factor list with the last coordinate varying fastest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import gcd, lcm, prod
 from typing import Iterable
@@ -15,20 +14,38 @@ from typing import Iterable
 Element = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class AbelianGroup:
-    """Z/n1 x ... x Z/nt with the factor list kept exactly as given."""
+    """Z/n1 x ... x Z/nt with the factor list kept exactly as given; immutable."""
 
-    orders: tuple[int, ...]
+    __slots__ = ("orders",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.orders, tuple):
-            object.__setattr__(self, "orders", tuple(self.orders))
-        if not self.orders:
+    def __init__(self, orders: tuple[int, ...]) -> None:
+        orders = tuple(orders)
+        if not orders:
             raise ValueError("a group needs at least one cyclic factor; the trivial group is (1,)")
-        for n in self.orders:
+        for n in orders:
             if not isinstance(n, int) or n < 1:
                 raise ValueError(f"invalid cyclic factor order {n!r}")
+        object.__setattr__(self, "orders", orders)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return AbelianGroup, (self.orders,)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.orders == other.orders
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.orders,))
+
+    def __repr__(self) -> str:
+        return f"AbelianGroup(orders={self.orders!r})"
 
     @property
     def order(self) -> int:

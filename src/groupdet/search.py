@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from math import gcd
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .boxes import (
     DEFAULT_BUDGET,
@@ -49,16 +48,38 @@ def _field(obj, key: str, kind, where: str):
     return value
 
 
-@dataclass
 class SearchReport:
     """Achieved determinant values over a box, each with its first witness."""
 
-    orders: tuple[int, ...]
-    box: int
-    evaluated: int
-    achieved: dict[int, tuple[int, ...]]
-    pruned: bool = False
-    value_cap: int | None = None
+    __slots__ = ("orders", "box", "evaluated", "achieved", "pruned", "value_cap")
+
+    def __init__(
+        self,
+        orders: tuple[int, ...],
+        box: int,
+        evaluated: int,
+        achieved: dict[int, tuple[int, ...]],
+        pruned: bool = False,
+        value_cap: int | None = None,
+    ) -> None:
+        self.orders = orders
+        self.box = box
+        self.evaluated = evaluated
+        self.achieved = achieved
+        self.pruned = pruned
+        self.value_cap = value_cap
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"SearchReport({fields})"
 
     @property
     def group(self) -> AbelianGroup:
@@ -246,8 +267,7 @@ def find_witness(
     return None
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of a one-sided containment check over a report's values."""
 
     name: str
@@ -278,12 +298,25 @@ def check_even_divisibility(report: SearchReport, exponent: int) -> CheckResult:
     return CheckResult(f"2^{exponent} divides even values", "pass" if not bad else "fail", bad)
 
 
-@dataclass(frozen=True)
-class MembershipSpec:
-    """A named total predicate over Z describing a known determinant value set."""
+class MembershipSpec(NamedTuple):
+    """A named total predicate over Z describing a known determinant value set;
+    specs compare and hash by name only."""
 
     name: str
-    predicate: Callable[[int], bool] = field(compare=False)
+    predicate: Callable[[int], bool]
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    def __ne__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name != other.name
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
 
 def _member_z2z2(v: int) -> bool:

@@ -3,6 +3,7 @@ clamped before any process starts and default to one process for short
 scans, the pruning maps keep the determinant, the walk keeps exactly the
 points no map sends lower, and its shards deal out the surviving prefixes."""
 
+import multiprocessing
 from math import prod
 
 import pytest
@@ -57,7 +58,7 @@ class RecordingPool:
 def two_cpus(monkeypatch):
     RecordingPool.sizes = []
     monkeypatch.setattr(groupdet.boxes.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(groupdet.boxes.multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     return RecordingPool.sizes
 
 

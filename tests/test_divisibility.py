@@ -1,3 +1,4 @@
+import multiprocessing
 import random
 from functools import lru_cache
 from math import prod
@@ -370,7 +371,7 @@ def three_cpus(monkeypatch):
             return [fn(*a) for a in args]
 
     monkeypatch.setattr(groupdet.boxes.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(groupdet.boxes.multiprocessing, "Pool", Pool)
+    monkeypatch.setattr(multiprocessing, "Pool", Pool)
 
 
 @pytest.mark.parametrize("h_orders,l,box", [((2,), 1, 2), ((1,), 2, 2), ((4,), 1, 1),
