@@ -7,6 +7,7 @@ internal division is an exact integer division, and each one is checked.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain, repeat
 from typing import Sequence
 
 from .groups import (
@@ -65,7 +66,7 @@ def bareiss_det(matrix: Sequence[Sequence]):
     for r in rows:
         if len(r) != n:
             raise ValueError("matrix is not square")
-    if not all(isinstance(e, int) for r in rows for e in r):
+    if not all(map(isinstance, chain.from_iterable(rows), repeat(int))):
         raise ValueError("matrix entries must all be int")
     return _eliminate_int(rows, n)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import repeat
 from math import gcd
-from operator import add
+from operator import mul
 from typing import NamedTuple
 
 from .characters import exponent_table
@@ -53,8 +53,8 @@ class OrbitPlan:
 
     def __init__(self, orbits, order: int) -> None:
         self.orbits = tuple(orbits)
-        flat = [row for orbit in self.orbits for row in orbit.rows]
-        self.columns = tuple(tuple(row[g] for row in flat) for g in range(order))
+        self._rows = tuple(row for orbit in self.orbits for row in orbit.rows)
+        self.columns = tuple(tuple(row[g] for row in self._rows) for g in range(order))
         self._moduli = tuple((len(o.rows), cyclotomic_polynomial(o.order)) for o in self.orbits)
         self._blocks: dict = {}
 
@@ -167,12 +167,9 @@ class OrbitPlan:
         ])
 
     def coefficients(self, values) -> list[int]:
-        """The coefficient vector of an assignment: sum of x_g * columns[g]."""
-        acc = [0] * len(self.columns)
-        for x, col in zip(values, self.columns):
-            if x:
-                acc = list(map(add, acc, (x * c for c in col)))
-        return acc
+        """The coefficient vector of an assignment: sum of x_g * columns[g],
+        one dot product per row of the orbit forms."""
+        return [sum(map(mul, values, row)) for row in self._rows]
 
 
 # N(a0 + a1 zeta) = a0^2 - p1 a0 a1 + p0 a1^2 for the three quadratic

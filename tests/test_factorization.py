@@ -1,6 +1,10 @@
+import operator
 import random
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupdet import (
     CyclotomicInt,
@@ -24,7 +28,9 @@ from groupdet import (
     root_power,
     split_factors,
 )
+from groupdet.cyclotomic import cyclotomic_polynomial
 from groupdet.divisibility import sign_twists
+from groupdet.factorization import FactorizationReport, _packed_products, _power_bound
 from groupdet.norms import norm_factors
 from oracles import cofactor_det, naive_group_det, naive_group_matrix
 
@@ -273,3 +279,115 @@ def test_dedekind_propagates_internal_errors():
     sums = character_sums(make_group(3), (0, 1, 0))
     with pytest.raises(NotRationalError):
         sums[1].to_integer()
+
+
+# The packed products against the reference: the CyclotomicInt product of the
+# character_sums, grouped by the restriction rule c mod |K|.
+PACKED_SHAPES = [(1,), (2,), (3,), (4,), (5,), (6,), (7,), (8,), (9,), (12,), (2, 2), (4, 2),
+                 (2, 3), (3, 3), (2, 2, 2), (2, 2, 3)]
+LAQUER_PAIRS = [(1, 3), (3, 1), (2, 3), (3, 2), (5, 2), (2, 5), (4, 3), (3, 4), (3, 5)]
+
+
+@st.composite
+def packed_point(draw, n):
+    """The all-(+-B) point, B * delta_e, a random-sign point or a random point,
+    with B up to 2^64."""
+    B = draw(st.one_of(st.integers(0, 4), st.integers(0, 2**64)))
+    kind = draw(st.sampled_from(["all", "delta", "signs", "random"]))
+    if kind == "all":
+        return (draw(st.sampled_from([B, -B])),) * n
+    if kind == "delta":
+        return (B,) + (0,) * (n - 1)
+    if kind == "signs":
+        return tuple(draw(st.lists(st.sampled_from([B, -B]), min_size=n, max_size=n)))
+    return tuple(draw(st.lists(st.integers(-B, B), min_size=n, max_size=n)))
+
+
+def reference_report(split, factors, direct):
+    product = reduce(operator.mul, factors).to_integer()
+    return FactorizationReport(split, tuple(factors), product, direct, product == direct)
+
+
+def restricted(sums, width, i):
+    return reduce(operator.mul, [f for c, f in enumerate(sums) if c % width == i])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_packed_dedekind_and_splits_equal_reference(data):
+    orders = data.draw(st.sampled_from(PACKED_SHAPES))
+    g = make_group(orders)
+    x = data.draw(packed_point(g.order))
+    sums = character_sums(g, x)
+    assert dedekind_product(g, x) == reduce(operator.mul, sums).to_integer()
+    for cut in range(1, len(orders)):
+        h, k = split_factors(g, cut)
+        rep = direct_product_factors(h, k, x)
+        ref = reference_report(
+            rep.split, [restricted(sums, k.order, i) for i in range(k.order)],
+            group_determinant(g, x),
+        )
+        assert rep == ref and rep.match
+        assert rep.as_json_dict() == ref.as_json_dict()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_packed_laquer_equals_reference(data):
+    r, s = data.draw(st.sampled_from(LAQUER_PAIRS))
+    xs = data.draw(packed_point(r * s))
+    sums = character_sums(make_group(r * s), xs)
+    rep = laquer_factors(r, s, xs)
+    ref = reference_report(
+        rep.split, [restricted(sums, s, r * i % s) for i in range(s)], circulant_det(r * s, xs)
+    )
+    assert rep == ref and rep.match
+    assert rep.as_json_dict() == ref.as_json_dict()
+
+
+@pytest.mark.parametrize("N", [*range(1, 31), 104, 105, 165, 195, 210])
+def test_power_bound_is_the_largest_power_coefficient(N):
+    expected = max(abs(c) for k in range(N) for c in root_power(N, k).coeffs)
+    assert _power_bound(N) == expected == (2 if N in (105, 165, 195, 210) else 1)
+
+
+def test_packed_split_at_a_level_with_power_bound_two():
+    # 3x5x7 has exponent 105, where x^k mod Phi_105 has a coefficient 2
+    g = make_group((3, 5, 7))
+    h, k = split_factors(g, 2)
+    rng = random.Random(105)
+    x = tuple(rng.randint(-2, 2) for _ in range(g.order))
+    rep = direct_product_factors(h, k, x)
+    sums = character_sums(g, x)
+    # direct_det is the report's own Bareiss run, so only the factors and product are re-derived
+    ref = reference_report(rep.split, [restricted(sums, 7, i) for i in range(7)], rep.direct_det)
+    assert rep == ref and rep.match
+    assert rep.as_json_dict() == ref.as_json_dict()
+    # the width carries C_105 = 2: 2^b >= 4 * 2 * L^15 + 1 for factors of 15 sums
+    x = (2,) + (0,) * (g.order - 1)
+    _, (N, b, q) = _packed_products(g, x, 7)
+    assert N == 105 and 1 << b >= 4 * 2 * 2**15 + 1
+    assert q == sum(c << b * i for i, c in enumerate(cyclotomic_polynomial(105)))
+    assert dedekind_product(g, x) == 2**105
+
+
+@pytest.mark.parametrize(
+    "orders,x",
+    [((2,), (3, 0)), ((2,), (-3, 0)), ((2, 2), (3, 0, 0, 0)), ((2, 2), (2**64 - 1, 0, 0, 0)),
+     ((2, 2), (2**64, 0, 0, 0)), ((2, 2), (-(2**64) + 1, 0, 0, 0))],
+)
+def test_packed_total_width_tight_end(orders, x):
+    # at exponent 2, q = w + 1 and the product B^n sits next to q/2: no slack
+    g = make_group(orders)
+    assert dedekind_product(g, x) == group_determinant(g, x) == x[0] ** g.order
+
+
+@pytest.mark.parametrize("B", [3, -3, 2**64 - 1, 2**64])
+def test_packed_factor_width_tight_end(B):
+    # at B * delta_e every factor of 5 sums is B^5 = A, the coefficient bound
+    # itself, and the factor bound sets the width (phi(10) = 4 > |K| = 2)
+    x = (B,) + (0,) * 9
+    h, k = split_factors(make_group((5, 2)), 1)
+    for rep in (laquer_factors(5, 2, x), direct_product_factors(h, k, x)):
+        assert [f.to_integer() for f in rep.factors] == [B**5, B**5]
+        assert rep.product == rep.direct_det == B**10 and rep.match
