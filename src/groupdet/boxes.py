@@ -160,9 +160,10 @@ def orderly_scan(orders: tuple[int, ...], box: int, maps, shard: range, kernel=N
     the group with these factor orders that no index permutation phi in
     maps sends to a lexicographically smaller point x o phi (maps () keeps
     every point), and result is what kernel (OrbitPlan.block or
-    OrbitPlan.suite; None is the determinant kernel) returns for them in one
-    call. The prefix is the first dim - dim // 2 coordinates; the
-    coefficient vectors of the suffixes are built once.
+    OrbitPlan.suite of orbit_plan(orders, box), exact on the box; None is
+    the determinant kernel) returns for them in one call. The prefix is the
+    first dim - dim // 2 coordinates; the coefficient vectors of the
+    suffixes are built once.
 
     With weighted, maps (the identity added) must form a group, each kept
     point stands for its orbit, and every block is (prefix, suffixes,
@@ -184,7 +185,7 @@ def orderly_scan(orders: tuple[int, ...], box: int, maps, shard: range, kernel=N
     are the same in all of them; a prefix without a kept suffix yields no
     block.
     """
-    plan = orbit_plan(orders)
+    plan = orbit_plan(orders, box)
     kernel = kernel or plan.block()
     dim = len(plan.columns)
     cut = dim - dim // 2

@@ -183,7 +183,7 @@ def _suite_shard(h_orders, l, box, exp, maps, start, stop, step=1) -> dict:
     records do not all lie below it."""
     orders = h_orders + (2,) * l
     group = AbelianGroup(orders)
-    plan = orbit_plan(orders)
+    plan = orbit_plan(orders, box)
     keys = _sign_keys(orders, l)
     checked = 0
     even_count = 0

@@ -204,7 +204,7 @@ def _sign_keys(orders: tuple[int, ...], l: int) -> tuple[int, ...]:
     """The sign factor of H x (Z/2Z)^l that each orbit norm belongs to, in
     orbit_plan order: an orbit's first character c restricts to the sign
     character c mod 2^l, as in _packed_products."""
-    return tuple(orbit.char % (1 << l) for orbit in orbit_plan(orders).orbits)
+    return tuple(orbit.char % (1 << l) for orbit in orbit_plan(orders, 0).orbits)
 
 
 def laquer_factors(r: int, s: int, xs) -> FactorizationReport:

@@ -7,55 +7,60 @@ Frobenius-Dedekind product by orbit therefore writes
 
     det = prod over orbits of N(sum_g zeta_d^(k(g)) x_g),
 
-one integer factor per orbit. Each orbit's form is stored reduced mod Phi_d
-as phi(d) integer coefficient rows over the |G| coordinates, so evaluating an
-assignment is a few integer dot products and one small norm per orbit. Each
-plan compiles these norms, multiplied together in the groups a caller needs,
-into one straight-line kernel per grouping (OrbitPlan.block), and the theorem2
-checks on top of the sign grouping into a kernel that returns only aggregates
-(OrbitPlan.suite).
+one integer factor per orbit. An orbit with phi(d) <= 2 keeps its form as
+integer coefficient rows mod Phi_d; a larger one keeps its phi(d) conjugates
+mapped by zeta_d -> w into Z/Phi_d(w), whose product gives the norm (Orbit).
+Each plan compiles these norms, multiplied together in the groups a caller
+needs, into one straight-line kernel per grouping (OrbitPlan.block), and the
+theorem2 checks on top of the sign grouping into a kernel that returns only
+aggregates (OrbitPlan.suite).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import repeat
-from math import gcd
+from math import gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
 from .characters import exponent_table
 from .cyclotomic import cyclotomic_polynomial, root_power
-from .determinant import _eliminate_int, check_assignment
+from .determinant import check_assignment
 from .groups import AbelianGroup, element_at, index_of
 
 
 class Orbit(NamedTuple):
-    """One Galois orbit of characters and its form reduced mod Phi_order.
+    """One Galois orbit of characters chi^u, u a unit mod order, and its form.
 
     char is the index, in enumerate_characters order, of the orbit's first
-    character, whose form the rows hold: row j gives, per coordinate g, the
-    coefficient of zeta_order^j in chi(g).
+    character chi = zeta_order^k. With modulus 0 (phi(order) <= 2) row j
+    gives, per coordinate g, the coefficient of zeta_order^j in chi(g) mod
+    Phi_order; otherwise modulus is q = Phi_order(w), w the plan's width,
+    and row i gives w^(u k(g)) mod q for the i-th unit u: chi^u(g) under the
+    ring map zeta_order -> w onto Z/q.
     """
 
     char: int
     order: int
     rows: tuple[tuple[int, ...], ...]
+    modulus: int
 
 
 class OrbitPlan:
-    """The orbit factors of one group shape, in order of their first character.
+    """The orbit factors of one group shape, in order of their first character,
+    at the width w of its phi(d) >= 4 orbits (0 when it has none).
 
-    columns[g] lists coordinate g's coefficients in every orbit's form, one
-    orbit after the other, so an assignment's coefficient vector is the sum
-    of x_g * columns[g] and the orbit forms are consecutive slices of it.
+    columns[g] lists coordinate g's entries in every orbit's rows, one orbit
+    after the other, so an assignment's coefficient vector is the sum of
+    x_g * columns[g] and the orbit forms are consecutive slices of it.
     """
 
-    def __init__(self, orbits, order: int) -> None:
+    def __init__(self, orbits, order: int, width: int) -> None:
         self.orbits = tuple(orbits)
+        self.width = width
         self._rows = tuple(row for orbit in self.orbits for row in orbit.rows)
         self.columns = tuple(tuple(row[g] for row in self._rows) for g in range(order))
-        self._moduli = tuple((len(o.rows), cyclotomic_polynomial(o.order)) for o in self.orbits)
         self._blocks: dict = {}
 
     def block(self, keys=None):
@@ -91,10 +96,7 @@ class OrbitPlan:
                 len(keys) != len(self.orbits) or not all(type(k) is int and k >= 0 for k in keys)
             ):
                 raise ValueError(f"need one slot index >= 0 per orbit, got {keys!r}")
-            namespace = {
-                "__builtins__": {}, "enumerate": enumerate, "zip": zip, "_ones": repeat(1),
-                "_norm4": _norm4, "_multiplication_det": _multiplication_det,
-            }
+            namespace = {"__builtins__": {}, "enumerate": enumerate, "zip": zip, "_ones": repeat(1)}
             exec(self._block_source(keys, exp), namespace)
             kernel = self._blocks[keys, exp] = namespace["block"]
         return kernel
@@ -103,31 +105,36 @@ class OrbitPlan:
         """Straight-line source of block(head, tails), or with exp given of
         suite(head, tails, sizes): a_i = h_i + t_i unrolled, phi(d) = 1 norms as the
         coefficient itself, phi(d) = 2 norms with the constants of Phi_d folded
-        in, phi(d) = 4 through _norm4 and larger phi(d) through
-        _multiplication_det. It holds only integer literals of the plan and of
-        exp and fixed identifiers."""
+        in, and larger phi(d) as the product r of the conjugates mod q =
+        Phi_d(w), lifted to r - q when r > q >> 1. It holds only integer
+        literals of the plan and of exp and fixed identifiers.
+
+        The lift is exact for every |x_g| <= B, the bound the width was chosen
+        for (orbit_plan, B taken as max(B, 1)): each conjugate sum_g chi^u(g)
+        x_g is at most |G| B in absolute value, so their product, the norm N,
+        has |N| <= (|G| B)^phi; zeta_d -> w is a ring map onto Z/q, so r = N
+        mod q; and w - 1 >= 2 |G| B gives q = Phi_d(w) >= (w - 1)^phi >
+        2 (|G| B)^phi >= 2 |N|."""
         dim = len(self.columns)
         lines = []
         slots: dict[int, list[str]] = {}
         at = 0
-        for key, (phi, p) in zip(keys or [0] * len(self.orbits), self._moduli):
+        for key, orbit in zip(keys or [0] * len(self.orbits), self.orbits):
+            phi, q = len(orbit.rows), orbit.modulus
             if phi == 1:
                 norm = f"(h{at} + t{at})"
+            elif q:
+                conjugates = " * ".join(f"(h{i} + t{i})" for i in range(at, at + phi))
+                lines.append(f"r{at} = {conjugates} % {q:d}")
+                norm = f"(r{at} - {q:d} if r{at} > {q >> 1:d} else r{at})"
             else:
                 a = [f"a{i}" for i in range(at, at + phi)]
                 lines.append("; ".join(f"a{i} = h{i} + t{i}" for i in range(at, at + phi)))
-                if phi == 2:
-                    norm = _QUADRATIC_NORMS[p].format(*a)
-                else:
-                    poly = ", ".join(f"{c:d}" for c in p)
-                    if phi == 4:
-                        norm = f"_norm4(({poly}), {', '.join(a)})"
-                    else:
-                        norm = f"_multiplication_det(({poly}), [{', '.join(a)}])"
+                norm = _QUADRATIC_NORMS[orbit.order].format(*a)
             slots.setdefault(key, []).append(norm)
             at += phi
-        width = 1 if keys is None else max(keys) + 1
-        products = [_product_source(slots.get(k, [])) for k in range(width)]
+        n_slots = 1 if keys is None else max(keys) + 1
+        products = [_product_source(slots.get(k, [])) for k in range(n_slots)]
         hs = ", ".join(f"h{i}" for i in range(dim))
         ts = ", ".join(f"t{i}" for i in range(dim))
         if exp is None:
@@ -138,7 +145,7 @@ class OrbitPlan:
             lines.append(f"append({value})")
             result = "out"
         else:
-            fs = [f"f{k}" for k in range(width)]
+            fs = [f"f{k}" for k in range(n_slots)]
             params = "head, tails, sizes=_ones"
             setup = ["even = least = 0", "at = -1", "flagged = []", "flag = flagged.append"]
             loop = f"for j, (({ts},), w) in enumerate(zip(tails, sizes)):"
@@ -172,12 +179,12 @@ class OrbitPlan:
         return [sum(map(mul, values, row)) for row in self._rows]
 
 
-# N(a0 + a1 zeta) = a0^2 - p1 a0 a1 + p0 a1^2 for the three quadratic
-# Phi_d = x^2 + p1 x + p0, keyed by Phi_d, with the constants folded in
+# N(a0 + a1 zeta_d) = a0^2 - p1 a0 a1 + p0 a1^2 for the three quadratic
+# Phi_d = x^2 + p1 x + p0, keyed by d, with the constants folded in
 _QUADRATIC_NORMS = {
-    (1, 1, 1): "({0} * ({0} - {1}) + {1} * {1})",  # d = 3
-    (1, 0, 1): "({0} * {0} + {1} * {1})",  # d = 4
-    (1, -1, 1): "({0} * ({0} + {1}) + {1} * {1})",  # d = 6
+    3: "({0} * ({0} - {1}) + {1} * {1})",  # x^2 + x + 1
+    4: "({0} * {0} + {1} * {1})",  # x^2 + 1
+    6: "({0} * ({0} + {1}) + {1} * {1})",  # x^2 - x + 1
 }
 
 
@@ -192,41 +199,21 @@ def _product_source(factors: list[str]) -> str:
     return factors[0]
 
 
-def _norm4(p: tuple[int, ...], a0: int, a1: int, a2: int, a3: int) -> int:
-    """_multiplication_det for phi(d) = 4 (d = 5, 8, 10, 12) in straight-line
-    code: the multiplication matrix has the columns a, b = a zeta, c = b zeta
-    and d = c zeta, and its determinant is the Laplace expansion along the
-    first two columns, six products of complementary 2x2 minors."""
-    p0, p1, p2, p3, _ = p
-    b0, b1, b2, b3 = -a3 * p0, a0 - a3 * p1, a1 - a3 * p2, a2 - a3 * p3
-    c0, c1, c2, c3 = -b3 * p0, b0 - b3 * p1, b1 - b3 * p2, b2 - b3 * p3
-    d0, d1, d2, d3 = -c3 * p0, c0 - c3 * p1, c1 - c3 * p2, c2 - c3 * p3
-    return (
-        (a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
-        - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
-        + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
-        + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
-        - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
-        + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)
-    )
-
-
-def _multiplication_det(p: tuple[int, ...], a: list[int]) -> int:
-    """Norm of a_0 + a_1 zeta + ... modulo the cyclotomic polynomial p: the
-    determinant of multiplication by it on the basis 1, zeta, ..., zeta^(phi-1)."""
-    phi = len(a)
-    cols = [a]
-    for _ in range(phi - 1):
-        # multiply the previous column by zeta, reducing zeta^phi by p
-        b = cols[-1]
-        top = b[-1]
-        cols.append([-top * p[0]] + [b[j - 1] - top * p[j] for j in range(1, phi)])
-    return _eliminate_int(cols, phi)
+def orbit_plan(orders: tuple[int, ...], bound: int) -> OrbitPlan:
+    """The orbit factors of the group with these factor orders, exact on the
+    assignments with every |x_g| <= bound. A shape whose exponent is 1, 2,
+    3, 4 or 6 has only orbits with phi(d) <= 2 and one plan, of width 0; any
+    other has one plan per bit length of 2 |G| max(bound, 1), of width w the
+    power of two just above it, so that w - 1 >= 2 |G| max(bound, 1)."""
+    width = 0
+    if lcm(*orders) not in (1, 2, 3, 4, 6):
+        width = 1 << (2 * prod(orders) * max(bound, 1)).bit_length()
+    return _build_plan(orders, width)
 
 
 @lru_cache(maxsize=None)
-def orbit_plan(orders: tuple[int, ...]) -> OrbitPlan:
-    """The orbit factors of the group with these factor orders, built once per shape."""
+def _build_plan(orders: tuple[int, ...], width: int) -> OrbitPlan:
+    """orbit_plan of the shape at this width, built once per shape and width."""
     group = AbelianGroup(orders)
     N = group.exponent
     seen = set()
@@ -236,25 +223,32 @@ def orbit_plan(orders: tuple[int, ...]) -> OrbitPlan:
             continue
         d = N // gcd(N, *row)
         exps = element_at(group, c)
-        for u in range(1, d + 1):
-            if gcd(u, d) == 1:
-                seen.add(index_of(group, tuple(u * a % n for a, n in zip(exps, orders))))
-        powers = [root_power(d, m).coeffs for m in range(d)]
+        units = [u for u in range(1, d + 1) if gcd(u, d) == 1]
+        for u in units:
+            seen.add(index_of(group, tuple(u * a % n for a, n in zip(exps, orders))))
         ks = [k // (N // d) for k in row]
-        rows = tuple(tuple(powers[k][j] for k in ks) for j in range(len(powers[0])))
-        orbits.append(Orbit(c, d, rows))
-    return OrbitPlan(orbits, group.order)
+        if len(units) <= 2:
+            powers = [root_power(d, m).coeffs for m in range(d)]
+            rows = tuple(tuple(powers[k][j] for k in ks) for j in range(len(units)))
+            orbits.append(Orbit(c, d, rows, 0))
+        else:
+            q = sum(t * width**j for j, t in enumerate(cyclotomic_polynomial(d)))
+            rows = tuple(tuple(pow(width, u * k, q) for k in ks) for u in units)
+            orbits.append(Orbit(c, d, rows, q))
+    return OrbitPlan(orbits, group.order, width)
 
 
 def grouped_norms(group: AbelianGroup, values, keys) -> list[int]:
     """The products of the orbit norms of one assignment, grouped by keys as
     in OrbitPlan.block."""
     vals = check_assignment(group, values)
-    plan = orbit_plan(group.orders)
+    plan = orbit_plan(group.orders, max(map(abs, vals)))
     return list(plan.block(tuple(keys))(plan.coefficients(vals), [(0,) * len(vals)])[0])
 
 
 def norm_factors(group: AbelianGroup, values) -> list[int]:
     """The rational norm factors of the determinant, one per Galois orbit of
     characters in orbit_plan order; their product is the group determinant."""
-    return grouped_norms(group, values, range(len(orbit_plan(group.orders).orbits)))
+    vals = check_assignment(group, values)
+    orbits = orbit_plan(group.orders, max(map(abs, vals))).orbits
+    return grouped_norms(group, vals, range(len(orbits)))

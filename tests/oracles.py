@@ -3,10 +3,13 @@
 Nothing in here imports the package under test. The determinant oracle is
 plain cofactor expansion; the group matrix is rebuilt from the definition
 entry (g, h) = x_(g - h) with its own indexing; CRT decomposition is brute
-force. Slow on purpose: these only run on tiny inputs.
+force; orbit norms are determinants of multiplication matrices, eliminated
+over the rationals. Slow on purpose: these only run on tiny inputs.
 """
 
+from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 
 
 def cofactor_det(m):
@@ -92,3 +95,69 @@ def poly_divmod(num, den):
     while num and num[-1] == 0:
         num.pop()
     return quot, num
+
+
+def cyclotomic_poly(d):
+    """Phi_d, low degree first: x^d - 1 divided by Phi_e for every e | d, e < d."""
+    num = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            num, rest = poly_divmod(num, cyclotomic_poly(e))
+            assert not rest
+    return num
+
+
+def fraction_det(m):
+    """Determinant by Gaussian elimination over the rationals."""
+    m = [[Fraction(v) for v in row] for row in m]
+    n = len(m)
+    det = Fraction(1)
+    for i in range(n):
+        pivot = next((r for r in range(i, n) if m[r][i]), None)
+        if pivot is None:
+            return 0
+        if pivot != i:
+            m[i], m[pivot] = m[pivot], m[i]
+            det = -det
+        det *= m[i][i]
+        for r in range(i + 1, n):
+            f = m[r][i] / m[i][i]
+            m[r] = [a - f * b for a, b in zip(m[r], m[i])]
+    assert det.denominator == 1
+    return int(det)
+
+
+def multiplication_norm(d, coeffs):
+    """The norm from Q(zeta_d) to Q of sum_j coeffs[j] zeta_d^j: the
+    determinant of multiplication by it on the basis 1, zeta, ..., zeta^(phi-1)."""
+    p = cyclotomic_poly(d)
+    phi = len(p) - 1
+    _, a = poly_divmod(coeffs, p)
+    cols = [a + [0] * (phi - len(a))]
+    for _ in range(phi - 1):
+        # multiply the previous column by zeta, reducing zeta^phi by Phi_d
+        b = cols[-1]
+        top = b[-1]
+        cols.append([-top * p[0]] + [b[j - 1] - top * p[j] for j in range(1, phi)])
+    return fraction_det(cols)
+
+
+def orbit_norms(orders, values):
+    """The norm of sum_g chi(g) x_g for each Galois orbit {chi^u : u a unit mod
+    the order d of chi} of characters, in order of the orbit's first
+    character; characters chi_a(g) = exp(2 pi i sum_i a_i g_i / n_i) are
+    indexed like the elements."""
+    elems = elements(orders)
+    seen = set()
+    out = []
+    for a in elems:
+        if a in seen:
+            continue
+        d = lcm(*(n // gcd(ai, n) for ai, n in zip(a, orders)))
+        seen |= {tuple(u * ai % n for ai, n in zip(a, orders))
+                 for u in range(1, d + 1) if gcd(u, d) == 1}
+        coeffs = [0] * d
+        for g, x in zip(elems, values):
+            coeffs[sum(gi * (ai * d // n) for gi, ai, n in zip(g, a, orders)) % d] += x
+        out.append(multiplication_norm(d, coeffs))
+    return out

@@ -28,7 +28,7 @@ from groupdet.boxes import (
     map_shards,
     orderly_scan,
 )
-from groupdet.norms import orbit_plan
+from groupdet.norms import _build_plan
 from groupdet.search import _search_shard
 
 
@@ -276,12 +276,12 @@ def test_witness_hits_and_misses_equal_the_unpruned_scan(orders):
 def test_group_tables_count_against_the_budget():
     # order 143 at box 0: one point, but 143^2 = 20,449 table entries
     g = make_group((13, 11))
-    misses = orbit_plan.cache_info().misses
+    misses = _build_plan.cache_info().misses
     with pytest.raises(BudgetExceededError, match="order 143"):
         search_values(g, 0, budget=20_000)
     with pytest.raises(BudgetExceededError, match="order 143"):
         find_witness(g, 0, 1, budget=20_000)
-    assert orbit_plan.cache_info().misses == misses
+    assert _build_plan.cache_info().misses == misses
     # one point still pays the |G|^3 Bareiss re-check of its witness
     with pytest.raises(BudgetExceededError, match="order 12 needs 1728 steps"):
         find_witness(make_group(12), 0, 0, budget=1727)

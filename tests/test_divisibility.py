@@ -340,7 +340,7 @@ def test_orbit_sizes_sum_to_the_box(h_orders, l, box):
     orders = h_orders + (2,) * l
     dim = prod(orders)
     maps = holomorph_maps(orders, None, l)
-    kernel = orbit_plan(orders).suite(_sign_keys(orders, l), 0)
+    kernel = orbit_plan(orders, box).suite(_sign_keys(orders, l), 0)
     total = (2 * box + 1) ** dim
     weight = 0
     for prefix, suffixes, _, sizes in orderly_scan(orders, box, maps, range(total), kernel,

@@ -19,10 +19,9 @@ from groupdet.cyclotomic import CyclotomicInt, euler_phi
 from groupdet.determinant import _index_table, bareiss_det
 from groupdet.divisibility import KEPT_FAILURES, _suite_shard, sign_twists, two_adic_valuation
 from groupdet.factorization import _sign_keys, character_sums
-from groupdet.cyclotomic import cyclotomic_polynomial
-from groupdet.norms import _multiplication_det, _norm4, _product_source, orbit_plan
+from groupdet.norms import _build_plan, _product_source, orbit_plan
 from groupdet.search import _search_shard
-from oracles import naive_group_det
+from oracles import cyclotomic_poly, naive_group_det, orbit_norms
 
 # Shapes whose orbits reach phi(d) >= 4: orders 5, 8, 10, 12 and 16.
 PHI_FOUR_AND_UP = [(5,), (8,), (10,), (12,), (16,), (2, 5), (4, 3)]
@@ -52,7 +51,7 @@ def test_norm_product_equals_cofactor_oracle(case):
 
 @pytest.mark.parametrize("orders", SMALL_SHAPES + PHI_FOUR_AND_UP)
 def test_orbits_partition_the_characters(orders):
-    plan = orbit_plan(orders)
+    plan = orbit_plan(orders, 1)
     assert sum(euler_phi(o.order) for o in plan.orbits) == prod(orders)
     assert all(len(o.rows) == euler_phi(o.order) for o in plan.orbits)
     assert [o.char for o in plan.orbits] == sorted(o.char for o in plan.orbits)
@@ -61,10 +60,10 @@ def test_orbits_partition_the_characters(orders):
 
 def test_cyclic_orbits_are_the_divisors():
     # Z/n has one orbit per divisor d of n, first character n/d
-    assert [(o.char, o.order) for o in orbit_plan((16,)).orbits] == [
+    assert [(o.char, o.order) for o in orbit_plan((16,), 1).orbits] == [
         (0, 1), (1, 16), (2, 8), (4, 4), (8, 2)
     ]
-    assert [(o.char, o.order) for o in orbit_plan((12,)).orbits] == [
+    assert [(o.char, o.order) for o in orbit_plan((12,), 1).orbits] == [
         (0, 1), (1, 12), (2, 6), (3, 4), (4, 3), (6, 2)
     ]
 
@@ -90,7 +89,7 @@ def points(blocks):
 
 
 def test_dim_one_group_at_box_zero():
-    kernel = orbit_plan((1,)).block((0,))
+    kernel = orbit_plan((1,), 0).block((0,))
     assert points(orderly_scan((1,), 0, (), range(1), kernel=kernel)) == [((0,), (0,))]
     assert points(orderly_scan((1,), 0, (), range(1))) == [((0,), 0)]
     rep = search_values(make_group((1,)), 0)
@@ -203,35 +202,70 @@ def test_orbit_norms_by_sign_character_are_the_split_factors(data):
     assert integer_split_factors(make_group(h_orders), l, xs) == direct
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    st.sampled_from([5, 8, 10, 12]),
-    st.lists(st.integers(-10**6, 10**6), min_size=4, max_size=4),
-)
-def test_phi_four_norm_equals_bareiss(d, a):
-    p = cyclotomic_polynomial(d)
-    assert _norm4(p, *a) == _multiplication_det(p, a)
+# Every d with phi(d) >= 4 up to 16 as Z/d, and two products with such orbits.
+WIDE_SHAPES = [(5,), (7,), (8,), (9,), (10,), (11,), (12,), (13,), (14,), (15,), (16,),
+               (5, 2), (4, 3)]
 
 
-@settings(max_examples=40, deadline=None)
-@given(shape_and_assignment([(5,), (8,), (10,), (12,)]))
-def test_phi_four_orbit_norms_equal_bareiss(case):
+@st.composite
+def wide_point(draw):
+    """A wide shape and an all +-B point, a B delta_e point or a random point
+    of the box of B, with B up to 2^64."""
+    orders = draw(st.sampled_from(WIDE_SHAPES))
+    n = prod(orders)
+    b = draw(st.sampled_from([1, 2, 2**64]) | st.integers(0, 2**64))
+    kind = draw(st.sampled_from(["signs", "delta", "random"]))
+    if kind == "signs":
+        xs = draw(st.lists(st.sampled_from([-b, b]), min_size=n, max_size=n))
+    elif kind == "delta":
+        xs = [0] * n
+        xs[draw(st.integers(0, n - 1))] = draw(st.sampled_from([-b, b]))
+    else:
+        xs = draw(st.lists(st.integers(-b, b), min_size=n, max_size=n))
+    return orders, tuple(xs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_point())
+def test_modular_norms_equal_the_multiplication_matrix_oracle(case):
     orders, xs = case
-    plan = orbit_plan(orders)
-    coeffs = plan.coefficients(xs)
-    at = 0
-    for orbit, norm in zip(plan.orbits, norm_factors(make_group(orders), xs)):
+    assert norm_factors(make_group(orders), xs) == orbit_norms(orders, xs)
+
+
+@pytest.mark.parametrize("orders", WIDE_SHAPES + [(1,), (3,), (4, 2), (6,), (2, 2, 2)])
+@pytest.mark.parametrize("bound", [0, 1, 2, 3, 7, 1000, 2**64])
+def test_plan_width_bounds_every_norm(orders, bound):
+    # the lift of a product of conjugates is exact when w - 1 >= 2 |G| B:
+    # then Phi_d(w) > 2 (|G| B)^phi, twice the largest norm on the box
+    plan = orbit_plan(orders, bound)
+    n, b = prod(orders), max(bound, 1)
+    wide = [o for o in plan.orbits if o.modulus]
+    assert bool(wide) == bool(plan.width) == any(euler_phi(o.order) >= 4 for o in plan.orbits)
+    for orbit in wide:
         phi = len(orbit.rows)
-        if phi == 4:
-            p = cyclotomic_polynomial(orbit.order)
-            assert norm == _multiplication_det(p, coeffs[at:at + 4])
-        at += phi
-    assert at == len(coeffs)
+        assert phi >= 4 and plan.width - 1 >= 2 * n * b
+        assert orbit.modulus == sum(c * plan.width**j for j, c in enumerate(cyclotomic_poly(orbit.order)))
+        assert orbit.modulus > 2 * (n * b) ** phi
+
+
+def test_wide_shapes_build_one_plan_per_bit_length():
+    g = make_group(7)
+    built = _build_plan.cache_info().misses
+    plans = set()
+    for b in range(1, 1001):
+        xs = (b, -1, 0, 0, 0, 0, 1)
+        assert prod(norm_factors(g, xs)) == group_determinant(g, xs)
+        plans.add(orbit_plan((7,), b))
+    # 2 |G| B runs from 14 to 14,000: bit lengths 4 to 14
+    assert len(plans) == 11 and _build_plan.cache_info().misses - built <= 11
+    # no phi(d) >= 4 orbit: one plan whatever the bound
+    assert len({orbit_plan((4, 2), b) for b in (0, 1, 2, 10**6, 2**64)}) == 1
 
 
 # The compiled kernels: phi(d) = 1 and 2 (4x2, 3x3, 2x2x3), phi(d) = 4 (5, 8,
-# 12) and phi(d) >= 6 (7, 9).
+# 12) and phi(d) >= 6 (7, 9), on entries of at most KERNEL_BOUND.
 KERNEL_SHAPES = [(4, 2), (3, 3), (5,), (8,), (12,), (7,), (9,), (2, 2, 3)]
+KERNEL_BOUND = 6
 
 
 @st.composite
@@ -240,7 +274,7 @@ def kernel_block(draw, shapes):
     orders = draw(st.sampled_from(shapes))
     n = prod(orders)
     cut = draw(st.integers(0, n))
-    entries = st.integers(-6, 6)
+    entries = st.integers(-KERNEL_BOUND, KERNEL_BOUND)
     prefix = tuple(draw(st.lists(entries, min_size=cut, max_size=cut)))
     tail = st.lists(entries, min_size=n - cut, max_size=n - cut).map(tuple)
     return orders, prefix, draw(st.lists(tail, min_size=1, max_size=4))
@@ -263,7 +297,7 @@ def orbit_character_norms(orders, xs):
     sums = character_sums(group, xs)
     N = group.exponent
     out = []
-    for orbit in orbit_plan(orders).orbits:
+    for orbit in orbit_plan(orders, 0).orbits:
         d = orbit.order
         units = [u for u in range(1, d + 1) if gcd(u, d) == 1]
         members = {index[tuple(u * k % N for k in table[orbit.char])] for u in units}
@@ -278,7 +312,7 @@ def orbit_character_norms(orders, xs):
 @given(kernel_block(KERNEL_SHAPES))
 def test_determinant_and_orbit_kernels_match_bareiss(case):
     orders, prefix, suffixes = case
-    plan = orbit_plan(orders)
+    plan = orbit_plan(orders, KERNEL_BOUND)
     g = make_group(orders)
     xs = [prefix + t for t in suffixes]
     dets = run_block(plan, None, prefix, suffixes)
@@ -292,7 +326,7 @@ def test_determinant_and_orbit_kernels_match_bareiss(case):
 @given(kernel_block([s for s in KERNEL_SHAPES if prod(s) <= 8]))
 def test_determinant_kernel_matches_cofactor_oracle(case):
     orders, prefix, suffixes = case
-    dets = run_block(orbit_plan(orders), None, prefix, suffixes)
+    dets = run_block(orbit_plan(orders, KERNEL_BOUND), None, prefix, suffixes)
     assert dets == [naive_group_det(orders, prefix + t) for t in suffixes]
 
 
@@ -303,7 +337,7 @@ def test_sign_kernel_matches_bareiss_and_oracle(data):
     h_orders = data.draw(st.sampled_from(KERNEL_SHAPES))
     orders = h_orders + (2,)
     _, prefix, suffixes = data.draw(kernel_block([orders]))
-    plan = orbit_plan(orders)
+    plan = orbit_plan(orders, KERNEL_BOUND)
     factors = run_block(plan, _sign_keys(orders, 1), prefix, suffixes)
     table = _index_table(h_orders)
     for x, fs in zip((prefix + t for t in suffixes), factors):
@@ -314,7 +348,7 @@ def test_sign_kernel_matches_bareiss_and_oracle(data):
 
 
 def test_kernels_are_compiled_once_per_grouping():
-    plan = orbit_plan((4, 2))
+    plan = orbit_plan((4, 2), 1)
     keys = _sign_keys((4, 2), 1)
     assert plan.block(keys) is plan.block(keys) and plan.block() is plan.block(None)
     assert plan.block(keys) is not plan.block()
@@ -327,8 +361,9 @@ def test_kernels_are_compiled_once_per_grouping():
         with pytest.raises(ValueError, match="bound exponent"):
             plan.suite(keys, bad)
     source = plan._block_source(keys)
-    # integer literals and fixed identifiers only: Phi_4 = x^2 + 1 folded in
-    assert "a2 * a2 + a3 * a3" in source and "_norm4" not in source
+    # integer literals and fixed identifiers only: Phi_4 = x^2 + 1 folded in,
+    # and no modular product, as no orbit of 4x2 has phi(d) >= 4
+    assert "a2 * a2 + a3 * a3" in source and "%" not in source
     # thousands of orbits in one slot: a flat product would nest too deep to compile
     assert eval(_product_source(["2"] * 5000)) == 2**5000
 
@@ -369,7 +404,7 @@ def rule_aggregates(group, keys, exp, points):
 @given(st.data())
 def test_suite_kernel_matches_the_per_point_rules(data):
     orders, l = data.draw(st.sampled_from(SUITE_SHAPES))
-    plan = orbit_plan(orders)
+    plan = orbit_plan(orders, 1)
     true = _sign_keys(orders, l)
     width = len(true)
     keys = data.draw(
@@ -398,7 +433,7 @@ def test_suite_kernel_on_a_whole_box_reaches_every_rule():
     # congruence failures, at exp = 9 also failing the bound
     orders, l = (1, 2, 2), 2
     group = make_group(orders)
-    plan = orbit_plan(orders)
+    plan = orbit_plan(orders, 2)
     true = _sign_keys(orders, l)
     wrong = wrong_keys(true, l)
     points = list(iter_box(4, 2))
