@@ -23,10 +23,13 @@ from .groups import (
 from .norms import orbit_plan
 
 DEFAULT_BUDGET = 10_000_000
-# Default jobs: work (the box size over the number of maps, identity
-# included) below this runs in one process; a pool costs more than it saves
-# there.
-IN_PROCESS_WORK = 50_000
+# The default job count (pool_pays), measured on a 2-vCPU host: seconds per
+# point of the kernel (plans of width 0, modular plans) and per kept point
+# and map of the pruning walk, and the in-process seconds below which a pool
+# costs more than it saves.
+POINT_S = (0.5e-6, 1.5e-6)
+WALK_S = 0.05e-6
+POOL_BREAK_EVEN_S = 0.4
 
 
 class BudgetExceededError(RuntimeError):
@@ -287,22 +290,33 @@ def dealt_shards(total: int, jobs: int) -> list[tuple[int, int, int]]:
     return [(k, total, jobs) for k in range(jobs)]
 
 
-def map_shards(worker, args: tuple, dim: int, box: int, maps, jobs: int | None) -> list:
-    """worker(*args, *shard) over the dealt_shards of the prefixes of the
-    orderly walk under maps of the box [-box, box]^dim, results in shard
-    order.
+def pool_pays(orders: tuple[int, ...], box: int, maps) -> bool:
+    """Whether the orderly walk under maps of the box over the group with these
+    factor orders is estimated to take more than POOL_BREAK_EVEN_S seconds in
+    this process: its kept points, the box size over |maps| + 1, each cost
+    the POINT_S of its orbit plan's kind and WALK_S per map."""
+    point_s = POINT_S[orbit_plan(orders, box).width > 0] + len(maps) * WALK_S
+    # points against a float bound, so a huge box is never made a float
+    return box_size(prod(orders), box) // (len(maps) + 1) > POOL_BREAK_EVEN_S / point_s
 
-    jobs None runs in this process when the estimated work, the box size
-    over |maps| + 1, is below IN_PROCESS_WORK, and uses every CPU otherwise;
-    jobs is clamped to the CPU count and to the (2 box + 1)^(dim - dim // 2)
-    prefixes, and a value below 1 raises ValueError. A single shard runs in
-    this process, more run in a process pool.
+
+def map_shards(worker, args: tuple, orders: tuple[int, ...], box: int, maps,
+               jobs: int | None) -> list:
+    """worker(*args, *shard) over the dealt_shards of the prefixes of the
+    orderly walk under maps of the box over the group with these factor
+    orders, results in shard order.
+
+    jobs None uses every CPU when pool_pays and runs in this process
+    otherwise; jobs is clamped to the CPU count and to the (2 box + 1)^(dim
+    - dim // 2) prefixes, dim = |G|, and a value below 1 raises ValueError.
+    A single shard runs in this process, more run in a process pool.
     """
     cpus = os.cpu_count() or 1
     if jobs is None:
-        jobs = 1 if box_size(dim, box) // (len(maps) + 1) < IN_PROCESS_WORK else cpus
+        jobs = cpus if pool_pays(orders, box, maps) else 1
     elif jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    dim = prod(orders)
     prefixes = box_size(dim - dim // 2, box)
     shard_args = [(*args, *shard) for shard in dealt_shards(prefixes, min(jobs, cpus, prefixes))]
     if len(shard_args) == 1:

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from .boxes import DEFAULT_BUDGET, IN_PROCESS_WORK, BudgetExceededError, ensure_tables
+from .boxes import DEFAULT_BUDGET, POOL_BREAK_EVEN_S, BudgetExceededError, ensure_tables
 from .determinant import circulant_det, group_determinant
 from .divisibility import run_divisibility_suite
 from .factorization import dedekind_product, direct_product_factors, laquer_factors
@@ -152,9 +153,10 @@ def _cmd_witness(args) -> tuple[int, dict]:
 
 
 JOBS_HELP = (
-    "worker processes, at least 1, at most the CPU count (default: 1 when the estimated "
-    f"work is below {IN_PROCESS_WORK:,} points, else the CPU count; the estimate is the box "
-    "size, divided for search --prune and for verify by the number of pruning maps)"
+    "worker processes, at least 1, at most the CPU count (default: the CPU count when the "
+    f"scan is estimated to take more than {POOL_BREAK_EVEN_S:g} s in one process, else 1; "
+    "the estimate counts the points kept under the pruning maps of search --prune and "
+    "verify, at a cost per point for the group's kind of orbit norms plus one per map)"
 )
 
 
@@ -252,9 +254,18 @@ def main(argv=None) -> int:
     except (
         ValueError, ArithmeticError, BudgetExceededError, OSError, json.JSONDecodeError
     ) as exc:
-        print(json.dumps({"status": "error", "message": str(exc)}, indent=1))
+        code, payload = 2, {"status": "error", "message": str(exc)}
+    try:
+        print(json.dumps(payload, indent=1), flush=True)
+    except BrokenPipeError as exc:
+        # the reader has gone: say so on stderr, and send the flush at exit to
+        # devnull so that it does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        message = f"stdout closed before the result was written: {exc}"
+        print(json.dumps({"status": "error", "message": message}, indent=1), file=sys.stderr)
         return 2
-    print(json.dumps(payload, indent=1))
     return code
 
 

@@ -271,7 +271,7 @@ def run_divisibility_suite(
     G = direct_product(H, AbelianGroup((2,) * l))
     ensure_budget(G.order, box, budget, force)
     maps = pruning_maps(G.orders, box, budget, force, split=l)
-    parts = map_shards(_suite_shard, (H.orders, l, box, exp, maps), G.order, box, maps, jobs)
+    parts = map_shards(_suite_shard, (H.orders, l, box, exp, maps), G.orders, box, maps, jobs)
     evens = [p["min_even_valuation"] for p in parts if p["min_even_valuation"] is not None]
     # each shard holds its own orbits, whose images lie anywhere in the box
     failures = sorted((f for p in parts for f in p["failures"]),

@@ -166,10 +166,14 @@ def _search_shard(orders, box, cap, maps, start, stop, step=1):
     evaluated = 0
     for prefix, suffixes, ds in orderly_scan(orders, box, maps, range(start, stop, step)):
         evaluated += len(ds)
-        # a witness only for values new to the shard, at their first point
-        for d in set(ds).difference(found):
-            if cap is None or abs(d) <= cap:
-                found[d] = prefix + suffixes[ds.index(d)]
+        # a witness only for values new to the shard, at their first point:
+        # filled from the end, the map keeps each value's first index
+        new = set(ds).difference(found)
+        if new:
+            first = dict(zip(reversed(ds), range(len(ds) - 1, -1, -1)))
+            for d in new:
+                if cap is None or abs(d) <= cap:
+                    found[d] = prefix + suffixes[first[d]]
     return evaluated, found
 
 
@@ -200,7 +204,7 @@ def search_values(
         raise ValueError(f"value_cap must be at least 0, got {value_cap}")
     ensure_budget(group.order, box, budget, force)
     maps = pruning_maps(group.orders, box, budget, force) if prune else ()
-    parts = map_shards(_search_shard, (group.orders, box, value_cap, maps), group.order, box,
+    parts = map_shards(_search_shard, (group.orders, box, value_cap, maps), group.orders, box,
                        maps, jobs)
     achieved: dict[int, tuple[int, ...]] = {}
     evaluated = 0

@@ -65,22 +65,25 @@ def two_cpus(monkeypatch):
 @pytest.mark.parametrize("jobs", [0, -1, -5000])
 def test_jobs_below_one_are_rejected(two_cpus, jobs):
     with pytest.raises(ValueError, match="jobs must be at least 1"):
-        map_shards(shard_bounds, (), 8, 1, (), jobs)
+        map_shards(shard_bounds, (), (8,), 1, (), jobs)
     assert two_cpus == []
 
 
 @pytest.mark.parametrize("jobs", [None, 2, 3, 5000])
 def test_jobs_are_clamped_to_the_cpu_count(two_cpus, jobs):
-    # the default uses every CPU once the work reaches IN_PROCESS_WORK: 3^10
-    # = 59,049 points, dealt as 3^5 prefixes
-    assert map_shards(shard_bounds, (), 10, 1, (), jobs) == [(0, 3**5, 2), (1, 3**5, 2)]
+    # explicit jobs are clamped whatever the scan: Z/10 at box 1, 3^10 points
+    # dealt as 3^5 prefixes; the default uses every CPU on a scan estimated
+    # above the break-even: Z/7 at box 3, 7^7 points dealt as 7^4 prefixes
+    orders, box, prefixes = ((7,), 3, 7**4) if jobs is None else ((10,), 1, 3**5)
+    assert map_shards(shard_bounds, (), orders, box, (), jobs) == [(0, prefixes, 2),
+                                                                    (1, prefixes, 2)]
     assert two_cpus == [2]
 
 
 def test_one_job_runs_in_process(two_cpus):
-    assert map_shards(shard_bounds, (), 10, 1, (), 1) == [(0, 3**5, 1)]
+    assert map_shards(shard_bounds, (), (10,), 1, (), 1) == [(0, 3**5, 1)]
     # box 0 has one prefix, which makes one shard whatever the jobs
-    assert map_shards(shard_bounds, (), 10, 0, (), 5000) == [(0, 1, 1)]
+    assert map_shards(shard_bounds, (), (10,), 0, (), 5000) == [(0, 1, 1)]
     assert two_cpus == []
 
 
@@ -169,26 +172,54 @@ def test_pruned_search_deals_the_surviving_prefixes(two_cpus, monkeypatch):
 
 
 def test_default_jobs_follow_the_work(two_cpus, monkeypatch):
-    # below IN_PROCESS_WORK the default runs in this process; a pruned scan's
-    # work is the box size over the number of maps, identity included
-    assert map_shards(shard_bounds, (), 8, 1, (), None) == [(0, 3**4, 1)]
-    assert map_shards(shard_bounds, (), 8, 2, holomorph_maps((4, 2)), None) == [(0, 5**4, 1)]
-    assert map_shards(shard_bounds, (), 8, 2, (), None) == [(0, 5**4, 2), (1, 5**4, 2)]
-    assert two_cpus == [2]
+    # the estimate is kept points, the box size over |maps| + 1, times the
+    # point cost of the plan kind plus the walk cost per map, against the
+    # break-even in seconds
+    point_s, walk_s = groupdet.boxes.POINT_S, groupdet.boxes.WALK_S
+    cases = [
+        ((4, 2), 2, (), False),  # 390,625 points of a width-0 plan: about 0.2 s
+        ((7,), 3, (), True),  # 823,543 points of a modular plan: about 1.2 s
+        ((6,), 5, (), True),  # 1,771,561 points of a width-0 plan: about 0.9 s
+        ((8,), 2, (), True),  # 390,625 points of a modular plan: about 0.6 s
+        ((4, 2), 2, holomorph_maps((4, 2)), False),  # 6,103 kept points under 63 maps
+        ((4, 2), 2, holomorph_maps((4, 2), None, 1), False),  # 12,207 under 31 maps
+    ]
+    for orders, box, maps, pool in cases:
+        dim = prod(orders)
+        kind = groupdet.boxes.orbit_plan(orders, box).width > 0
+        seconds = (2 * box + 1) ** dim // (len(maps) + 1) * (point_s[kind] + len(maps) * walk_s)
+        assert (seconds > groupdet.boxes.POOL_BREAK_EVEN_S) == pool
+        prefixes = (2 * box + 1) ** (dim - dim // 2)
+        jobs = 2 if pool else 1
+        expected = [(k, prefixes, jobs) for k in range(jobs)]
+        assert map_shards(shard_bounds, (), orders, box, maps, None) == expected
+    assert two_cpus == [2, 2, 2]
+    # the callers pass their shapes and maps: the 4x2 box 2 search, unpruned
+    # and pruned, and verify H = 4, l = 1 at box 2 run in this process
     seen = []
     monkeypatch.setattr(groupdet.search, "_search_shard", lambda *a: seen.append(a[4:]) or (0, {}))
-    # 4x2 box 2: 390,625 / 64 = 6,103 estimated points, run in this process
-    # over the 5^4 prefixes
+    search_values(make_group((4, 2)), 2)
     search_values(make_group((4, 2)), 2, prune=True)
-    assert seen == [(0, 5**4, 1)] and two_cpus == [2]
-    # and verify H = 4, l = 1 at box 2: 390,625 / 32 = 12,207 under its split maps
+    assert seen == [(0, 5**4, 1)] * 2
     seen.clear()
     part = {"checked": 0, "even_count": 0, "min_even_valuation": None, "failure_count": 0,
             "failures": []}
     monkeypatch.setattr(groupdet.divisibility, "_suite_shard",
                         lambda *a: seen.append(a[5:]) or part)
     run_divisibility_suite(make_group(4), 1, 2)
-    assert seen == [(0, 5**4, 1)] and two_cpus == [2]
+    assert seen == [(0, 5**4, 1)]
+    # and Z/7 at box 3 and Z/6 at box 5 use the pool
+    seen.clear()
+    search_values(make_group(7), 3)
+    search_values(make_group(6), 5)
+    assert seen == dealt_shards(7**4, 2) + dealt_shards(11**3, 2)
+    assert two_cpus == [2] * 5
+
+
+def test_a_huge_box_is_estimated_without_a_float():
+    # (2 * 10^200 + 1)^2 points do not fit a float; the estimate still says
+    # to start the pool
+    assert groupdet.boxes.pool_pays((2,), 10**200, ())
 
 
 MAP_COUNTS = [((4, 2), 64), ((2, 2, 2), 1_344), ((3, 3), 432), ((7,), 42), ((8,), 16)]

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -372,6 +373,25 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["det"] == "8"
+
+
+def test_closed_stdout_exits_2_with_json_on_stderr(tmp_path):
+    # the reader of stdout is gone before the result is written, as after `| head`
+    read, write = os.pipe()
+    os.close(read)
+    out = tmp_path / "r.json"
+    argv = ["search", "--group", "8", "--box", "1", "--prune", "--out", str(out)]
+    try:
+        proc = subprocess.run([sys.executable, "-m", "groupdet", *argv], stdout=write,
+                              stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    payload = json.loads(proc.stderr)
+    assert payload["status"] == "error"
+    assert "stdout closed" in payload["message"]
+    # the report was saved before the result was printed
+    assert json.loads(out.read_text())["group"] == "8"
 
 
 def test_arithmetic_error_is_reported_as_json(capsys, monkeypatch):
