@@ -20,14 +20,14 @@ from .groups import (
     enumerate_elements,
     translation_is_even,
 )
-from .norms import orbit_plan
+from .norms import orbit_plan, split_plan
 
 DEFAULT_BUDGET = 10_000_000
 # The default job count (pool_pays), measured on a 2-vCPU host: seconds per
-# point of the kernel (plans of width 0, modular plans) and per kept point
-# and map of the pruning walk, and the in-process seconds below which a pool
-# costs more than it saves.
-POINT_S = (0.5e-6, 1.5e-6)
+# point of the kernel (plans of width 0, modular plans, split plans) and per
+# kept point and map of the pruning walk, and the in-process seconds below
+# which a pool costs more than it saves.
+POINT_S = (0.5e-6, 1.5e-6, 0.2e-6)
 WALK_S = 0.05e-6
 POOL_BREAK_EVEN_S = 0.4
 
@@ -156,17 +156,38 @@ def _chains(maps, dim: int, tied=None) -> list[list]:
     return buckets
 
 
+def kept_points(orders: tuple[int, ...], box: int, maps) -> int:
+    """The estimated points the orderly walk under maps keeps of the box over
+    the group with these factor orders: its size over |maps| + 1."""
+    return box_size(prod(orders), box) // (len(maps) + 1)
+
+
+def scan_plan(orders: tuple[int, ...], box: int, maps=(), budget: int = DEFAULT_BUDGET):
+    """The plan whose determinant kernel the orderly walk under maps runs on
+    the box over the group with these factor orders: split_plan when some
+    factor is 2 mod 4 and its table of det_H, (4 box + 1)^(|G| / 2) entries,
+    is smaller than kept_points and, counted as entries * |G| like the
+    pruning maps, fits the budget (force does not lift this: the orbit
+    kernel is as exact); orbit_plan otherwise, which keeps box 0 on it."""
+    dim = prod(orders)
+    if any(n % 4 == 2 for n in orders):
+        entries = (4 * box + 1) ** (dim // 2)
+        if entries * dim <= budget and entries < kept_points(orders, box, maps):
+            return split_plan(orders, box)
+    return orbit_plan(orders, box)
+
+
 def orderly_scan(orders: tuple[int, ...], box: int, maps, shard: range, kernel=None,
-                 weighted: bool = False):
+                 weighted: bool = False, budget: int = DEFAULT_BUDGET):
     """(prefix, suffixes, result) in box order once per surviving prefix whose
     ordinal lies in shard: the points prefix + t are those of the box over
     the group with these factor orders that no index permutation phi in
     maps sends to a lexicographically smaller point x o phi (maps () keeps
     every point), and result is what kernel (OrbitPlan.block or
-    OrbitPlan.suite of orbit_plan(orders, box), exact on the box; None is
-    the determinant kernel) returns for them in one call. The prefix is the
-    first dim - dim // 2 coordinates; the coefficient vectors of the
-    suffixes are built once.
+    OrbitPlan.suite of orbit_plan(orders, box), exact on the box) returns
+    for them in one call; kernel None is the determinant kernel of
+    scan_plan(orders, box, maps, budget). The prefix is the first dim - dim
+    // 2 coordinates; the coefficient vectors of the suffixes are built once.
 
     With weighted, maps (the identity added) must form a group, each kept
     point stands for its orbit, and every block is (prefix, suffixes,
@@ -188,7 +209,7 @@ def orderly_scan(orders: tuple[int, ...], box: int, maps, shard: range, kernel=N
     are the same in all of them; a prefix without a kept suffix yields no
     block.
     """
-    plan = orbit_plan(orders, box)
+    plan = orbit_plan(orders, box) if kernel else scan_plan(orders, box, maps, budget)
     kernel = kernel or plan.block()
     dim = len(plan.columns)
     cut = dim - dim // 2
@@ -290,30 +311,35 @@ def dealt_shards(total: int, jobs: int) -> list[tuple[int, int, int]]:
     return [(k, total, jobs) for k in range(jobs)]
 
 
-def pool_pays(orders: tuple[int, ...], box: int, maps) -> bool:
+def pool_pays(orders: tuple[int, ...], box: int, maps, plan=None) -> bool:
     """Whether the orderly walk under maps of the box over the group with these
     factor orders is estimated to take more than POOL_BREAK_EVEN_S seconds in
-    this process: its kept points, the box size over |maps| + 1, each cost
-    the POINT_S of its orbit plan's kind and WALK_S per map."""
-    point_s = POINT_S[orbit_plan(orders, box).width > 0] + len(maps) * WALK_S
+    this process: its kept_points each cost the POINT_S of the kind of plan
+    its kernel comes from (None: orbit_plan(orders, box)) and WALK_S per
+    map."""
+    if plan is None:
+        plan = orbit_plan(orders, box)
+    kind = 2 if plan.table is not None else int(plan.width > 0)
+    point_s = POINT_S[kind] + len(maps) * WALK_S
     # points against a float bound, so a huge box is never made a float
-    return box_size(prod(orders), box) // (len(maps) + 1) > POOL_BREAK_EVEN_S / point_s
+    return kept_points(orders, box, maps) > POOL_BREAK_EVEN_S / point_s
 
 
 def map_shards(worker, args: tuple, orders: tuple[int, ...], box: int, maps,
-               jobs: int | None) -> list:
+               jobs: int | None, plan=None) -> list:
     """worker(*args, *shard) over the dealt_shards of the prefixes of the
     orderly walk under maps of the box over the group with these factor
     orders, results in shard order.
 
-    jobs None uses every CPU when pool_pays and runs in this process
-    otherwise; jobs is clamped to the CPU count and to the (2 box + 1)^(dim
-    - dim // 2) prefixes, dim = |G|, and a value below 1 raises ValueError.
+    jobs None uses every CPU when pool_pays, for the kernel of plan, and
+    runs in this process otherwise; jobs is clamped to the CPU count and to
+    the (2 box + 1)^(dim - dim // 2) prefixes, dim = |G|, and a value below 1
+    raises ValueError.
     A single shard runs in this process, more run in a process pool.
     """
     cpus = os.cpu_count() or 1
     if jobs is None:
-        jobs = cpus if pool_pays(orders, box, maps) else 1
+        jobs = cpus if pool_pays(orders, box, maps, plan) else 1
     elif jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     dim = prod(orders)

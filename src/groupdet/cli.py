@@ -156,7 +156,8 @@ JOBS_HELP = (
     "worker processes, at least 1, at most the CPU count (default: the CPU count when the "
     f"scan is estimated to take more than {POOL_BREAK_EVEN_S:g} s in one process, else 1; "
     "the estimate counts the points kept under the pruning maps of search --prune and "
-    "verify, at a cost per point for the group's kind of orbit norms plus one per map)"
+    "verify, at a cost per point for the kind of kernel, orbit norms or the split table, "
+    "plus one per map)"
 )
 
 

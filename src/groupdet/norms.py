@@ -14,12 +14,18 @@ Each plan compiles these norms, multiplied together in the groups a caller
 needs, into one straight-line kernel per grouping (OrbitPlan.block), and the
 theorem2 checks on top of the sign grouping into a kernel that returns only
 aggregates (OrbitPlan.suite).
+
+A shape with a factor n = 2 mod 4 is H x Z/2, and its group matrix is
+[[A, B], [B, A]], so det_G(x) = det_H(u) det_H(v) with u = x|_H + x|_(H+k)
+and v = x|_H - x|_(H+k), k of order 2: the order-2 case of the
+factorization det_G = prod over psi of det_(G/K)(y_psi). Its split plan
+(split_plan) reads both factors from one table of det_H (Lookup).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import repeat
+from itertools import product, repeat
 from math import gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple
@@ -27,7 +33,7 @@ from typing import NamedTuple
 from .characters import exponent_table
 from .cyclotomic import cyclotomic_polynomial, root_power
 from .determinant import check_assignment
-from .groups import AbelianGroup, element_at, index_of
+from .groups import AbelianGroup, element_at, enumerate_elements, index_of
 
 
 class Orbit(NamedTuple):
@@ -47,18 +53,28 @@ class Orbit(NamedTuple):
     modulus: int
 
 
+class Lookup(NamedTuple):
+    """A factor read from its plan's table: the entry at index a + offset,
+    where a = sum_g rows[0][g] x_g."""
+
+    rows: tuple[tuple[int, ...]]
+    offset: int
+
+
 class OrbitPlan:
     """The orbit factors of one group shape, in order of their first character,
-    at the width w of its phi(d) >= 4 orbits (0 when it has none).
+    at the width w of its phi(d) >= 4 orbits (0 when it has none); or, with
+    a table, the Lookup factors of a split plan.
 
     columns[g] lists coordinate g's entries in every orbit's rows, one orbit
     after the other, so an assignment's coefficient vector is the sum of
     x_g * columns[g] and the orbit forms are consecutive slices of it.
     """
 
-    def __init__(self, orbits, order: int, width: int) -> None:
+    def __init__(self, orbits, order: int, width: int, table=None) -> None:
         self.orbits = tuple(orbits)
         self.width = width
+        self.table = table
         self._rows = tuple(row for orbit in self.orbits for row in orbit.rows)
         self.columns = tuple(tuple(row[g] for row in self._rows) for g in range(order))
         self._blocks: dict = {}
@@ -96,7 +112,8 @@ class OrbitPlan:
                 len(keys) != len(self.orbits) or not all(type(k) is int and k >= 0 for k in keys)
             ):
                 raise ValueError(f"need one slot index >= 0 per orbit, got {keys!r}")
-            namespace = {"__builtins__": {}, "enumerate": enumerate, "zip": zip, "_ones": repeat(1)}
+            namespace = {"__builtins__": {}, "enumerate": enumerate, "zip": zip, "_ones": repeat(1),
+                         "_T": self.table}
             exec(self._block_source(keys, exp), namespace)
             kernel = self._blocks[keys, exp] = namespace["block"]
         return kernel
@@ -105,9 +122,11 @@ class OrbitPlan:
         """Straight-line source of block(head, tails), or with exp given of
         suite(head, tails, sizes): a_i = h_i + t_i unrolled, phi(d) = 1 norms as the
         coefficient itself, phi(d) = 2 norms with the constants of Phi_d folded
-        in, and larger phi(d) as the product r of the conjugates mod q =
-        Phi_d(w), lifted to r - q when r > q >> 1. It holds only integer
-        literals of the plan and of exp and fixed identifiers.
+        in, larger phi(d) as the product r of the conjugates mod q =
+        Phi_d(w), lifted to r - q when r > q >> 1, and a Lookup as the entry
+        _T[h_i + t_i] of the plan's table, its offset added to h_i once per
+        block. It holds only integer literals of the plan and of exp and
+        fixed identifiers.
 
         The lift is exact for every |x_g| <= B, the bound the width was chosen
         for (orbit_plan, B taken as max(B, 1)): each conjugate sum_g chi^u(g)
@@ -115,15 +134,20 @@ class OrbitPlan:
         has |N| <= (|G| B)^phi; zeta_d -> w is a ring map onto Z/q, so r = N
         mod q; and w - 1 >= 2 |G| B gives q = Phi_d(w) >= (w - 1)^phi >
         2 (|G| B)^phi >= 2 |N|."""
-        dim = len(self.columns)
+        dim = len(self._rows)
         lines = []
+        shifts = []
         slots: dict[int, list[str]] = {}
         at = 0
         for key, orbit in zip(keys or [0] * len(self.orbits), self.orbits):
-            phi, q = len(orbit.rows), orbit.modulus
-            if phi == 1:
+            phi = len(orbit.rows)
+            if type(orbit) is Lookup:
+                shifts.append(f"h{at} += {orbit.offset:d}")
+                norm = f"_T[h{at} + t{at}]"
+            elif phi == 1:
                 norm = f"(h{at} + t{at})"
-            elif q:
+            elif orbit.modulus:
+                q = orbit.modulus
                 conjugates = " * ".join(f"(h{i} + t{i})" for i in range(at, at + phi))
                 lines.append(f"r{at} = {conjugates} % {q:d}")
                 norm = f"(r{at} - {q:d} if r{at} > {q >> 1:d} else r{at})"
@@ -140,14 +164,15 @@ class OrbitPlan:
         if exp is None:
             value = products[0] if keys is None else f"({', '.join(products)},)"
             params = "head, tails"
-            setup = ["out = []", "append = out.append"]
+            setup = [*shifts, "out = []", "append = out.append"]
             loop = f"for {ts}, in tails:"
             lines.append(f"append({value})")
             result = "out"
         else:
             fs = [f"f{k}" for k in range(n_slots)]
             params = "head, tails, sizes=_ones"
-            setup = ["even = least = 0", "at = -1", "flagged = []", "flag = flagged.append"]
+            setup = [*shifts, "even = least = 0", "at = -1", "flagged = []",
+                     "flag = flagged.append"]
             loop = f"for j, (({ts},), w) in enumerate(zip(tails, sizes)):"
             lines += [f"{f} = {product}" for f, product in zip(fs, products)]
             lines += [
@@ -236,6 +261,58 @@ def _build_plan(orders: tuple[int, ...], width: int) -> OrbitPlan:
             rows = tuple(tuple(pow(width, u * k, q) for k in ks) for u in units)
             orbits.append(Orbit(c, d, rows, q))
     return OrbitPlan(orbits, group.order, width)
+
+
+def split_lookups(orders: tuple[int, ...], bound: int) -> tuple[tuple[int, ...], tuple]:
+    """The orders of H and the Lookup factors det_H(u), det_H(v) of a shape
+    with a factor n_i = 2 mod 4, the first such, for |x_g| <= bound.
+
+    chi(g) = (-1)^(g_i) is a real character with chi(k) = -1 at k = n_i / 2
+    in factor i, so G = H x <k> with H = ker chi, the g with g_i even. H has
+    the orders of G with n_i halved, dropped when that gives 1 (H = Z/1 for
+    G = Z/2), and g -> g with g_i halved is its element map; a g with g_i
+    odd lies in the coset H + k, over g - k. The indices of u and v in the table of det_H over
+    [-2 bound, 2 bound]^|H| in box order are linear in x: coordinate g adds
+    +-x_g times the place value (4 bound + 1)^(|H| - 1 - j) of its element j
+    of H, the sign - for v on the coset, and the offset 2 bound (4 bound +
+    1)^j summed over every j is the index of u = 0.
+    """
+    i = next(i for i, n in enumerate(orders) if n % 4 == 2)
+    half = orders[i] // 2
+    keep = (half,) if half > 1 else ()
+    h_group = AbelianGroup(orders[:i] + keep + orders[i + 1:] or (1,))
+    radix, size = 4 * bound + 1, h_group.order
+    u, v = [], []
+    for g in enumerate_elements(AbelianGroup(orders)):
+        odd = g[i] % 2
+        halved = ((g[i] - odd * half) % orders[i] // 2,) if keep else ()
+        h = g[:i] + halved + g[i + 1:] or (0,)
+        place = radix ** (size - 1 - index_of(h_group, h))
+        u.append(place)
+        v.append(-place if odd else place)
+    offset = 2 * bound * sum(radix**j for j in range(size))
+    return h_group.orders, (Lookup((tuple(u),), offset), Lookup((tuple(v),), offset))
+
+
+@lru_cache(maxsize=1)
+def split_plan(orders: tuple[int, ...], bound: int) -> OrbitPlan:
+    """The plan of the shape reading its determinant as T[U] * T[V], exact on
+    the assignments with every |x_g| <= bound: T is det_H over [-2 bound, 2
+    bound]^|H| in box order, built by the kernel of H's own orbit plan at
+    bound 2 bound, the bound |u_h|, |v_h| <= 2 bound its width proof needs
+    (split_lookups). Only the last plan is kept: a scan reads one table, and
+    one at the budget cap holds about a million ints."""
+    h_orders, lookups = split_lookups(orders, bound)
+    h_plan = orbit_plan(h_orders, 2 * bound)
+    kernel = h_plan.block()
+    dim = len(h_plan.columns)
+    cut = dim - dim // 2
+    values = range(-2 * bound, 2 * bound + 1)
+    tails = [h_plan.coefficients((0,) * cut + t) for t in product(values, repeat=dim - cut)]
+    table = []
+    for prefix in product(values, repeat=cut):
+        table += kernel(h_plan.coefficients(prefix), tails)
+    return OrbitPlan(lookups, prod(orders), 0, table)
 
 
 def grouped_norms(group: AbelianGroup, values, keys) -> list[int]:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import re
+from functools import partial
 from math import gcd
 from typing import Callable, NamedTuple
 
@@ -18,10 +19,12 @@ from .boxes import (
     map_shards,
     orderly_scan,
     pruning_maps,
+    scan_plan,
 )
 from .determinant import group_determinant
 from .divisibility import two_adic_valuation
 from .groups import AbelianGroup, format_group_spec, parse_group_spec
+from .norms import orbit_plan
 
 __all__ = [
     "SearchReport",
@@ -159,21 +162,28 @@ class SearchReport:
             return SearchReport.from_json_dict(json.load(fh))
 
 
-def _search_shard(orders, box, cap, maps, start, stop, step=1):
-    """(evaluated, first witness per value) over the blocks of orderly_scan
-    under maps for the surviving prefixes range(start, stop, step)."""
+def _search_shard(orders, box, cap, maps, start, stop, step=1, budget=DEFAULT_BUDGET):
+    """(evaluated, first witness per value with |value| <= cap) over the
+    blocks of orderly_scan under maps, at this budget, for the surviving
+    prefixes range(start, stop, step)."""
     found: dict[int, tuple[int, ...]] = {}
+    seen: set[int] = set()  # the values of found and those over the cap
     evaluated = 0
-    for prefix, suffixes, ds in orderly_scan(orders, box, maps, range(start, stop, step)):
+    blocks = orderly_scan(orders, box, maps, range(start, stop, step), budget=budget)
+    for prefix, suffixes, ds in blocks:
         evaluated += len(ds)
+        if seen.issuperset(ds):
+            continue
         # a witness only for values new to the shard, at their first point:
         # filled from the end, the map keeps each value's first index
-        new = set(ds).difference(found)
+        new = set(ds).difference(seen)
+        seen |= new
+        if cap is not None:
+            new = [d for d in new if abs(d) <= cap]
         if new:
             first = dict(zip(reversed(ds), range(len(ds) - 1, -1, -1)))
             for d in new:
-                if cap is None or abs(d) <= cap:
-                    found[d] = prefix + suffixes[first[d]]
+                found[d] = prefix + suffixes[first[d]]
     return evaluated, found
 
 
@@ -196,16 +206,18 @@ def search_values(
     a value is minimal in its orbit. Without prune the walk has no maps and
     evaluates every point. Shards deal out the surviving prefixes in turn.
 
-    Points are evaluated as products of orbit norms; every reported witness is
-    then evaluated again by Bareiss elimination, and a disagreement raises
+    Points are evaluated by the kernel of scan_plan: products of orbit norms,
+    or det_H(u) det_H(v) read from a table; every reported witness is then
+    evaluated again by Bareiss elimination, and a disagreement raises
     ArithmeticError.
     """
     if value_cap is not None and value_cap < 0:
         raise ValueError(f"value_cap must be at least 0, got {value_cap}")
     ensure_budget(group.order, box, budget, force)
     maps = pruning_maps(group.orders, box, budget, force) if prune else ()
-    parts = map_shards(_search_shard, (group.orders, box, value_cap, maps), group.orders, box,
-                       maps, jobs)
+    plan = scan_plan(group.orders, box, maps, budget)
+    parts = map_shards(partial(_search_shard, budget=budget), (group.orders, box, value_cap, maps),
+                       group.orders, box, maps, jobs, plan)
     achieved: dict[int, tuple[int, ...]] = {}
     evaluated = 0
     for count, part in parts:
@@ -260,10 +272,13 @@ def find_witness(
     does, since the first witness of a value is minimal in its orbit, and
     stops at the first point whose orbit norms multiply to target; Bareiss
     elimination then evaluates that witness again, and a disagreement raises
-    ArithmeticError."""
+    ArithmeticError. The walk keeps the orbit kernel even where search_values
+    reads a split table (scan_plan): it may stop at its first block, before a table
+    built first would have paid for itself."""
     total = ensure_budget(group.order, box, budget, force)
     maps = pruning_maps(group.orders, box, budget, force)
-    for prefix, suffixes, ds in orderly_scan(group.orders, box, maps, range(total)):
+    kernel = orbit_plan(group.orders, box).block()
+    for prefix, suffixes, ds in orderly_scan(group.orders, box, maps, range(total), kernel):
         if target in ds:
             vals = prefix + suffixes[ds.index(target)]
             _recheck(group, vals, target)

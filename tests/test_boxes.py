@@ -165,7 +165,8 @@ def test_pruned_shards_split_the_candidates_evenly():
 def test_pruned_search_deals_the_surviving_prefixes(two_cpus, monkeypatch):
     # every shard runs in a worker; the parent only merges and re-checks
     seen = []
-    monkeypatch.setattr(groupdet.search, "_search_shard", lambda *a: seen.append(a[4:]) or (0, {}))
+    monkeypatch.setattr(groupdet.search, "_search_shard",
+                        lambda *a, **kw: seen.append(a[4:]) or (0, {}))
     search_values(make_group((4, 2)), 1, jobs=2, prune=True)
     assert seen == dealt_shards(3**4, 2) == [(0, 3**4, 2), (1, 3**4, 2)]
     assert two_cpus == [2]
@@ -173,34 +174,47 @@ def test_pruned_search_deals_the_surviving_prefixes(two_cpus, monkeypatch):
 
 def test_default_jobs_follow_the_work(two_cpus, monkeypatch):
     # the estimate is kept points, the box size over |maps| + 1, times the
-    # point cost of the plan kind plus the walk cost per map, against the
-    # break-even in seconds
+    # point cost of the kind of plan the kernel comes from (width 0, modular,
+    # split) plus the walk cost per map, against the break-even in seconds
     point_s, walk_s = groupdet.boxes.POINT_S, groupdet.boxes.WALK_S
     cases = [
-        ((4, 2), 2, (), False),  # 390,625 points of a width-0 plan: about 0.2 s
-        ((7,), 3, (), True),  # 823,543 points of a modular plan: about 1.2 s
-        ((6,), 5, (), True),  # 1,771,561 points of a width-0 plan: about 0.9 s
-        ((8,), 2, (), True),  # 390,625 points of a modular plan: about 0.6 s
-        ((4, 2), 2, holomorph_maps((4, 2)), False),  # 6,103 kept points under 63 maps
-        ((4, 2), 2, holomorph_maps((4, 2), None, 1), False),  # 12,207 under 31 maps
+        ((4, 2), 2, (), 2, False),  # 390,625 points of a split plan: about 0.08 s
+        ((7,), 3, (), 1, True),  # 823,543 points of a modular plan: about 1.2 s
+        ((6,), 5, (), 2, False),  # 1,771,561 points of a split plan: about 0.35 s
+        ((4, 2), 3, (), 2, True),  # 5,764,801 points of a split plan: about 1.2 s
+        ((8,), 2, (), 1, True),  # 390,625 points of a modular plan: about 0.6 s
+        ((4, 2), 2, holomorph_maps((4, 2)), 0, False),  # 6,103 kept points under 63 maps
     ]
-    for orders, box, maps, pool in cases:
+    for orders, box, maps, kind, pool in cases:
         dim = prod(orders)
-        kind = groupdet.boxes.orbit_plan(orders, box).width > 0
+        plan = groupdet.boxes.scan_plan(orders, box, maps)
+        assert (2 if plan.table is not None else int(plan.width > 0)) == kind
         seconds = (2 * box + 1) ** dim // (len(maps) + 1) * (point_s[kind] + len(maps) * walk_s)
         assert (seconds > groupdet.boxes.POOL_BREAK_EVEN_S) == pool
         prefixes = (2 * box + 1) ** (dim - dim // 2)
         jobs = 2 if pool else 1
         expected = [(k, prefixes, jobs) for k in range(jobs)]
-        assert map_shards(shard_bounds, (), orders, box, maps, None) == expected
+        assert map_shards(shard_bounds, (), orders, box, maps, None, plan) == expected
     assert two_cpus == [2, 2, 2]
-    # the callers pass their shapes and maps: the 4x2 box 2 search, unpruned
-    # and pruned, and verify H = 4, l = 1 at box 2 run in this process
+    # without a plan the estimate is the orbit kernel's, as for verify: Z/6 at
+    # box 5 is 1,771,561 points of a width-0 plan, about 0.9 s, and 4x2 at box
+    # 2 under verify's 31 maps is 12,207 kept points, about 0.03 s
+    assert map_shards(shard_bounds, (), (6,), 5, (), None) == dealt_shards(11**3, 2)
+    maps = holomorph_maps((4, 2), None, 1)
+    seconds = 5**8 // (len(maps) + 1) * (point_s[0] + len(maps) * walk_s)
+    assert len(maps) == 31 and seconds < groupdet.boxes.POOL_BREAK_EVEN_S
+    assert map_shards(shard_bounds, (), (4, 2), 2, maps, None) == [(0, 5**4, 1)]
+    # the callers pass their shapes, maps and plans: the 4x2 box 2 search,
+    # unpruned and pruned, verify H = 4, l = 1 at box 2 (12,207 kept points
+    # under 31 maps of the orbit kernel) and the Z/6 box 5 search run in
+    # this process
     seen = []
-    monkeypatch.setattr(groupdet.search, "_search_shard", lambda *a: seen.append(a[4:]) or (0, {}))
+    monkeypatch.setattr(groupdet.search, "_search_shard",
+                        lambda *a, **kw: seen.append(a[4:]) or (0, {}))
     search_values(make_group((4, 2)), 2)
     search_values(make_group((4, 2)), 2, prune=True)
-    assert seen == [(0, 5**4, 1)] * 2
+    search_values(make_group(6), 5)
+    assert seen == [(0, 5**4, 1)] * 2 + [(0, 11**3, 1)]
     seen.clear()
     part = {"checked": 0, "even_count": 0, "min_even_valuation": None, "failure_count": 0,
             "failures": []}
@@ -208,12 +222,12 @@ def test_default_jobs_follow_the_work(two_cpus, monkeypatch):
                         lambda *a: seen.append(a[5:]) or part)
     run_divisibility_suite(make_group(4), 1, 2)
     assert seen == [(0, 5**4, 1)]
-    # and Z/7 at box 3 and Z/6 at box 5 use the pool
+    # and Z/7 at box 3 and 4x2 at box 3 use the pool
     seen.clear()
     search_values(make_group(7), 3)
-    search_values(make_group(6), 5)
-    assert seen == dealt_shards(7**4, 2) + dealt_shards(11**3, 2)
-    assert two_cpus == [2] * 5
+    search_values(make_group((4, 2)), 3)
+    assert seen == dealt_shards(7**4, 2) + dealt_shards(7**4, 2)
+    assert two_cpus == [2] * 6
 
 
 def test_a_huge_box_is_estimated_without_a_float():

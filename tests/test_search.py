@@ -1,7 +1,11 @@
 import json
+import os
 import re
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupdet import (
     BudgetExceededError,
@@ -79,6 +83,19 @@ def test_value_cap_drops_large_values():
     assert rep.evaluated == 25
     with pytest.raises(ValueError, match="value_cap must be at least 0, got -1"):
         search_values(g, 1, value_cap=-1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([((2,), 2), ((2, 2), 1), ((3,), 2), ((4, 2), 1), ((6,), 2)]),
+       st.integers(0, 400), st.booleans())
+def test_capped_report_is_the_uncapped_one_filtered(case, cap, prune):
+    # values over the cap are remembered as seen, not reported
+    orders, box = case
+    g = make_group(orders)
+    full = search_values(g, box, prune=prune)
+    capped = search_values(g, box, value_cap=cap, prune=prune)
+    kept = {v: w for v, w in full.achieved.items() if abs(v) <= cap}
+    assert capped == SearchReport(orders, box, full.evaluated, kept, prune, cap)
 
 
 def test_budget_guard():
@@ -211,6 +228,42 @@ def test_value_cap_round_trips_through_saved_reports(tmp_path):
     uncapped.save(path)
     assert json.loads(path.read_text())["value_cap"] is None
     assert SearchReport.load(path) == uncapped
+
+
+@st.composite
+def reports(draw):
+    orders = draw(st.sampled_from([(1,), (2,), (3,), (2, 2), (4, 2)]))
+    n = 1
+    for o in orders:
+        n *= o
+    big = st.integers(-(2**200), 2**200)
+    witness = st.lists(big, min_size=n, max_size=n).map(tuple)
+    return SearchReport(
+        orders,
+        draw(st.integers(0, 2**70)),
+        draw(st.integers(0, 2**70)),
+        draw(st.dictionaries(big, witness, max_size=6)),
+        draw(st.booleans()),
+        draw(st.none() | st.integers(0, 2**200)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(reports())
+def test_saved_reports_load_back_equal(report):
+    # values and the cap are saved as decimal strings, so big ones survive
+    # any JSON reader; empty reports, value_cap and pruned round-trip too
+    fd, path = tempfile.mkstemp(suffix=".json")
+    os.close(fd)
+    try:
+        report.save(path)
+        with open(path) as fh:
+            data = json.load(fh)
+        assert [row["v"] for row in data["values"]] == [str(v) for v in sorted(report.achieved)]
+        assert data["value_cap"] == (None if report.value_cap is None else str(report.value_cap))
+        assert SearchReport.load(path) == report
+    finally:
+        os.unlink(path)
 
 
 def test_malformed_saved_reports_name_the_bad_field():
