@@ -20,7 +20,7 @@ from .groups import (
     enumerate_elements,
     translation_is_even,
 )
-from .norms import orbit_plan, split_plan
+from .norms import OrbitPlan, orbit_plan, split_lookups
 
 DEFAULT_BUDGET = 10_000_000
 # The default job count (pool_pays), measured on a 2-vCPU host: seconds per
@@ -156,10 +156,10 @@ def _chains(maps, dim: int, tied=None) -> list[list]:
     return buckets
 
 
-def kept_points(orders: tuple[int, ...], box: int, maps) -> int:
-    """The estimated points the orderly walk under maps keeps of the box over
-    the group with these factor orders: its size over |maps| + 1."""
-    return box_size(prod(orders), box) // (len(maps) + 1)
+def kept_points(dim: int, box: int, maps) -> int:
+    """The estimated points the orderly walk under maps keeps of the box of
+    this dimension: its size over |maps| + 1."""
+    return box_size(dim, box) // (len(maps) + 1)
 
 
 def scan_plan(orders: tuple[int, ...], box: int, maps=(), budget: int = DEFAULT_BUDGET):
@@ -172,22 +172,40 @@ def scan_plan(orders: tuple[int, ...], box: int, maps=(), budget: int = DEFAULT_
     dim = prod(orders)
     if any(n % 4 == 2 for n in orders):
         entries = (4 * box + 1) ** (dim // 2)
-        if entries * dim <= budget and entries < kept_points(orders, box, maps):
+        if entries * dim <= budget and entries < kept_points(dim, box, maps):
             return split_plan(orders, box)
     return orbit_plan(orders, box)
 
 
-def orderly_scan(orders: tuple[int, ...], box: int, maps, shard: range, kernel=None,
-                 weighted: bool = False, budget: int = DEFAULT_BUDGET):
+@lru_cache(maxsize=1)
+def split_plan(orders: tuple[int, ...], bound: int) -> OrbitPlan:
+    """The plan of the shape reading its determinant as T[U] * T[V], exact on
+    the assignments with every |x_g| <= bound: T is det_H over [-2 bound, 2
+    bound]^|H| in box order, the blocks of the unpruned orderly_scan of H's
+    own orbit plan at bound 2 bound, the bound |u_h|, |v_h| <= 2 bound its
+    width proof needs (norms.split_lookups). Only the last plan is kept: a
+    scan reads one table, and one at the budget cap holds about a million
+    ints."""
+    h_orders, lookups = split_lookups(orders, bound)
+    h_plan = orbit_plan(h_orders, 2 * bound)
+    dim = len(h_plan.columns)
+    prefixes = range(box_size(dim - dim // 2, 2 * bound))
+    table = []
+    for _, _, dets in orderly_scan(h_plan, 2 * bound, (), prefixes):
+        table += dets
+    return OrbitPlan(lookups, prod(orders), 0, table)
+
+
+def orderly_scan(plan: OrbitPlan, box: int, maps, shard: range, kernel=None,
+                 weighted: bool = False):
     """(prefix, suffixes, result) in box order once per surviving prefix whose
-    ordinal lies in shard: the points prefix + t are those of the box over
-    the group with these factor orders that no index permutation phi in
-    maps sends to a lexicographically smaller point x o phi (maps () keeps
-    every point), and result is what kernel (OrbitPlan.block or
-    OrbitPlan.suite of orbit_plan(orders, box), exact on the box) returns
-    for them in one call; kernel None is the determinant kernel of
-    scan_plan(orders, box, maps, budget). The prefix is the first dim - dim
-    // 2 coordinates; the coefficient vectors of the suffixes are built once.
+    ordinal lies in shard: the points prefix + t are those of the box
+    [-box, box]^dim, dim = len(plan.columns), that no index permutation phi
+    in maps sends to a lexicographically smaller point x o phi (maps () keeps
+    every point), and result is what kernel, a kernel of plan (plan.block()
+    when None), returns for them in one call; plan must be exact on the box.
+    The prefix is the first dim - dim // 2 coordinates; the coefficient
+    vectors of the suffixes are built once.
 
     With weighted, maps (the identity added) must form a group, each kept
     point stands for its orbit, and every block is (prefix, suffixes,
@@ -209,7 +227,6 @@ def orderly_scan(orders: tuple[int, ...], box: int, maps, shard: range, kernel=N
     are the same in all of them; a prefix without a kept suffix yields no
     block.
     """
-    plan = orbit_plan(orders, box) if kernel else scan_plan(orders, box, maps, budget)
     kernel = kernel or plan.block()
     dim = len(plan.columns)
     cut = dim - dim // 2
@@ -287,7 +304,8 @@ def orderly_scan(orders: tuple[int, ...], box: int, maps, shard: range, kernel=N
         if not any(buckets[cut:dim]):
             # no map is pending below the prefix: its whole block is kept
             points, block = suffixes, tails
-            sizes = [group_size // (1 + len(fixing))] * len(suffixes)
+            if weighted:
+                sizes = [group_size // (1 + len(fixing))] * len(suffixes)
         else:
             kept, sizes = [], []
             descend(m, 0, kept, sizes)
@@ -311,38 +329,34 @@ def dealt_shards(total: int, jobs: int) -> list[tuple[int, int, int]]:
     return [(k, total, jobs) for k in range(jobs)]
 
 
-def pool_pays(orders: tuple[int, ...], box: int, maps, plan=None) -> bool:
-    """Whether the orderly walk under maps of the box over the group with these
-    factor orders is estimated to take more than POOL_BREAK_EVEN_S seconds in
-    this process: its kept_points each cost the POINT_S of the kind of plan
-    its kernel comes from (None: orbit_plan(orders, box)) and WALK_S per
+def pool_pays(plan: OrbitPlan, box: int, maps) -> bool:
+    """Whether the orderly walk of plan under maps over the box is estimated
+    to take more than POOL_BREAK_EVEN_S seconds in this process: its
+    kept_points each cost the POINT_S of the kind of plan and WALK_S per
     map."""
-    if plan is None:
-        plan = orbit_plan(orders, box)
     kind = 2 if plan.table is not None else int(plan.width > 0)
     point_s = POINT_S[kind] + len(maps) * WALK_S
     # points against a float bound, so a huge box is never made a float
-    return kept_points(orders, box, maps) > POOL_BREAK_EVEN_S / point_s
+    return kept_points(len(plan.columns), box, maps) > POOL_BREAK_EVEN_S / point_s
 
 
-def map_shards(worker, args: tuple, orders: tuple[int, ...], box: int, maps,
-               jobs: int | None, plan=None) -> list:
+def map_shards(worker, args: tuple, plan: OrbitPlan, box: int, maps, jobs: int | None) -> list:
     """worker(*args, *shard) over the dealt_shards of the prefixes of the
-    orderly walk under maps of the box over the group with these factor
-    orders, results in shard order.
+    orderly walk of plan under maps over the box, results in shard order;
+    the worker scans with the same plan.
 
-    jobs None uses every CPU when pool_pays, for the kernel of plan, and
-    runs in this process otherwise; jobs is clamped to the CPU count and to
-    the (2 box + 1)^(dim - dim // 2) prefixes, dim = |G|, and a value below 1
+    jobs None uses every CPU when pool_pays and runs in this process
+    otherwise; jobs is clamped to the CPU count and to the (2 box + 1)^(dim
+    - dim // 2) prefixes, dim = len(plan.columns), and a value below 1
     raises ValueError.
     A single shard runs in this process, more run in a process pool.
     """
     cpus = os.cpu_count() or 1
     if jobs is None:
-        jobs = cpus if pool_pays(orders, box, maps, plan) else 1
+        jobs = cpus if pool_pays(plan, box, maps) else 1
     elif jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    dim = prod(orders)
+    dim = len(plan.columns)
     prefixes = box_size(dim - dim // 2, box)
     shard_args = [(*args, *shard) for shard in dealt_shards(prefixes, min(jobs, cpus, prefixes))]
     if len(shard_args) == 1:

@@ -191,8 +191,8 @@ def _suite_shard(h_orders, l, box, exp, maps, start, stop, step=1) -> dict:
     least_point = None
     failure_count = 0
     kept = []  # (point, rank at the point, record, factors), sorted
-    blocks = orderly_scan(orders, box, maps, range(start, stop, step),
-                          kernel=plan.suite(keys, exp), weighted=True)
+    blocks = orderly_scan(plan, box, maps, range(start, stop, step), plan.suite(keys, exp),
+                          weighted=True)
     for prefix, suffixes, (even, low, at, flagged), sizes in blocks:
         checked += sum(sizes)
         even_count += even
@@ -271,7 +271,8 @@ def run_divisibility_suite(
     G = direct_product(H, AbelianGroup((2,) * l))
     ensure_budget(G.order, box, budget, force)
     maps = pruning_maps(G.orders, box, budget, force, split=l)
-    parts = map_shards(_suite_shard, (H.orders, l, box, exp, maps), G.orders, box, maps, jobs)
+    plan = orbit_plan(G.orders, box)
+    parts = map_shards(_suite_shard, (H.orders, l, box, exp, maps), plan, box, maps, jobs)
     evens = [p["min_even_valuation"] for p in parts if p["min_even_valuation"] is not None]
     # each shard holds its own orbits, whose images lie anywhere in the box
     failures = sorted((f for p in parts for f in p["failures"]),

@@ -19,13 +19,13 @@ A shape with a factor n = 2 mod 4 is H x Z/2, and its group matrix is
 [[A, B], [B, A]], so det_G(x) = det_H(u) det_H(v) with u = x|_H + x|_(H+k)
 and v = x|_H - x|_(H+k), k of order 2: the order-2 case of the
 factorization det_G = prod over psi of det_(G/K)(y_psi). Its split plan
-(split_plan) reads both factors from one table of det_H (Lookup).
+(boxes.split_plan) reads both factors from one table of det_H (Lookup).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product, repeat
+from itertools import repeat
 from math import gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple
@@ -292,27 +292,6 @@ def split_lookups(orders: tuple[int, ...], bound: int) -> tuple[tuple[int, ...],
         v.append(-place if odd else place)
     offset = 2 * bound * sum(radix**j for j in range(size))
     return h_group.orders, (Lookup((tuple(u),), offset), Lookup((tuple(v),), offset))
-
-
-@lru_cache(maxsize=1)
-def split_plan(orders: tuple[int, ...], bound: int) -> OrbitPlan:
-    """The plan of the shape reading its determinant as T[U] * T[V], exact on
-    the assignments with every |x_g| <= bound: T is det_H over [-2 bound, 2
-    bound]^|H| in box order, built by the kernel of H's own orbit plan at
-    bound 2 bound, the bound |u_h|, |v_h| <= 2 bound its width proof needs
-    (split_lookups). Only the last plan is kept: a scan reads one table, and
-    one at the budget cap holds about a million ints."""
-    h_orders, lookups = split_lookups(orders, bound)
-    h_plan = orbit_plan(h_orders, 2 * bound)
-    kernel = h_plan.block()
-    dim = len(h_plan.columns)
-    cut = dim - dim // 2
-    values = range(-2 * bound, 2 * bound + 1)
-    tails = [h_plan.coefficients((0,) * cut + t) for t in product(values, repeat=dim - cut)]
-    table = []
-    for prefix in product(values, repeat=cut):
-        table += kernel(h_plan.coefficients(prefix), tails)
-    return OrbitPlan(lookups, prod(orders), 0, table)
 
 
 def grouped_norms(group: AbelianGroup, values, keys) -> list[int]:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import re
-from functools import partial
 from math import gcd
 from typing import Callable, NamedTuple
 
@@ -162,14 +161,15 @@ class SearchReport:
             return SearchReport.from_json_dict(json.load(fh))
 
 
-def _search_shard(orders, box, cap, maps, start, stop, step=1, budget=DEFAULT_BUDGET):
+def _search_shard(orders, box, cap, maps, budget, start, stop, step=1):
     """(evaluated, first witness per value with |value| <= cap) over the
-    blocks of orderly_scan under maps, at this budget, for the surviving
-    prefixes range(start, stop, step)."""
+    blocks of orderly_scan under maps, of the scan_plan at this budget, for
+    the surviving prefixes range(start, stop, step)."""
     found: dict[int, tuple[int, ...]] = {}
     seen: set[int] = set()  # the values of found and those over the cap
     evaluated = 0
-    blocks = orderly_scan(orders, box, maps, range(start, stop, step), budget=budget)
+    plan = scan_plan(orders, box, maps, budget)
+    blocks = orderly_scan(plan, box, maps, range(start, stop, step))
     for prefix, suffixes, ds in blocks:
         evaluated += len(ds)
         if seen.issuperset(ds):
@@ -216,8 +216,8 @@ def search_values(
     ensure_budget(group.order, box, budget, force)
     maps = pruning_maps(group.orders, box, budget, force) if prune else ()
     plan = scan_plan(group.orders, box, maps, budget)
-    parts = map_shards(partial(_search_shard, budget=budget), (group.orders, box, value_cap, maps),
-                       group.orders, box, maps, jobs, plan)
+    parts = map_shards(_search_shard, (group.orders, box, value_cap, maps, budget), plan, box, maps,
+                       jobs)
     achieved: dict[int, tuple[int, ...]] = {}
     evaluated = 0
     for count, part in parts:
@@ -277,8 +277,8 @@ def find_witness(
     built first would have paid for itself."""
     total = ensure_budget(group.order, box, budget, force)
     maps = pruning_maps(group.orders, box, budget, force)
-    kernel = orbit_plan(group.orders, box).block()
-    for prefix, suffixes, ds in orderly_scan(group.orders, box, maps, range(total), kernel):
+    plan = orbit_plan(group.orders, box)
+    for prefix, suffixes, ds in orderly_scan(plan, box, maps, range(total)):
         if target in ds:
             vals = prefix + suffixes[ds.index(target)]
             _recheck(group, vals, target)

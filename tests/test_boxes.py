@@ -21,14 +21,16 @@ from groupdet import (
     search_values,
 )
 from groupdet.boxes import (
+    DEFAULT_BUDGET,
     dealt_shards,
     ensure_budget,
     holomorph_maps,
     iter_box,
     map_shards,
     orderly_scan,
+    scan_plan,
 )
-from groupdet.norms import _build_plan
+from groupdet.norms import _build_plan, orbit_plan
 from groupdet.search import _search_shard
 
 
@@ -65,7 +67,7 @@ def two_cpus(monkeypatch):
 @pytest.mark.parametrize("jobs", [0, -1, -5000])
 def test_jobs_below_one_are_rejected(two_cpus, jobs):
     with pytest.raises(ValueError, match="jobs must be at least 1"):
-        map_shards(shard_bounds, (), (8,), 1, (), jobs)
+        map_shards(shard_bounds, (), orbit_plan((8,), 1), 1, (), jobs)
     assert two_cpus == []
 
 
@@ -75,15 +77,16 @@ def test_jobs_are_clamped_to_the_cpu_count(two_cpus, jobs):
     # dealt as 3^5 prefixes; the default uses every CPU on a scan estimated
     # above the break-even: Z/7 at box 3, 7^7 points dealt as 7^4 prefixes
     orders, box, prefixes = ((7,), 3, 7**4) if jobs is None else ((10,), 1, 3**5)
-    assert map_shards(shard_bounds, (), orders, box, (), jobs) == [(0, prefixes, 2),
-                                                                    (1, prefixes, 2)]
+    plan = orbit_plan(orders, box)
+    assert map_shards(shard_bounds, (), plan, box, (), jobs) == [(0, prefixes, 2),
+                                                                  (1, prefixes, 2)]
     assert two_cpus == [2]
 
 
 def test_one_job_runs_in_process(two_cpus):
-    assert map_shards(shard_bounds, (), (10,), 1, (), 1) == [(0, 3**5, 1)]
+    assert map_shards(shard_bounds, (), orbit_plan((10,), 1), 1, (), 1) == [(0, 3**5, 1)]
     # box 0 has one prefix, which makes one shard whatever the jobs
-    assert map_shards(shard_bounds, (), (10,), 0, (), 5000) == [(0, 1, 1)]
+    assert map_shards(shard_bounds, (), orbit_plan((10,), 0), 0, (), 5000) == [(0, 1, 1)]
     assert two_cpus == []
 
 
@@ -118,10 +121,11 @@ def test_candidate_walk_keeps_the_old_filter_set(orders):
     dim = prod(orders)
     total = 3**dim
     expected = [vals for vals in iter_box(dim, 1) if minimal(vals, maps)]
-    assert scanned_points(orderly_scan(orders, 1, maps, range(total))) == expected
+    plan = scan_plan(orders, 1, maps)
+    assert scanned_points(orderly_scan(plan, 1, maps, range(total))) == expected
     # dealt shards and contiguous ordinal ranges each partition the kept points
     for shards in [[range(k, total, 3) for k in range(3)], [range(0, 7), range(7, total)]]:
-        parts = [scanned_points(orderly_scan(orders, 1, maps, shard)) for shard in shards]
+        parts = [scanned_points(orderly_scan(plan, 1, maps, shard)) for shard in shards]
         assert sorted(p for part in parts for p in part) == expected
         assert all(part == sorted(part) for part in parts)
 
@@ -137,16 +141,17 @@ def test_pruned_search_shards_cut_anywhere_merge_to_one_shard(data):
     top = 3 ** (dim - dim // 2)
     step = data.draw(st.integers(1, 4))
     cuts = [0] + sorted(data.draw(st.lists(st.integers(0, top), max_size=4))) + [top]
+    args = (orders, 1, None, maps, DEFAULT_BUDGET)
     evaluated, achieved = 0, {}
     for start, stop in zip(cuts, cuts[1:]):
         for k in range(step):
-            count, part = _search_shard(orders, 1, None, maps, start + k, stop, step)
+            count, part = _search_shard(*args, start + k, stop, step)
             evaluated += count
             for v, w in part.items():
                 if v not in achieved or w < achieved[v]:
                     achieved[v] = w
-    assert (evaluated, achieved) == _search_shard(orders, 1, None, maps, 0, total)
-    assert achieved == _search_shard(orders, 1, None, (), 0, total)[1]
+    assert (evaluated, achieved) == _search_shard(*args, 0, total)
+    assert achieved == _search_shard(orders, 1, None, (), DEFAULT_BUDGET, 0, total)[1]
 
 
 def test_pruned_shards_split_the_candidates_evenly():
@@ -154,9 +159,9 @@ def test_pruned_shards_split_the_candidates_evenly():
     # surviving prefixes in turn gives no shard more than 10% over its share
     maps = holomorph_maps((4, 2))
     total = 5**8
-    assert _search_shard((4, 2), 2, None, maps, 0, total)[0] == 8_800
+    assert _search_shard((4, 2), 2, None, maps, DEFAULT_BUDGET, 0, total)[0] == 8_800
     for jobs in (2, 3):
-        counts = [_search_shard((4, 2), 2, None, maps, *shard)[0]
+        counts = [_search_shard((4, 2), 2, None, maps, DEFAULT_BUDGET, *shard)[0]
                   for shard in dealt_shards(total, jobs)]
         assert sum(counts) == 8_800
         assert max(counts) <= 1.1 * 8_800 / jobs
@@ -166,7 +171,7 @@ def test_pruned_search_deals_the_surviving_prefixes(two_cpus, monkeypatch):
     # every shard runs in a worker; the parent only merges and re-checks
     seen = []
     monkeypatch.setattr(groupdet.search, "_search_shard",
-                        lambda *a, **kw: seen.append(a[4:]) or (0, {}))
+                        lambda *a: seen.append(a[5:]) or (0, {}))
     search_values(make_group((4, 2)), 1, jobs=2, prune=True)
     assert seen == dealt_shards(3**4, 2) == [(0, 3**4, 2), (1, 3**4, 2)]
     assert two_cpus == [2]
@@ -187,30 +192,30 @@ def test_default_jobs_follow_the_work(two_cpus, monkeypatch):
     ]
     for orders, box, maps, kind, pool in cases:
         dim = prod(orders)
-        plan = groupdet.boxes.scan_plan(orders, box, maps)
+        plan = scan_plan(orders, box, maps)
         assert (2 if plan.table is not None else int(plan.width > 0)) == kind
         seconds = (2 * box + 1) ** dim // (len(maps) + 1) * (point_s[kind] + len(maps) * walk_s)
         assert (seconds > groupdet.boxes.POOL_BREAK_EVEN_S) == pool
         prefixes = (2 * box + 1) ** (dim - dim // 2)
         jobs = 2 if pool else 1
         expected = [(k, prefixes, jobs) for k in range(jobs)]
-        assert map_shards(shard_bounds, (), orders, box, maps, None, plan) == expected
+        assert map_shards(shard_bounds, (), plan, box, maps, None) == expected
     assert two_cpus == [2, 2, 2]
-    # without a plan the estimate is the orbit kernel's, as for verify: Z/6 at
-    # box 5 is 1,771,561 points of a width-0 plan, about 0.9 s, and 4x2 at box
-    # 2 under verify's 31 maps is 12,207 kept points, about 0.03 s
-    assert map_shards(shard_bounds, (), (6,), 5, (), None) == dealt_shards(11**3, 2)
+    # with the orbit plan, as verify passes: Z/6 at box 5 is 1,771,561 points
+    # of a width-0 plan, about 0.9 s, and 4x2 at box 2 under verify's 31 maps
+    # is 12,207 kept points, about 0.03 s
+    assert map_shards(shard_bounds, (), orbit_plan((6,), 5), 5, (), None) == dealt_shards(11**3, 2)
     maps = holomorph_maps((4, 2), None, 1)
     seconds = 5**8 // (len(maps) + 1) * (point_s[0] + len(maps) * walk_s)
     assert len(maps) == 31 and seconds < groupdet.boxes.POOL_BREAK_EVEN_S
-    assert map_shards(shard_bounds, (), (4, 2), 2, maps, None) == [(0, 5**4, 1)]
+    assert map_shards(shard_bounds, (), orbit_plan((4, 2), 2), 2, maps, None) == [(0, 5**4, 1)]
     # the callers pass their shapes, maps and plans: the 4x2 box 2 search,
     # unpruned and pruned, verify H = 4, l = 1 at box 2 (12,207 kept points
     # under 31 maps of the orbit kernel) and the Z/6 box 5 search run in
     # this process
     seen = []
     monkeypatch.setattr(groupdet.search, "_search_shard",
-                        lambda *a, **kw: seen.append(a[4:]) or (0, {}))
+                        lambda *a: seen.append(a[5:]) or (0, {}))
     search_values(make_group((4, 2)), 2)
     search_values(make_group((4, 2)), 2, prune=True)
     search_values(make_group(6), 5)
@@ -233,7 +238,7 @@ def test_default_jobs_follow_the_work(two_cpus, monkeypatch):
 def test_a_huge_box_is_estimated_without_a_float():
     # (2 * 10^200 + 1)^2 points do not fit a float; the estimate still says
     # to start the pool
-    assert groupdet.boxes.pool_pays((2,), 10**200, ())
+    assert groupdet.boxes.pool_pays(orbit_plan((2,), 10**200), 10**200, ())
 
 
 MAP_COUNTS = [((4, 2), 64), ((2, 2, 2), 1_344), ((3, 3), 432), ((7,), 42), ((8,), 16)]

@@ -340,10 +340,11 @@ def test_orbit_sizes_sum_to_the_box(h_orders, l, box):
     orders = h_orders + (2,) * l
     dim = prod(orders)
     maps = holomorph_maps(orders, None, l)
-    kernel = orbit_plan(orders, box).suite(_sign_keys(orders, l), 0)
+    plan = orbit_plan(orders, box)
+    kernel = plan.suite(_sign_keys(orders, l), 0)
     total = (2 * box + 1) ** dim
     weight = 0
-    for prefix, suffixes, _, sizes in orderly_scan(orders, box, maps, range(total), kernel,
+    for prefix, suffixes, _, sizes in orderly_scan(plan, box, maps, range(total), kernel,
                                                    weighted=True):
         for t, size in zip(suffixes, sizes):
             x = prefix + t

@@ -13,7 +13,7 @@ from groupdet import (
     norm_factors,
     search_values,
 )
-from groupdet.boxes import holomorph_maps, iter_box, orderly_scan
+from groupdet.boxes import DEFAULT_BUDGET, holomorph_maps, iter_box, orderly_scan, scan_plan
 from groupdet.characters import exponent_table
 from groupdet.cyclotomic import CyclotomicInt, euler_phi
 from groupdet.determinant import _index_table, bareiss_det
@@ -89,9 +89,9 @@ def points(blocks):
 
 
 def test_dim_one_group_at_box_zero():
-    kernel = orbit_plan((1,), 0).block((0,))
-    assert points(orderly_scan((1,), 0, (), range(1), kernel=kernel)) == [((0,), (0,))]
-    assert points(orderly_scan((1,), 0, (), range(1))) == [((0,), 0)]
+    plan = orbit_plan((1,), 0)
+    assert points(orderly_scan(plan, 0, (), range(1), plan.block((0,)))) == [((0,), (0,))]
+    assert points(orderly_scan(scan_plan((1,), 0), 0, (), range(1))) == [((0,), 0)]
     rep = search_values(make_group((1,)), 0)
     assert rep.achieved == {0: (0,)} and rep.evaluated == 1
 
@@ -99,7 +99,7 @@ def test_dim_one_group_at_box_zero():
 @pytest.mark.parametrize("orders,box", [((2, 2), 1), ((3,), 2), ((4, 2), 1), ((5,), 1)])
 def test_engine_walks_the_box_in_order(orders, box):
     dim = prod(orders)
-    scanned = points(orderly_scan(orders, box, (), range((2 * box + 1) ** dim)))
+    scanned = points(orderly_scan(scan_plan(orders, box), box, (), range((2 * box + 1) ** dim)))
     assert [vals for vals, _ in scanned] == list(iter_box(dim, box))
     g = make_group(orders)
     for vals, d in scanned:
@@ -111,7 +111,7 @@ def test_engine_walks_the_box_in_order(orders, box):
 def test_orderly_walk_keeps_the_minimal_points(orders, box):
     maps = holomorph_maps(orders)
     total = (2 * box + 1) ** prod(orders)
-    scanned = points(orderly_scan(orders, box, maps, range(total)))
+    scanned = points(orderly_scan(scan_plan(orders, box, maps), box, maps, range(total)))
     g = make_group(orders)
     assert all(d == group_determinant(g, vals) for vals, d in scanned)
     assert [vals for vals, _ in scanned] == [
@@ -129,7 +129,7 @@ def shard_cuts(draw, total):
 def merged_search_shards(orders, box, maps, cuts):
     evaluated, achieved = 0, {}
     for start, stop in zip(cuts, cuts[1:]):
-        count, part = _search_shard(orders, box, None, maps, start, stop)
+        count, part = _search_shard(orders, box, None, maps, DEFAULT_BUDGET, start, stop)
         evaluated += count
         for v, w in part.items():
             if v not in achieved or w < achieved[v]:
@@ -146,7 +146,7 @@ def test_search_shards_at_any_cut_merge_to_one_scan(data):
     maps = holomorph_maps(orders) if data.draw(st.booleans()) else ()
     # shards cut the ordinals of the surviving prefixes
     cuts = data.draw(shard_cuts((2 * box + 1) ** (dim - dim // 2)))
-    whole = _search_shard(orders, box, None, maps, 0, total)
+    whole = _search_shard(orders, box, None, maps, DEFAULT_BUDGET, 0, total)
     assert merged_search_shards(orders, box, maps, cuts) == whole
 
 
@@ -447,5 +447,5 @@ def test_suite_kernel_on_a_whole_box_reaches_every_rule():
     for keys in [true, wrong]:
         for exp in [0, 4, 5, 9, 30]:
             kernel = plan.suite(keys, exp)
-            for prefix, suffixes, result in orderly_scan(orders, 2, (), range(625), kernel):
+            for prefix, suffixes, result in orderly_scan(plan, 2, (), range(625), kernel):
                 assert result == rule_aggregates(group, keys, exp, [prefix + t for t in suffixes])

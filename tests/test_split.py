@@ -11,10 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groupdet.boxes
-import groupdet.norms
-from groupdet import find_witness, make_group, search_values
-from groupdet.boxes import holomorph_maps, scan_plan
-from groupdet.norms import OrbitPlan, split_lookups, split_plan
+from groupdet import find_witness, group_determinant, make_group, search_values
+from groupdet.boxes import holomorph_maps, iter_box, scan_plan, split_plan
+from groupdet.norms import OrbitPlan, split_lookups
 from oracles import fraction_det, naive_group_det, naive_group_matrix
 
 # each shape with the largest bound at which its table is built here
@@ -101,8 +100,8 @@ def test_the_table_is_built_at_twice_the_bound(orders, monkeypatch):
     # needs bound 2B; a table built at width B holds the same values on every
     # box scanned here (the proof has slack), so only the bound shows it
     built = []
-    orbit_plan = groupdet.norms.orbit_plan
-    monkeypatch.setattr(groupdet.norms, "orbit_plan",
+    orbit_plan = groupdet.boxes.orbit_plan
+    monkeypatch.setattr(groupdet.boxes, "orbit_plan",
                         lambda h, bound: built.append((h, bound)) or orbit_plan(h, bound))
     split_plan.cache_clear()
     try:
@@ -110,6 +109,18 @@ def test_the_table_is_built_at_twice_the_bound(orders, monkeypatch):
     finally:
         split_plan.cache_clear()
     assert built == [(split_lookups(orders, 1)[0], 2)]
+
+
+@pytest.mark.parametrize("orders,bound", [
+    ((2,), 1), ((2,), 2), ((2,), 3), ((2, 2), 2), ((6,), 1), ((4, 2), 1),
+])
+def test_the_table_is_det_h_in_box_order(orders, bound):
+    # entry by entry against Bareiss elimination over H, so a table built
+    # out of box order or by a wrong kernel fails here
+    h_orders = split_lookups(orders, bound)[0]
+    h = make_group(h_orders)
+    expected = [group_determinant(h, p) for p in iter_box(h.order, 2 * bound)]
+    assert split_plan(orders, bound).table == expected
 
 
 def test_table_size():
