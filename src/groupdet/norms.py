@@ -18,8 +18,8 @@ aggregates (OrbitPlan.suite).
 A shape with a factor n = 2 mod 4 is H x Z/2, and its group matrix is
 [[A, B], [B, A]], so det_G(x) = det_H(u) det_H(v) with u = x|_H + x|_(H+k)
 and v = x|_H - x|_(H+k), k of order 2: the order-2 case of the
-factorization det_G = prod over psi of det_(G/K)(y_psi). Its split plan
-(boxes.split_plan) reads both factors from one table of det_H (Lookup).
+factorization det_G = prod over psi of det_(G/K)(y_psi). Its split plan,
+built in boxes, reads both factors from one table of det_H (Lookup).
 """
 
 from __future__ import annotations
