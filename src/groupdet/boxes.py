@@ -196,22 +196,20 @@ def split_plan(orders: tuple[int, ...], bound: int) -> OrbitPlan:
     return OrbitPlan(lookups, prod(orders), 0, table)
 
 
-def orderly_scan(plan: OrbitPlan, box: int, maps, shard: range, kernel=None,
-                 weighted: bool = False):
+def orderly_scan(plan: OrbitPlan, box: int, maps, shard: range, kernel=None):
     """(prefix, suffixes, result) in box order once per surviving prefix whose
     ordinal lies in shard: the points prefix + t are those of the box
     [-box, box]^dim, dim = len(plan.columns), that no index permutation phi
     in maps sends to a lexicographically smaller point x o phi (maps () keeps
-    every point), and result is what kernel, a kernel of plan (plan.block()
-    when None), returns for them in one call; plan must be exact on the box.
-    The prefix is the first dim - dim // 2 coordinates; the coefficient
-    vectors of the suffixes are built once.
+    every point), and result is what plan.block() returns for them in one
+    call; plan must be exact on the box. The prefix is the first dim - dim
+    // 2 coordinates; the coefficient vectors of the suffixes are built once.
 
-    With weighted, maps (the identity added) must form a group, each kept
-    point stands for its orbit, and every block is (prefix, suffixes,
-    result, sizes): sizes lists the orbit size of each kept point, |maps| + 1
-    over the number of maps fixing it (orbit-stabilizer), and the kernel is
-    called as kernel(head, tails, sizes).
+    A given kernel is a suite kernel of plan (plan.suite): maps (the identity
+    added) must form a group, each kept point stands for its orbit, and every
+    block is (prefix, suffixes, result, sizes): sizes lists the orbit size of
+    each kept point, |maps| + 1 over the number of maps fixing it
+    (orbit-stabilizer), and result is kernel(head, tails, sizes).
 
     An orderly walk (Read 1978): coordinates are fixed one at a time in box
     order, depth first. For each map the walk keeps the node its comparison
@@ -221,12 +219,13 @@ def orderly_scan(plan: OrbitPlan, box: int, maps, shard: range, kernel=None,
     bound are the later pairs of the tied nodes compared, dropping the value
     when one sends x lower and moving the node to its next depth when all
     tie. A map that is decided higher is done; one that ties to its end
-    fixes x, and is counted when weighted. A prefix below which no node is
+    fixes x, and is counted for the sizes. A prefix below which no node is
     pending keeps its whole block of suffixes, unwalked. The prefix walk is
     done in full by every shard, so the ordinals of the surviving prefixes
     are the same in all of them; a prefix without a kept suffix yields no
     block.
     """
+    weighted = kernel is not None
     kernel = kernel or plan.block()
     dim = len(plan.columns)
     cut = dim - dim // 2

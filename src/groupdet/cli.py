@@ -252,7 +252,8 @@ def main(argv=None) -> int:
     try:
         code, payload = args.func(args)
     except (
-        ValueError, ArithmeticError, BudgetExceededError, OSError, json.JSONDecodeError
+        ValueError, ArithmeticError, BudgetExceededError, OSError, json.JSONDecodeError,
+        RecursionError,
     ) as exc:
         code, payload = 2, {"status": "error", "message": str(exc)}
     try:

@@ -16,6 +16,7 @@ from typing import NamedTuple
 from .boxes import (
     DEFAULT_BUDGET,
     BudgetExceededError,
+    box_size,
     ensure_budget,
     map_shards,
     orderly_scan,
@@ -159,40 +160,18 @@ def _failures(vals, factors, exp: int) -> list[dict]:
     return found
 
 
-def _expand(group, keys, exp, maps, rep, below) -> list[tuple]:
-    """The failure records, as (point, rank at the point, record, sign
-    factors), of the first KEPT_FAILURES points in box order of the orbit of a
-    failing representative rep under maps (the identity added), only those
-    below the point below unless it is None. Every image fails the same way,
-    each with its own factors and determinant."""
-    images = {tuple(rep[i] for i in phi) for phi in maps} | {rep}
-    out = []
-    for p in sorted(p for p in images if below is None or p < below)[:KEPT_FAILURES]:
-        factors = grouped_norms(group, p, keys)
-        out += [(p, rank, r, factors) for rank, r in enumerate(_failures(p, factors, exp))]
-    return out
-
-
 def _suite_shard(h_orders, l, box, exp, maps, start, stop, step=1) -> dict:
     """The theorem2 counts over the orbits under maps whose representatives,
     the points orderly_scan keeps, lie in the surviving prefixes range(start,
-    stop, step): each representative counts with its orbit size. failures
-    lists the first KEPT_FAILURES records in box order among the images of
-    the failing representatives; as the representatives come in box order
-    and none exceeds its images, an orbit is expanded only while the kept
-    records do not all lie below it."""
+    stop, step): each representative counts with its orbit size, and a
+    failing one adds its failure records, each times its orbit size. The
+    point of smallest valuation is evaluated again by Bareiss elimination."""
     orders = h_orders + (2,) * l
-    group = AbelianGroup(orders)
     plan = orbit_plan(orders, box)
     keys = _sign_keys(orders, l)
-    checked = 0
-    even_count = 0
-    least = 0
+    checked = even_count = least = failure_count = 0
     least_point = None
-    failure_count = 0
-    kept = []  # (point, rank at the point, record, factors), sorted
-    blocks = orderly_scan(plan, box, maps, range(start, stop, step), plan.suite(keys, exp),
-                          weighted=True)
+    blocks = orderly_scan(plan, box, maps, range(start, stop, step), plan.suite(keys, exp))
     for prefix, suffixes, (even, low, at, flagged), sizes in blocks:
         checked += sum(sizes)
         even_count += even
@@ -200,25 +179,34 @@ def _suite_shard(h_orders, l, box, exp, maps, start, stop, step=1) -> dict:
             least, least_point = low, prefix + suffixes[at]
         # the rare flagged representatives, with their sign factors
         for j, factors in flagged:
-            rep = prefix + suffixes[j]
-            found = len(_failures(rep, factors, exp))
-            failure_count += found * sizes[j]
-            below = kept[-1][0] if len(kept) == KEPT_FAILURES else None
-            if found and (below is None or rep < below):
-                images = _expand(group, keys, exp, maps, rep, below)
-                kept = sorted(kept + images, key=lambda k: k[:2])[:KEPT_FAILURES]
-    for p, rank, _, factors in kept:
-        if rank == 0:
-            _recheck(h_orders, l, p, factors)
+            failure_count += len(_failures(prefix + suffixes[j], factors, exp)) * sizes[j]
     if least_point is not None:
-        _recheck(h_orders, l, least_point, grouped_norms(group, least_point, keys))
+        _recheck(h_orders, l, least_point, grouped_norms(AbelianGroup(orders), least_point, keys))
     return {
         "checked": checked,
         "even_count": even_count,
         "min_even_valuation": None if least_point is None else least.bit_length() - 1,
         "failure_count": failure_count,
-        "failures": [r for _, _, r, _ in kept],
     }
+
+
+def _first_failures(h_orders, l, box, exp) -> list[dict]:
+    """The first KEPT_FAILURES failure records in box order, from an unpruned
+    walk of the box that stops at the last of them; each failing point is
+    evaluated again by Bareiss elimination before its records are kept."""
+    orders = h_orders + (2,) * l
+    plan = orbit_plan(orders, box)
+    kernel = plan.suite(_sign_keys(orders, l), exp)
+    failures = []
+    blocks = orderly_scan(plan, box, (), range(box_size(prod(orders), box)), kernel)
+    for prefix, suffixes, (_, _, _, flagged), _ in blocks:
+        for j, factors in flagged:
+            point = prefix + suffixes[j]
+            _recheck(h_orders, l, point, factors)
+            failures += _failures(point, factors, exp)
+            if len(failures) >= KEPT_FAILURES:
+                return failures[:KEPT_FAILURES]
+    return failures
 
 
 def sign_twists(l: int, vals) -> list[list[int]]:
@@ -255,11 +243,12 @@ def run_divisibility_suite(
 
     The box is walked by orderly_scan under the split maps (holomorph_maps
     with split=l; none at box 0), one point per orbit, counted with its orbit
-    size. Every failure is counted in failure_count; failures lists the first
-    KEPT_FAILURES of them in box order, taken from the images of the failing
-    orbits. The sign factors come from orbit norms; each shard evaluates its
-    smallest-valuation witness and each kept failure again by Bareiss
-    elimination and raises ArithmeticError on a disagreement.
+    size. Every failure is counted in failure_count; when there is one, a walk
+    of every point of the box in box order, stopping at the KEPT_FAILURES-th
+    record, lists the first ones in failures. The sign factors come from orbit
+    norms; each shard's smallest-valuation witness and each listed failure are
+    evaluated again by Bareiss elimination, and a disagreement, or a count
+    that the walk does not find, raises ArithmeticError.
     """
     if not force and l > budget.bit_length():
         # |G|^2 >= 4^l > budget: refuse before 2^l, (2,) * l or the box is built
@@ -274,10 +263,13 @@ def run_divisibility_suite(
     plan = orbit_plan(G.orders, box)
     parts = map_shards(_suite_shard, (H.orders, l, box, exp, maps), plan, box, maps, jobs)
     evens = [p["min_even_valuation"] for p in parts if p["min_even_valuation"] is not None]
-    # each shard holds its own orbits, whose images lie anywhere in the box
-    failures = sorted((f for p in parts for f in p["failures"]),
-                      key=lambda f: (f["witness"], f["kind"] == "bound"))[:KEPT_FAILURES]
     failure_count = sum(p["failure_count"] for p in parts)
+    failures = _first_failures(H.orders, l, box, exp) if failure_count else []
+    if failure_count and not failures:
+        raise ArithmeticError(
+            f"the orbit walk counts {failure_count} failures but the walk of every point of "
+            f"the box finds none"
+        )
     return {
         "suite": "theorem2",
         "group": str(G),

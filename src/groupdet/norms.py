@@ -25,7 +25,6 @@ built in boxes, reads both factors from one table of det_H (Lookup).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import repeat
 from math import gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple
@@ -95,11 +94,11 @@ class OrbitPlan:
         per-point code as block(keys): with f0, f1, ... the slot products of a
         tail and d their product, it returns the aggregates (even, least, at,
         flagged) of the whole block. even counts the even d, each with its
-        weight in sizes (1 each when sizes is left out); least is the smallest d & -d
-        over the nonzero even d (0 when there is none) and at the index of its
-        first tail (-1 when there is none); flagged lists, in order, (index,
-        slot products) of the even d where some slot product is odd or where
-        d != 0 and the 2-adic valuation of d is below exp.
+        weight in sizes; least is the smallest d & -d over the nonzero even d
+        (0 when there is none) and at the index of its first tail (-1 when
+        there is none); flagged lists, in order, (index, slot products) of the
+        even d where some slot product is odd or where d != 0 and the 2-adic
+        valuation of d is below exp.
         """
         if type(exp) is not int or exp < 0:
             raise ValueError(f"the bound exponent must be an integer >= 0, got {exp!r}")
@@ -112,8 +111,7 @@ class OrbitPlan:
                 len(keys) != len(self.orbits) or not all(type(k) is int and k >= 0 for k in keys)
             ):
                 raise ValueError(f"need one slot index >= 0 per orbit, got {keys!r}")
-            namespace = {"__builtins__": {}, "enumerate": enumerate, "zip": zip, "_ones": repeat(1),
-                         "_T": self.table}
+            namespace = {"__builtins__": {}, "enumerate": enumerate, "zip": zip, "_T": self.table}
             exec(self._block_source(keys, exp), namespace)
             kernel = self._blocks[keys, exp] = namespace["block"]
         return kernel
@@ -170,7 +168,7 @@ class OrbitPlan:
             result = "out"
         else:
             fs = [f"f{k}" for k in range(n_slots)]
-            params = "head, tails, sizes=_ones"
+            params = "head, tails, sizes"
             setup = [*shifts, "even = least = 0", "at = -1", "flagged = []",
                      "flag = flagged.append"]
             loop = f"for j, (({ts},), w) in enumerate(zip(tails, sizes)):"

@@ -236,7 +236,7 @@ def _recheck(group: AbelianGroup, witness: tuple[int, ...], value: int) -> None:
     direct = group_determinant(group, witness)
     if direct != value:
         raise ArithmeticError(
-            f"orbit norms gave {value} at {list(witness)} but Bareiss elimination gives {direct}"
+            f"the search gives {value} at {list(witness)} but Bareiss elimination gives {direct}"
         )
 
 
@@ -252,11 +252,7 @@ def revalidate(report: SearchReport, budget: int = DEFAULT_BUDGET) -> None:
         w = report.achieved[v]
         if max(map(abs, w)) > report.box:
             raise ArithmeticError(f"the witness {list(w)} of {v} lies outside the box {report.box}")
-        direct = group_determinant(group, w)
-        if direct != v:
-            raise ArithmeticError(
-                f"the report gives {v} at {list(w)} but Bareiss elimination gives {direct}"
-            )
+        _recheck(group, w, v)
 
 
 def find_witness(
@@ -353,14 +349,22 @@ def _member_z4z2(v: int) -> bool:
     return v % 8 == 1 or v % 256 == 0
 
 
+# Miller-Rabin to the first 13 prime bases decides primality exactly below
+# this bound (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def _is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    """Deterministic Miller-Rabin, exact for p below _MR_EXACT_BELOW."""
+    if p < 42 or p % 2 == 0:
+        return p in _MR_BASES[1:]
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    for a in _MR_BASES:
+        # p is a strong probable prime to base a: x = 1, or x^(2^i) = -1 for an i < s
+        x = pow(a, (p - 1) >> s, p)
+        if x != 1 and all(pow(x, 1 << i, p) != p - 1 for i in range(s)):
             return False
-        d += 2
     return True
 
 
@@ -380,6 +384,8 @@ def membership_spec(name: str) -> MembershipSpec:
     m = re.fullmatch(r"S2p\((\d+)\)", name)
     if m:
         p = int(m.group(1))
+        if p >= _MR_EXACT_BELOW:
+            raise ValueError(f"S2p decides primality exactly only below {_MR_EXACT_BELOW}, got {p}")
         if not _is_odd_prime(p):
             raise ValueError(f"S2p needs an odd prime, got {p}")
 

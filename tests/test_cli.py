@@ -442,3 +442,28 @@ def test_check_echoes_value_cap(capsys, tmp_path):
     run_cli(capsys, "search", "--group", "2x2", "--box", "1", "--out", str(uncapped))
     code, payload = run_cli(capsys, "check", "--report", str(uncapped), "--spec", "Z2Z2")
     assert payload["value_cap"] is None
+
+
+def test_deeply_nested_report_exits_2_as_json(capsys, tmp_path):
+    # the JSON decoder recurses once per nested array
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200_000)
+    code, payload = run_cli(capsys, "check", "--report", str(path), "--exponent", "1")
+    assert code == 2
+    assert payload["status"] == "error" and "recursion" in payload["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", "--prune", "--out", "unused.json"),
+    ("witness", "--target", "1"),
+    ("verify", "--suite", "theorem2", "--l", "1"),
+])
+def test_a_very_long_factor_list_exits_2_as_json(capsys, tmp_path, argv):
+    # the automorphism search recurses once per factor
+    spec = "x".join(["1"] * 1500)
+    flag = "--H" if argv[0] == "verify" else "--group"
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    code, payload = run_cli(capsys, *argv, flag, spec, "--box", "1")
+    assert code == 2
+    assert payload["status"] == "error" and "recursion" in payload["message"]
+    assert not (tmp_path / "unused.json").exists()

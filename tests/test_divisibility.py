@@ -20,9 +20,9 @@ from groupdet import (
     run_divisibility_suite,
     two_adic_valuation,
 )
-from groupdet.boxes import dealt_shards, holomorph_maps, iter_box, orderly_scan
+from groupdet.boxes import holomorph_maps, iter_box, orderly_scan
 from groupdet.determinant import _index_table, bareiss_det
-from groupdet.divisibility import KEPT_FAILURES, _suite_shard, sign_twists
+from groupdet.divisibility import KEPT_FAILURES, sign_twists
 from groupdet.factorization import _sign_keys
 from groupdet.norms import orbit_plan
 
@@ -344,8 +344,7 @@ def test_orbit_sizes_sum_to_the_box(h_orders, l, box):
     kernel = plan.suite(_sign_keys(orders, l), 0)
     total = (2 * box + 1) ** dim
     weight = 0
-    for prefix, suffixes, _, sizes in orderly_scan(plan, box, maps, range(total), kernel,
-                                                   weighted=True):
+    for prefix, suffixes, _, sizes in orderly_scan(plan, box, maps, range(total), kernel):
         for t, size in zip(suffixes, sizes):
             x = prefix + t
             orbit = {tuple(x[i] for i in phi) for phi in maps} | {x}
@@ -385,24 +384,35 @@ def test_suite_reports_equal_at_jobs_1_2_3(three_cpus, h_orders, l, box, exponen
     assert reports[0] == reports[1] == reports[2]
 
 
-def test_suite_expands_at_most_the_kept_failures_per_shard(monkeypatch):
+def test_failure_walk_rechecks_at_most_the_kept_failures(monkeypatch):
     # 4x2 at box 2 and exponent 40: nearly every even point fails the bound,
-    # yet a shard expands an orbit only while it can reach the first
-    # KEPT_FAILURES records
-    real = groupdet.divisibility._expand
+    # yet the walk for the listed failures stops at the KEPT_FAILURES-th
+    # record, each failing point evaluated again by Bareiss once
+    real = groupdet.divisibility._recheck
     calls = []
-    monkeypatch.setattr(groupdet.divisibility, "_expand",
-                        lambda *args: calls.append(args) or real(*args))
-    maps = holomorph_maps((4, 2), None, 1)
-    total = 5**8
+    monkeypatch.setattr(groupdet.divisibility, "_recheck",
+                        lambda *args: calls.append(args[2]) or real(*args))
     full = run_divisibility_suite(make_group(4), 1, 2, exponent=40, jobs=1)
     assert len(full["failures"]) == KEPT_FAILURES and full["failure_count"] > 70_000
-    for jobs in (1, 2, 3):
-        failures = []
-        for shard in dealt_shards(total, jobs):
-            calls.clear()
-            part = _suite_shard((4,), 1, 2, 40 << 1, maps, *shard)
-            assert 0 < len(calls) <= KEPT_FAILURES
-            failures += part["failures"]
-        failures.sort(key=lambda f: (f["witness"], f["kind"] == "bound"))
-        assert failures[:KEPT_FAILURES] == full["failures"]
+    # one re-check per shard for its least-valuation point, then the walk's
+    walked = calls[1:]
+    assert 0 < len(walked) <= KEPT_FAILURES
+    assert [list(p) for p in walked] == [f["witness"] for f in full["failures"]][:len(walked)]
+    expected = []
+    for vals in iter_box(8, 2):
+        check = check_even_bound(make_group(4), 1, vals, exponent=40)
+        if check.status == "fail":
+            expected.append({"kind": "bound", "det": str(check.det), "witness": list(vals)})
+            if len(expected) == KEPT_FAILURES:
+                break
+    assert full["failures"] == expected
+
+
+def test_a_count_the_walk_does_not_find_raises(monkeypatch):
+    # the orbit walk counts a failure in a box where the bound holds at every
+    # point: the walk of every point finds none, and the suite refuses
+    real = groupdet.divisibility._suite_shard
+    monkeypatch.setattr(groupdet.divisibility, "_suite_shard",
+                        lambda *args: {**real(*args), "failure_count": 1})
+    with pytest.raises(ArithmeticError, match="finds none"):
+        run_divisibility_suite(make_group(2), 1, 1, jobs=1)

@@ -17,7 +17,7 @@ from groupdet.boxes import DEFAULT_BUDGET, holomorph_maps, iter_box, orderly_sca
 from groupdet.characters import exponent_table
 from groupdet.cyclotomic import CyclotomicInt, euler_phi
 from groupdet.determinant import _index_table, bareiss_det
-from groupdet.divisibility import KEPT_FAILURES, _suite_shard, sign_twists, two_adic_valuation
+from groupdet.divisibility import _suite_shard, sign_twists, two_adic_valuation
 from groupdet.factorization import _sign_keys, character_sums
 from groupdet.norms import _build_plan, _product_source, orbit_plan
 from groupdet.search import _search_shard
@@ -90,7 +90,9 @@ def points(blocks):
 
 def test_dim_one_group_at_box_zero():
     plan = orbit_plan((1,), 0)
-    assert points(orderly_scan(plan, 0, (), range(1), plan.block((0,)))) == [((0,), (0,))]
+    assert list(orderly_scan(plan, 0, (), range(1), plan.suite((0,), 1))) == [
+        ((0,), [()], (1, 0, -1, []), [1])
+    ]
     assert points(orderly_scan(scan_plan((1,), 0), 0, (), range(1))) == [((0,), 0)]
     rep = search_values(make_group((1,)), 0)
     assert rep.achieved == {0: (0,)} and rep.evaluated == 1
@@ -172,9 +174,6 @@ def test_suite_shards_at_any_cut_sum_to_one_scan(data):
     assert sum(p["checked"] for p in parts) == whole["checked"] == total
     assert sum(p["even_count"] for p in parts) == whole["even_count"]
     assert sum(p["failure_count"] for p in parts) == whole["failure_count"]
-    merged = sorted((f for p in parts for f in p["failures"]),
-                    key=lambda f: (f["witness"], f["kind"] == "bound"))
-    assert merged[:KEPT_FAILURES] == whole["failures"]
     evens = [p["min_even_valuation"] for p in parts if p["min_even_valuation"] is not None]
     assert (min(evens) if evens else None) == whole["min_even_valuation"]
 
@@ -379,19 +378,20 @@ def wrong_keys(keys, l):
     return ((keys[0] + 1) % (1 << l),) + keys[1:]
 
 
-def rule_aggregates(group, keys, exp, points):
+def rule_aggregates(group, keys, exp, points, sizes):
     """(even, least, at, flagged) of a block of points by the literal rules:
-    each point's slot products, which flagged points carry, are its
-    norm_factors multiplied by keys, a congruence failure is gcd(*factors) % 2
-    and a bound failure two_adic_valuation(det) < exp."""
+    each even point counts with its weight in sizes, each point's slot
+    products, which flagged points carry, are its norm_factors multiplied by
+    keys, a congruence failure is gcd(*factors) % 2 and a bound failure
+    two_adic_valuation(det) < exp."""
     even, lows, flagged = 0, [], []
-    for j, x in enumerate(points):
+    for j, (x, w) in enumerate(zip(points, sizes)):
         norms = norm_factors(group, x)
         factors = [prod(n for n, k in zip(norms, keys) if k == s) for s in range(max(keys) + 1)]
         det = prod(factors)
         if det % 2:
             continue
-        even += 1
+        even += w
         if det:
             lows.append((two_adic_valuation(det), j))
         if gcd(*factors) % 2 or (det and two_adic_valuation(det) < exp):
@@ -422,8 +422,10 @@ def test_suite_kernel_matches_the_per_point_rules(data):
     suffixes = block[lo:data.draw(st.integers(lo, len(block)))]
     head = plan.coefficients(prefix + (0,) * (dim - cut))
     tails = [plan.coefficients((0,) * cut + t) for t in suffixes]
-    result = plan.suite(keys, exp)(head, tails)
-    assert result == rule_aggregates(make_group(orders), keys, exp, [prefix + t for t in suffixes])
+    sizes = data.draw(st.lists(st.integers(1, 8), min_size=len(tails), max_size=len(tails)))
+    result = plan.suite(keys, exp)(head, tails, sizes)
+    points = [prefix + t for t in suffixes]
+    assert result == rule_aggregates(make_group(orders), keys, exp, points, sizes)
 
 
 def test_suite_kernel_on_a_whole_box_reaches_every_rule():
@@ -447,5 +449,7 @@ def test_suite_kernel_on_a_whole_box_reaches_every_rule():
     for keys in [true, wrong]:
         for exp in [0, 4, 5, 9, 30]:
             kernel = plan.suite(keys, exp)
-            for prefix, suffixes, result in orderly_scan(plan, 2, (), range(625), kernel):
-                assert result == rule_aggregates(group, keys, exp, [prefix + t for t in suffixes])
+            for prefix, suffixes, result, sizes in orderly_scan(plan, 2, (), range(625), kernel):
+                assert sizes == [1] * len(suffixes)
+                points = [prefix + t for t in suffixes]
+                assert result == rule_aggregates(group, keys, exp, points, sizes)

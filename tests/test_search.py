@@ -2,6 +2,8 @@ import json
 import os
 import re
 import tempfile
+import time
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from groupdet import (
     membership_spec,
     search_values,
 )
+from groupdet.search import _is_odd_prime
 from oracles import box_value_set, first_witness
 
 
@@ -174,6 +177,27 @@ def test_membership_spec_validation():
         membership_spec("S2p(4)")
     with pytest.raises(ValueError):
         membership_spec("S2p(9)")
+    # Miller-Rabin decides a 19-digit prime at once; trial division took over a minute
+    start = time.perf_counter()
+    assert membership_spec("S2p(1000000000000000003)").predicate(4)
+    assert time.perf_counter() - start < 1
+    # strong pseudoprimes to the first bases, and a product of two large primes
+    for n in [2047, 1373653, 3215031751, 3825123056546413051, 318665857834031151167461,
+              (2**31 - 1) * 1000000007]:
+        with pytest.raises(ValueError, match="odd prime"):
+            membership_spec(f"S2p({n})")
+    # beyond the bound where the fixed bases decide primality, refused
+    with pytest.raises(ValueError, match="exactly only below"):
+        membership_spec("S2p(123456789012345678901234567891)")
+
+
+def test_is_odd_prime_matches_trial_division():
+    def trial(p):
+        return p > 2 and p % 2 == 1 and all(p % d for d in range(3, isqrt(p) + 1, 2))
+
+    assert [p for p in range(-3, 20_000) if _is_odd_prime(p)] == [
+        p for p in range(-3, 20_000) if trial(p)
+    ]
     with pytest.raises(ValueError):
         membership_spec("nonsense")
 
