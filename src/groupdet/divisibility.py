@@ -163,14 +163,15 @@ def _failures(vals, factors, exp: int) -> list[dict]:
 def _suite_shard(h_orders, l, box, exp, maps, start, stop, step=1) -> dict:
     """The theorem2 counts over the orbits under maps whose representatives,
     the points orderly_scan keeps, lie in the surviving prefixes range(start,
-    stop, step): each representative counts with its orbit size, and a
-    failing one adds its failure records, each times its orbit size. The
-    point of smallest valuation is evaluated again by Bareiss elimination."""
+    stop, step): each counts with its orbit size, a failing one with its
+    failure records, and as each is the least point of its orbit, the first
+    failing one is the first failing point of these orbits. The point of
+    smallest valuation is evaluated again by Bareiss elimination."""
     orders = h_orders + (2,) * l
     plan = orbit_plan(orders, box)
     keys = _sign_keys(orders, l)
     checked = even_count = least = failure_count = 0
-    least_point = None
+    least_point = first = None
     blocks = orderly_scan(plan, box, maps, range(start, stop, step), plan.suite(keys, exp))
     for prefix, suffixes, (even, low, at, flagged), sizes in blocks:
         checked += sum(sizes)
@@ -179,7 +180,10 @@ def _suite_shard(h_orders, l, box, exp, maps, start, stop, step=1) -> dict:
             least, least_point = low, prefix + suffixes[at]
         # the rare flagged representatives, with their sign factors
         for j, factors in flagged:
-            failure_count += len(_failures(prefix + suffixes[j], factors, exp)) * sizes[j]
+            found = len(_failures(prefix + suffixes[j], factors, exp))
+            failure_count += found * sizes[j]
+            if found and first is None:
+                first = prefix + suffixes[j]
     if least_point is not None:
         _recheck(h_orders, l, least_point, grouped_norms(AbelianGroup(orders), least_point, keys))
     return {
@@ -187,26 +191,32 @@ def _suite_shard(h_orders, l, box, exp, maps, start, stop, step=1) -> dict:
         "even_count": even_count,
         "min_even_valuation": None if least_point is None else least.bit_length() - 1,
         "failure_count": failure_count,
+        "first_failure": first,
     }
 
 
-def _first_failures(h_orders, l, box, exp) -> list[dict]:
-    """The first KEPT_FAILURES failure records in box order, from an unpruned
-    walk of the box that stops at the last of them; each failing point is
-    evaluated again by Bareiss elimination before its records are kept."""
-    orders = h_orders + (2,) * l
-    plan = orbit_plan(orders, box)
-    kernel = plan.suite(_sign_keys(orders, l), exp)
-    failures = []
-    blocks = orderly_scan(plan, box, (), range(box_size(prod(orders), box)), kernel)
+def _first_failures(h_orders, l, box, exp, start, count) -> list[dict]:
+    """The first min(count, KEPT_FAILURES) failure records in box order, each
+    failing point evaluated again by Bareiss elimination, from a walk of every
+    point from the prefix of start, which no failure precedes, to the last of
+    them; ArithmeticError when the walk finds fewer."""
+    plan = orbit_plan(h_orders + (2,) * l, box)
+    kernel = plan.suite(_sign_keys(h_orders + (2,) * l, l), exp)
+    cut = len(start) - len(start) // 2  # orderly_scan's prefix, read in base 2 box + 1
+    first = sum((v + box) * (2 * box + 1) ** (cut - 1 - i) for i, v in enumerate(start[:cut]))
+    want, failures = min(count, KEPT_FAILURES), []
+    blocks = orderly_scan(plan, box, (), range(first, box_size(len(start), box)), kernel)
     for prefix, suffixes, (_, _, _, flagged), _ in blocks:
         for j, factors in flagged:
             point = prefix + suffixes[j]
             _recheck(h_orders, l, point, factors)
             failures += _failures(point, factors, exp)
-            if len(failures) >= KEPT_FAILURES:
-                return failures[:KEPT_FAILURES]
-    return failures
+            if len(failures) >= want:
+                return failures[:want]
+    raise ArithmeticError(
+        f"the orbit walk counts {count} failures but the walk of the box from {list(start)} "
+        f"finds {len(failures)}"
+    )
 
 
 def sign_twists(l: int, vals) -> list[list[int]]:
@@ -244,11 +254,12 @@ def run_divisibility_suite(
     The box is walked by orderly_scan under the split maps (holomorph_maps
     with split=l; none at box 0), one point per orbit, counted with its orbit
     size. Every failure is counted in failure_count; when there is one, a walk
-    of every point of the box in box order, stopping at the KEPT_FAILURES-th
-    record, lists the first ones in failures. The sign factors come from orbit
-    norms; each shard's smallest-valuation witness and each listed failure are
-    evaluated again by Bareiss elimination, and a disagreement, or a count
-    that the walk does not find, raises ArithmeticError.
+    of every point of the box in box order, from the first failing
+    representative to the last record it needs, lists the first
+    min(failure_count, KEPT_FAILURES) in failures. The sign factors come from
+    orbit norms; each shard's smallest-valuation witness and each listed
+    failure are evaluated again by Bareiss elimination, and a disagreement,
+    or a walk that finds fewer records, raises ArithmeticError.
     """
     if not force and l > budget.bit_length():
         # |G|^2 >= 4^l > budget: refuse before 2^l, (2,) * l or the box is built
@@ -264,12 +275,10 @@ def run_divisibility_suite(
     parts = map_shards(_suite_shard, (H.orders, l, box, exp, maps), plan, box, maps, jobs)
     evens = [p["min_even_valuation"] for p in parts if p["min_even_valuation"] is not None]
     failure_count = sum(p["failure_count"] for p in parts)
-    failures = _first_failures(H.orders, l, box, exp) if failure_count else []
-    if failure_count and not failures:
-        raise ArithmeticError(
-            f"the orbit walk counts {failure_count} failures but the walk of every point of "
-            f"the box finds none"
-        )
+    # the first failing representative of all shards; if a count has none, the walk
+    # from the first point of the box finds fewer records and raises
+    start = min((p["first_failure"] for p in parts if p["first_failure"]), default=(-box,) * G.order)
+    failures = _first_failures(H.orders, l, box, exp, start, failure_count) if failure_count else []
     return {
         "suite": "theorem2",
         "group": str(G),

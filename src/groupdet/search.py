@@ -146,14 +146,7 @@ class SearchReport:
                            ("value_cap", cap is not None and cap < 0)):
             if bad:
                 raise ValueError(f"malformed report: bad {where}")
-        return SearchReport(
-            orders=group.orders,
-            box=box,
-            evaluated=evaluated,
-            achieved=achieved,
-            pruned=pruned,
-            value_cap=cap,
-        )
+        return SearchReport(group.orders, box, evaluated, achieved, pruned=pruned, value_cap=cap)
 
     @staticmethod
     def load(path) -> "SearchReport":

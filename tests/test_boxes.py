@@ -221,7 +221,8 @@ def test_default_jobs_follow_the_work(two_cpus, monkeypatch):
     search_values(make_group(6), 5)
     assert seen == [(0, 5**4, 1)] * 2 + [(0, 11**3, 1)]
     seen.clear()
-    part = {"checked": 0, "even_count": 0, "min_even_valuation": None, "failure_count": 0}
+    part = {"checked": 0, "even_count": 0, "min_even_valuation": None, "failure_count": 0,
+            "first_failure": None}
     monkeypatch.setattr(groupdet.divisibility, "_suite_shard",
                         lambda *a: seen.append(a[5:]) or part)
     run_divisibility_suite(make_group(4), 1, 2)

@@ -409,10 +409,17 @@ def test_failure_walk_rechecks_at_most_the_kept_failures(monkeypatch):
 
 
 def test_a_count_the_walk_does_not_find_raises(monkeypatch):
-    # the orbit walk counts a failure in a box where the bound holds at every
-    # point: the walk of every point finds none, and the suite refuses
     real = groupdet.divisibility._suite_shard
-    monkeypatch.setattr(groupdet.divisibility, "_suite_shard",
-                        lambda *args: {**real(*args), "failure_count": 1})
-    with pytest.raises(ArithmeticError, match="finds none"):
+    # Z/2 at box 2 and exponent 3 fails at 4 points, fewer than KEPT_FAILURES,
+    # so the walk lists every one of them
+    failing = run_divisibility_suite(make_group(1), 1, 2, exponent=3, jobs=1)
+    assert failing["failure_count"] == len(failing["failures"]) == 4 < KEPT_FAILURES
+    monkeypatch.setattr(groupdet.divisibility, "_suite_shard", lambda *args: {
+        **real(*args), "failure_count": real(*args)["failure_count"] + 1})
+    # one failure more than there are: the walk finds 4 of the 5
+    with pytest.raises(ArithmeticError, match="counts 5 failures .* finds 4"):
+        run_divisibility_suite(make_group(1), 1, 2, exponent=3, jobs=1)
+    # a failure counted where the bound holds at every point: the walk from
+    # the first point of the box finds none
+    with pytest.raises(ArithmeticError, match=r"from \[-1, -1, -1, -1\] finds 0"):
         run_divisibility_suite(make_group(2), 1, 1, jobs=1)
