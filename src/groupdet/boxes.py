@@ -188,7 +188,7 @@ def split_plan(orders: tuple[int, ...], bound: int) -> OrbitPlan:
     ints."""
     h_orders, lookups = split_lookups(orders, bound)
     h_plan = orbit_plan(h_orders, 2 * bound)
-    dim = len(h_plan.columns)
+    dim = h_plan.dim
     prefixes = range(box_size(dim - dim // 2, 2 * bound))
     table = []
     for _, _, dets in orderly_scan(h_plan, 2 * bound, (), prefixes):
@@ -199,7 +199,7 @@ def split_plan(orders: tuple[int, ...], bound: int) -> OrbitPlan:
 def orderly_scan(plan: OrbitPlan, box: int, maps, shard: range, kernel=None):
     """(prefix, suffixes, result) in box order once per surviving prefix whose
     ordinal lies in shard: the points prefix + t are those of the box
-    [-box, box]^dim, dim = len(plan.columns), that no index permutation phi
+    [-box, box]^dim, dim = plan.dim, that no index permutation phi
     in maps sends to a lexicographically smaller point x o phi (maps () keeps
     every point), and result is what plan.block() returns for them in one
     call; plan must be exact on the box. The prefix is the first dim - dim
@@ -227,7 +227,7 @@ def orderly_scan(plan: OrbitPlan, box: int, maps, shard: range, kernel=None):
     """
     weighted = kernel is not None
     kernel = kernel or plan.block()
-    dim = len(plan.columns)
+    dim = plan.dim
     cut = dim - dim // 2
     suffixes = list(iter_box(dim - cut, box))
     tails = [plan.coefficients((0,) * cut + t) for t in suffixes]
@@ -336,7 +336,7 @@ def pool_pays(plan: OrbitPlan, box: int, maps) -> bool:
     kind = 2 if plan.table is not None else int(plan.width > 0)
     point_s = POINT_S[kind] + len(maps) * WALK_S
     # points against a float bound, so a huge box is never made a float
-    return kept_points(len(plan.columns), box, maps) > POOL_BREAK_EVEN_S / point_s
+    return kept_points(plan.dim, box, maps) > POOL_BREAK_EVEN_S / point_s
 
 
 def map_shards(worker, args: tuple, plan: OrbitPlan, box: int, maps, jobs: int | None) -> list:
@@ -346,7 +346,7 @@ def map_shards(worker, args: tuple, plan: OrbitPlan, box: int, maps, jobs: int |
 
     jobs None uses every CPU when pool_pays and runs in this process
     otherwise; jobs is clamped to the CPU count and to the (2 box + 1)^(dim
-    - dim // 2) prefixes, dim = len(plan.columns), and a value below 1
+    - dim // 2) prefixes, dim = plan.dim, and a value below 1
     raises ValueError.
     A single shard runs in this process, more run in a process pool.
     """
@@ -355,7 +355,7 @@ def map_shards(worker, args: tuple, plan: OrbitPlan, box: int, maps, jobs: int |
         jobs = cpus if pool_pays(plan, box, maps) else 1
     elif jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    dim = len(plan.columns)
+    dim = plan.dim
     prefixes = box_size(dim - dim // 2, box)
     shard_args = [(*args, *shard) for shard in dealt_shards(prefixes, min(jobs, cpus, prefixes))]
     if len(shard_args) == 1:

@@ -26,7 +26,7 @@ from .characters import exponent_table
 from .determinant import _index_table, bareiss_det
 from .factorization import _sign_keys, integer_split_factors
 from .groups import AbelianGroup, direct_product
-from .norms import grouped_norms, orbit_plan
+from .norms import orbit_plan
 
 PASS = "pass"
 FAIL = "fail"
@@ -161,36 +161,33 @@ def _failures(vals, factors, exp: int) -> list[dict]:
 
 
 def _suite_shard(h_orders, l, box, exp, maps, start, stop, step=1) -> dict:
-    """The theorem2 counts over the orbits under maps whose representatives,
-    the points orderly_scan keeps, lie in the surviving prefixes range(start,
-    stop, step): each counts with its orbit size, a failing one with its
-    failure records, and as each is the least point of its orbit, the first
-    failing one is the first failing point of these orbits. The point of
-    smallest valuation is evaluated again by Bareiss elimination."""
+    """The theorem2 counts of the suite kernel over the orbits under maps
+    whose representatives, the points orderly_scan keeps, lie in the
+    surviving prefixes range(start, stop, step), each counted with its orbit
+    size: checked sums the sizes, least is the point of smallest nonzero even
+    valuation with its sign factors (None when there is none), and
+    first_failure the first flagged point. As each representative is the
+    least point of its orbit, that is the first failing point of these
+    orbits. Nothing is evaluated again here."""
     orders = h_orders + (2,) * l
     plan = orbit_plan(orders, box)
     keys = _sign_keys(orders, l)
     checked = even_count = least = failure_count = 0
     least_point = first = None
     blocks = orderly_scan(plan, box, maps, range(start, stop, step), plan.suite(keys, exp))
-    for prefix, suffixes, (even, low, at, flagged), sizes in blocks:
+    for prefix, suffixes, (even, fails, low, at, flagged), sizes in blocks:
         checked += sum(sizes)
         even_count += even
+        failure_count += fails
         if low and (low < least or not least):
-            least, least_point = low, prefix + suffixes[at]
-        # the rare flagged representatives, with their sign factors
-        for j, factors in flagged:
-            found = len(_failures(prefix + suffixes[j], factors, exp))
-            failure_count += found * sizes[j]
-            if found and first is None:
-                first = prefix + suffixes[j]
-    if least_point is not None:
-        _recheck(h_orders, l, least_point, grouped_norms(AbelianGroup(orders), least_point, keys))
+            least, least_point = low, (prefix + suffixes[at[0]], at[1])
+        if flagged and first is None:
+            first = prefix + suffixes[flagged[0][0]]
     return {
         "checked": checked,
         "even_count": even_count,
-        "min_even_valuation": None if least_point is None else least.bit_length() - 1,
         "failure_count": failure_count,
+        "least": least_point,
         "first_failure": first,
     }
 
@@ -206,7 +203,7 @@ def _first_failures(h_orders, l, box, exp, start, count) -> list[dict]:
     first = sum((v + box) * (2 * box + 1) ** (cut - 1 - i) for i, v in enumerate(start[:cut]))
     want, failures = min(count, KEPT_FAILURES), []
     blocks = orderly_scan(plan, box, (), range(first, box_size(len(start), box)), kernel)
-    for prefix, suffixes, (_, _, _, flagged), _ in blocks:
+    for prefix, suffixes, (*_, flagged), _ in blocks:
         for j, factors in flagged:
             point = prefix + suffixes[j]
             _recheck(h_orders, l, point, factors)
@@ -253,13 +250,15 @@ def run_divisibility_suite(
 
     The box is walked by orderly_scan under the split maps (holomorph_maps
     with split=l; none at box 0), one point per orbit, counted with its orbit
-    size. Every failure is counted in failure_count; when there is one, a walk
-    of every point of the box in box order, from the first failing
-    representative to the last record it needs, lists the first
-    min(failure_count, KEPT_FAILURES) in failures. The sign factors come from
-    orbit norms; each shard's smallest-valuation witness and each listed
-    failure are evaluated again by Bareiss elimination, and a disagreement,
-    or a walk that finds fewer records, raises ArithmeticError.
+    size; the sizes must sum to the box. Every failure is counted in
+    failure_count; when there is one, a walk of every point of the box in box
+    order, from the first failing representative to the last record it
+    needs, lists the first min(failure_count, KEPT_FAILURES) in failures. The
+    sign factors come from orbit norms. In this process, the shards' point of
+    smallest valuation is evaluated again by Bareiss elimination, and
+    min_even_valuation is the valuation of its re-checked factors; so is each
+    listed failure. A disagreement, orbit sizes that miss the box, or a walk
+    that finds fewer records raise ArithmeticError.
     """
     if not force and l > budget.bit_length():
         # |G|^2 >= 4^l > budget: refuse before 2^l, (2,) * l or the box is built
@@ -273,7 +272,15 @@ def run_divisibility_suite(
     maps = pruning_maps(G.orders, box, budget, force, split=l)
     plan = orbit_plan(G.orders, box)
     parts = map_shards(_suite_shard, (H.orders, l, box, exp, maps), plan, box, maps, jobs)
-    evens = [p["min_even_valuation"] for p in parts if p["min_even_valuation"] is not None]
+    checked = sum(p["checked"] for p in parts)
+    if checked != box_size(G.order, box):
+        raise ArithmeticError(
+            f"the orbit sizes sum to {checked}, not to the {box_size(G.order, box)} points of the box"
+        )
+    least = min((p["least"] for p in parts if p["least"]), default=None,
+                key=lambda point: two_adic_valuation(prod(point[1])))
+    if least is not None:
+        _recheck(H.orders, l, *least)
     failure_count = sum(p["failure_count"] for p in parts)
     # the first failing representative of all shards; if a count has none, the walk
     # from the first point of the box finds fewer records and raises
@@ -285,9 +292,9 @@ def run_divisibility_suite(
         "H": str(H),
         "l": l,
         "box": box,
-        "assignments_checked": sum(p["checked"] for p in parts),
+        "assignments_checked": checked,
         "even_count": sum(p["even_count"] for p in parts),
-        "min_even_valuation": min(evens) if evens else None,
+        "min_even_valuation": None if least is None else two_adic_valuation(prod(least[1])),
         "bound_exponent": exp,
         "failure_count": failure_count,
         "failures": failures,

@@ -65,26 +65,26 @@ class OrbitPlan:
     at the width w of its phi(d) >= 4 orbits (0 when it has none); or, with
     a table, the Lookup factors of a split plan.
 
-    columns[g] lists coordinate g's entries in every orbit's rows, one orbit
-    after the other, so an assignment's coefficient vector is the sum of
-    x_g * columns[g] and the orbit forms are consecutive slices of it.
+    dim is the order of the group, the length of an assignment. Its
+    coefficient vector has one entry per row of every orbit, one orbit after
+    the other, so the orbit forms are consecutive slices of it.
     """
 
     def __init__(self, orbits, order: int, width: int, table=None) -> None:
         self.orbits = tuple(orbits)
+        self.dim = order
         self.width = width
         self.table = table
         self._rows = tuple(row for orbit in self.orbits for row in orbit.rows)
-        self.columns = tuple(tuple(row[g] for row in self._rows) for g in range(order))
         self._blocks: dict = {}
 
     def block(self, keys=None):
         """The kernel block(head, tails) of one grouping of the orbits, compiled
         once per plan: for every tail, the products of the orbit norms of the
-        coefficient vector head + tail (both laid out like columns) grouped by
-        keys, a tuple giving each orbit its output slot. Each tail gives a tuple
-        of max(keys) + 1 slot products, or with keys None one integer, the
-        product of all norms: the determinant.
+        coefficient vector head + tail (both as coefficients returns them)
+        grouped by keys, a tuple giving each orbit its output slot. Each tail
+        gives a tuple of max(keys) + 1 slot products, or with keys None one
+        integer, the product of all norms: the determinant.
         """
         return self._kernel(keys, None)
 
@@ -92,13 +92,14 @@ class OrbitPlan:
         """The theorem2 kernel suite(head, tails, sizes) of the grouping keys
         and the bound exponent exp, compiled once per plan from the same
         per-point code as block(keys): with f0, f1, ... the slot products of a
-        tail and d their product, it returns the aggregates (even, least, at,
-        flagged) of the whole block. even counts the even d, each with its
-        weight in sizes; least is the smallest d & -d over the nonzero even d
-        (0 when there is none) and at the index of its first tail (-1 when
-        there is none); flagged lists, in order, (index, slot products) of the
-        even d where some slot product is odd or where d != 0 and the 2-adic
-        valuation of d is below exp.
+        tail and d their product, it returns the aggregates (even, fails,
+        least, at, flagged) of the whole block. even counts the even d, each
+        with its weight in sizes; least is the smallest d & -d over the nonzero
+        even d (0 when there is none) and at (index, slot products) of its
+        first tail (None when there is none); flagged lists, in order, (index,
+        slot products) of the even d where some slot product is odd or where
+        d != 0 and the 2-adic valuation of d is below exp, and fails counts
+        their failure records, one for each of the two, each with its weight.
         """
         if type(exp) is not int or exp < 0:
             raise ValueError(f"the bound exponent must be an integer >= 0, got {exp!r}")
@@ -169,7 +170,7 @@ class OrbitPlan:
         else:
             fs = [f"f{k}" for k in range(n_slots)]
             params = "head, tails, sizes"
-            setup = [*shifts, "even = least = 0", "at = -1", "flagged = []",
+            setup = [*shifts, "even = fails = least = 0", "at = None", "flagged = []",
                      "flag = flagged.append"]
             loop = f"for j, (({ts},), w) in enumerate(zip(tails, sizes)):"
             lines += [f"{f} = {product}" for f, product in zip(fs, products)]
@@ -182,11 +183,12 @@ class OrbitPlan:
                 # an odd slot product, or d != 0 with 2^exp not dividing it
                 f"if ({' | '.join(fs)}) & 1 or low and not low >> {exp:d}:",
                 f"    flag((j, ({', '.join(fs)},)))",
+                f"    fails += w * ((({' | '.join(fs)}) & 1) + (low and not low >> {exp:d}))",
                 "if low and (low < least or not least):",
                 "    least = low",
-                "    at = j",
+                f"    at = (j, ({', '.join(fs)},))",
             ]
-            result = "even, least, at, flagged"
+            result = "even, fails, least, at, flagged"
         return "".join([
             f"def block({params}):\n",
             f"    {hs}, = head\n",
@@ -197,8 +199,8 @@ class OrbitPlan:
         ])
 
     def coefficients(self, values) -> list[int]:
-        """The coefficient vector of an assignment: sum of x_g * columns[g],
-        one dot product per row of the orbit forms."""
+        """The coefficient vector of an assignment: one dot product per row of
+        the orbit forms."""
         return [sum(map(mul, values, row)) for row in self._rows]
 
 
@@ -256,7 +258,11 @@ def _build_plan(orders: tuple[int, ...], width: int) -> OrbitPlan:
             orbits.append(Orbit(c, d, rows, 0))
         else:
             q = sum(t * width**j for j, t in enumerate(cyclotomic_polynomial(d)))
-            rows = tuple(tuple(pow(width, u * k, q) for k in ks) for u in units)
+            # q = Phi_d(w) divides w^d - 1, so w^e mod q depends on e mod d only
+            powers = [1]
+            for _ in range(d - 1):
+                powers.append(powers[-1] * width % q)
+            rows = tuple(tuple(powers[u * k % d] for k in ks) for u in units)
             orbits.append(Orbit(c, d, rows, q))
     return OrbitPlan(orbits, group.order, width)
 

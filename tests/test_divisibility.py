@@ -1,3 +1,4 @@
+import json
 import multiprocessing
 import random
 from functools import lru_cache
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groupdet.boxes
+import groupdet.cli
 import groupdet.divisibility
 from groupdet import (
     BudgetExceededError,
@@ -423,3 +425,47 @@ def test_a_count_the_walk_does_not_find_raises(monkeypatch):
     # the first point of the box finds none
     with pytest.raises(ArithmeticError, match=r"from \[-1, -1, -1, -1\] finds 0"):
         run_divisibility_suite(make_group(2), 1, 1, jobs=1)
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_suite_rechecks_only_in_the_parent(three_cpus, monkeypatch, jobs):
+    # the shards only count: a passing suite makes the 2^l Bareiss
+    # eliminations of its least-valuation point, a failing one 2^l more per
+    # listed failing point
+    real = groupdet.divisibility.bareiss_det
+    calls = []
+    monkeypatch.setattr(groupdet.divisibility, "bareiss_det", lambda m: calls.append(m) or real(m))
+    h, l = make_group(2), 2
+    passing = run_divisibility_suite(h, l, 1, jobs=jobs)
+    assert passing["status"] == "pass" and passing["min_even_valuation"] is not None
+    assert len(calls) == 1 << l
+    calls.clear()
+    failing = run_divisibility_suite(h, l, 1, exponent=9, jobs=jobs)
+    listed = {tuple(f["witness"]) for f in failing["failures"]}
+    assert failing["status"] == "fail" and len(listed) == KEPT_FAILURES
+    assert len(calls) == (1 + len(listed)) << l
+
+
+def test_a_least_point_that_bareiss_does_not_confirm_raises(monkeypatch):
+    real = groupdet.divisibility._suite_shard
+
+    def shard(*args):
+        part = real(*args)
+        point, factors = part["least"]
+        return {**part, "least": (point, (factors[0] + 2, *factors[1:]))}
+
+    monkeypatch.setattr(groupdet.divisibility, "_suite_shard", shard)
+    with pytest.raises(ArithmeticError, match="Bareiss elimination gives"):
+        run_divisibility_suite(make_group(2), 1, 1, jobs=1)
+
+
+def test_orbit_sizes_that_miss_the_box_raise(capsys, monkeypatch):
+    real = groupdet.divisibility._suite_shard
+    monkeypatch.setattr(groupdet.divisibility, "_suite_shard",
+                        lambda *args: {**real(*args), "checked": real(*args)["checked"] - 1})
+    with pytest.raises(ArithmeticError, match="sum to 80, not to the 81 points"):
+        run_divisibility_suite(make_group(2), 1, 1, jobs=1)
+    # the CLI reports it as JSON with exit 2
+    code = groupdet.cli.main(["verify", "--suite", "theorem2", "--H", "2", "--l", "1", "--box", "1"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2 and payload["status"] == "error" and "not to the 81" in payload["message"]

@@ -1,6 +1,7 @@
 """Rational norm factors and the box engine, against Bareiss and the cofactor oracle."""
 
-from math import gcd, prod
+import time
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -91,7 +92,7 @@ def points(blocks):
 def test_dim_one_group_at_box_zero():
     plan = orbit_plan((1,), 0)
     assert list(orderly_scan(plan, 0, (), range(1), plan.suite((0,), 1))) == [
-        ((0,), [()], (1, 0, -1, []), [1])
+        ((0,), [()], (1, 0, 0, None, []), [1])
     ]
     assert points(orderly_scan(scan_plan((1,), 0), 0, (), range(1))) == [((0,), 0)]
     rep = search_values(make_group((1,)), 0)
@@ -174,8 +175,16 @@ def test_suite_shards_at_any_cut_sum_to_one_scan(data):
     assert sum(p["checked"] for p in parts) == whole["checked"] == total
     assert sum(p["even_count"] for p in parts) == whole["even_count"]
     assert sum(p["failure_count"] for p in parts) == whole["failure_count"]
-    evens = [p["min_even_valuation"] for p in parts if p["min_even_valuation"] is not None]
-    assert (min(evens) if evens else None) == whole["min_even_valuation"]
+    # the least candidate of the parts is a point of the whole's least valuation
+    lows = [two_adic_valuation(prod(p["least"][1])) for p in parts if p["least"]]
+    assert min(lows, default=None) == (
+        whole["least"] and two_adic_valuation(prod(whole["least"][1])))
+    firsts = [p["first_failure"] for p in parts if p["first_failure"]]
+    assert min(firsts, default=None) == whole["first_failure"]
+    for p in parts:
+        if p["least"]:
+            point, factors = p["least"]
+            assert list(factors) == integer_split_factors(make_group(h_orders), l, point)
 
 
 @pytest.mark.parametrize("orders,box", [((4, 2), 1), ((2, 3), 1), ((8,), 1)])
@@ -247,6 +256,26 @@ def test_plan_width_bounds_every_norm(orders, bound):
         assert orbit.modulus > 2 * (n * b) ** phi
 
 
+def test_wide_rows_are_the_powers_of_the_width():
+    # row i of a phi(d) >= 4 orbit is w^(u k(g)) mod q = Phi_d(w) for the
+    # i-th unit u, read from the d powers of w as q divides w^d - 1
+    for orders in [(5,), (8,), (9,), (12,), (5, 2)]:
+        plan = orbit_plan(orders, 3)
+        n = lcm(*orders)
+        for orbit in plan.orbits:
+            if orbit.modulus:
+                d, w, q = orbit.order, plan.width, orbit.modulus
+                ks = [k // (n // d) for k in exponent_table(orders)[orbit.char]]
+                units = [u for u in range(1, d + 1) if gcd(u, d) == 1]
+                assert orbit.rows == tuple(tuple(pow(w, u * k, q) for k in ks) for u in units)
+    # the d powers cost d multiplications per orbit; one modular power per
+    # unit and element takes over a second for Z/256
+    exponent_table((256,))
+    start = time.perf_counter()
+    _build_plan.__wrapped__((256,), 1 << 10)  # the width of orbit_plan((256,), 1)
+    assert time.perf_counter() - start < 0.5
+
+
 def test_wide_shapes_build_one_plan_per_bit_length():
     g = make_group(7)
     built = _build_plan.cache_info().misses
@@ -281,7 +310,7 @@ def kernel_block(draw, shapes):
 
 def run_block(plan, keys, prefix, suffixes):
     """The kernel for keys on one head and its tails, laid out as orderly_scan does."""
-    n = len(plan.columns)
+    n = plan.dim
     head = plan.coefficients(prefix + (0,) * (n - len(prefix)))
     tails = [plan.coefficients((0,) * len(prefix) + t) for t in suffixes]
     return plan.block(keys)(head, tails)
@@ -379,25 +408,30 @@ def wrong_keys(keys, l):
 
 
 def rule_aggregates(group, keys, exp, points, sizes):
-    """(even, least, at, flagged) of a block of points by the literal rules:
-    each even point counts with its weight in sizes, each point's slot
-    products, which flagged points carry, are its norm_factors multiplied by
-    keys, a congruence failure is gcd(*factors) % 2 and a bound failure
-    two_adic_valuation(det) < exp."""
-    even, lows, flagged = 0, [], []
+    """(even, fails, least, at, flagged) of a block of points by the literal
+    rules: each even point counts with its weight in sizes, each point's slot
+    products, which flagged points and the least point carry, are its
+    norm_factors multiplied by keys, a congruence failure is gcd(*factors) %
+    2 and a bound failure two_adic_valuation(det) < exp, and each failure
+    record counts with the point's weight."""
+    even, fails, lows, flagged = 0, 0, [], []
     for j, (x, w) in enumerate(zip(points, sizes)):
         norms = norm_factors(group, x)
-        factors = [prod(n for n, k in zip(norms, keys) if k == s) for s in range(max(keys) + 1)]
+        factors = tuple(prod(n for n, k in zip(norms, keys) if k == s) for s in range(max(keys) + 1))
         det = prod(factors)
         if det % 2:
             continue
         even += w
         if det:
-            lows.append((two_adic_valuation(det), j))
-        if gcd(*factors) % 2 or (det and two_adic_valuation(det) < exp):
-            flagged.append((j, tuple(factors)))
-    v, at = min(lows, default=(None, -1))
-    return even, 0 if v is None else 1 << v, at, flagged
+            lows.append((two_adic_valuation(det), j, factors))
+        records = (gcd(*factors) % 2 == 1) + bool(det and two_adic_valuation(det) < exp)
+        if records:
+            flagged.append((j, factors))
+            fails += w * records
+    if not lows:
+        return even, fails, 0, None, flagged
+    v, j, factors = min(lows)
+    return even, fails, 1 << v, (j, factors), flagged
 
 
 @settings(max_examples=40, deadline=None)

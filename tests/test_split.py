@@ -47,7 +47,8 @@ class OracleTable:
 
 
 def kernel_dets(plan, points):
-    return plan.block()([0] * len(plan.columns[0]), [plan.coefficients(p) for p in points])
+    head = plan.coefficients((0,) * plan.dim)
+    return plan.block()(head, [plan.coefficients(p) for p in points])
 
 
 @st.composite
