@@ -13,6 +13,12 @@ from functools import lru_cache
 from itertools import product
 from math import prod
 
+from .determinant import (  # the budget and the pool break-even, re-exported here
+    DEFAULT_BUDGET,
+    POOL_BREAK_EVEN_S,
+    BudgetExceededError,
+    ensure_tables,
+)
 from .groups import (
     AbelianGroup,
     addition_table,
@@ -22,18 +28,11 @@ from .groups import (
 )
 from .norms import OrbitPlan, orbit_plan, split_lookups
 
-DEFAULT_BUDGET = 10_000_000
 # The default job count (pool_pays), measured on a 2-vCPU host: seconds per
 # point of the kernel (plans of width 0, modular plans, split plans) and per
-# kept point and map of the pruning walk, and the in-process seconds below
-# which a pool costs more than it saves.
+# kept point and map of the pruning walk; a pool pays above POOL_BREAK_EVEN_S.
 POINT_S = (0.5e-6, 1.5e-6, 0.2e-6)
 WALK_S = 0.05e-6
-POOL_BREAK_EVEN_S = 0.4
-
-
-class BudgetExceededError(RuntimeError):
-    """The requested box is larger than the evaluation budget."""
 
 
 def box_size(dim: int, box: int) -> int:
@@ -42,16 +41,6 @@ def box_size(dim: int, box: int) -> int:
     if dim < 1:
         raise ValueError(f"a box needs dimension at least 1, got {dim}")
     return (2 * box + 1) ** dim
-
-
-def ensure_tables(dim: int, budget: int = DEFAULT_BUDGET) -> None:
-    """Raise when dim^2, the size of the matrix and tables built for a group
-    of order dim, exceeds the budget."""
-    if dim * dim > budget:
-        raise BudgetExceededError(
-            f"a group of order {dim} needs tables of {dim * dim} entries, over the budget "
-            f"of {budget}"
-        )
 
 
 def ensure_budget(dim: int, box: int, budget: int, force: bool) -> int:

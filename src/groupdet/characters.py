@@ -6,7 +6,7 @@ from functools import lru_cache
 from itertools import product
 
 from .cyclotomic import CyclotomicInt, root_power
-from .groups import AbelianGroup, Element, check_element, enumerate_elements
+from .groups import AbelianGroup, Element, check_element
 
 
 class Character:
@@ -67,12 +67,20 @@ def exponent_table(orders: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     Row c is the c-th character of enumerate_characters, column g the g-th
     element of enumerate_elements, and the entry is char_exponent(chi_c, g).
     Built once per group shape; every character sum and twist reads it.
+
+    The rows grow one factor at a time, the entry being sum_i (N/n_i) a_i g_i
+    mod N: a row of the first k factors and the row of a_(k+1) on factor k+1
+    alone give the row of the first k+1 factors, in element order.
     """
-    group = AbelianGroup(orders)
-    elems = enumerate_elements(group)
-    return tuple(
-        tuple(char_exponent(chi, g) for g in elems) for chi in enumerate_characters(group)
-    )
+    N = AbelianGroup(orders).exponent
+    rows = None
+    for n in orders:
+        # (N/n) a for a in range(n) is range(0, N, N/n)
+        steps = [[wa * g % N for g in range(n)] for wa in range(0, N, N // n)]
+        rows = steps if rows is None else [
+            [(r + c) % N for r in row for c in step] for row in rows for step in steps
+        ]
+    return tuple(map(tuple, rows))
 
 
 def char_value(chi: Character, g: Element) -> CyclotomicInt:

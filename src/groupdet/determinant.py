@@ -18,6 +18,34 @@ from .groups import (
     index_of,
 )
 
+DEFAULT_BUDGET = 10_000_000
+# The in-process seconds below which a process pool costs more than it saves,
+# measured on a 2-vCPU host. boxes.pool_pays decides by it; it lives here, with
+# the budget, so that every command's --jobs help names it without loading the
+# box engine.
+POOL_BREAK_EVEN_S = 0.4
+
+
+class BudgetExceededError(RuntimeError):
+    """The requested box is larger than the evaluation budget."""
+
+
+def ensure_tables(dim: int, budget: int = DEFAULT_BUDGET) -> None:
+    """Raise when dim^2, the size of the matrix and tables built for a group
+    of order dim, exceeds the budget."""
+    if dim * dim > budget:
+        raise BudgetExceededError(
+            f"a group of order {dim} needs tables of {dim * dim} entries, over the budget "
+            f"of {budget}"
+        )
+
+
+def two_adic_valuation(v: int) -> int:
+    """Largest e with 2^e dividing v; undefined for 0."""
+    if v == 0:
+        raise ValueError("the 2-adic valuation of 0 is undefined (0 is divisible by every 2^e)")
+    return (v & -v).bit_length() - 1
+
 
 @lru_cache(maxsize=None)
 def _index_table(orders: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:

@@ -13,17 +13,15 @@ from math import gcd, prod
 from operator import mul
 from typing import NamedTuple
 
-from .boxes import (
+from .boxes import box_size, ensure_budget, map_shards, orderly_scan, pruning_maps
+from .characters import exponent_table
+from .determinant import (  # two_adic_valuation is re-exported here
     DEFAULT_BUDGET,
     BudgetExceededError,
-    box_size,
-    ensure_budget,
-    map_shards,
-    orderly_scan,
-    pruning_maps,
+    _index_table,
+    bareiss_det,
+    two_adic_valuation,
 )
-from .characters import exponent_table
-from .determinant import _index_table, bareiss_det
 from .factorization import _sign_keys, integer_split_factors
 from .groups import AbelianGroup, direct_product
 from .norms import orbit_plan
@@ -35,13 +33,6 @@ NOT_APPLICABLE = "not-applicable"
 # A suite keeps the first failures in box order with their witnesses and only
 # counts the rest, so a wrong bound over a large box cannot exhaust memory.
 KEPT_FAILURES = 20
-
-
-def two_adic_valuation(v: int) -> int:
-    """Largest e with 2^e dividing v; undefined for 0."""
-    if v == 0:
-        raise ValueError("the 2-adic valuation of 0 is undefined (0 is divisible by every 2^e)")
-    return (v & -v).bit_length() - 1
 
 
 class ExponentFact(NamedTuple):

@@ -20,7 +20,6 @@ from .characters import exponent_table
 from .cyclotomic import CyclotomicInt, NotRationalError, cyclotomic_polynomial
 from .determinant import check_assignment, circulant_det, group_determinant
 from .groups import AbelianGroup, crt_decompose, direct_product
-from .norms import grouped_norms, orbit_plan
 
 
 class FactorizationReport(NamedTuple):
@@ -195,6 +194,8 @@ def integer_split_factors(H: AbelianGroup, l: int, values) -> list[int]:
     """
     if l < 1:
         raise ValueError("need at least one Z/2Z factor to split off")
+    from .norms import grouped_norms  # the orbit norms, so only when a split is asked for
+
     G = direct_product(H, AbelianGroup((2,) * l))
     return grouped_norms(G, values, _sign_keys(G.orders, l))
 
@@ -204,6 +205,8 @@ def _sign_keys(orders: tuple[int, ...], l: int) -> tuple[int, ...]:
     """The sign factor of H x (Z/2Z)^l that each orbit norm belongs to, in
     orbit_plan order: an orbit's first character c restricts to the sign
     character c mod 2^l, as in _packed_products."""
+    from .norms import orbit_plan
+
     return tuple(orbit.char % (1 << l) for orbit in orbit_plan(orders, 0).orbits)
 
 

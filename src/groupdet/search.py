@@ -11,17 +11,13 @@ import re
 from math import gcd
 from typing import Callable, NamedTuple
 
-from .boxes import (
+from .boxes import ensure_budget, map_shards, orderly_scan, pruning_maps, scan_plan
+from .determinant import (
     DEFAULT_BUDGET,
     BudgetExceededError,
-    ensure_budget,
-    map_shards,
-    orderly_scan,
-    pruning_maps,
-    scan_plan,
+    group_determinant,
+    two_adic_valuation,
 )
-from .determinant import group_determinant
-from .divisibility import two_adic_valuation
 from .groups import AbelianGroup, format_group_spec, parse_group_spec
 from .norms import orbit_plan
 
@@ -116,9 +112,12 @@ class SearchReport:
         }
 
     def save(self, path) -> None:
+        """Write the report as JSON, one value record per line: json.dumps of
+        each record runs the C encoder, which an indent would turn off."""
+        data = self.as_json_dict()
+        rows = ",\n".join(map(json.dumps, data.pop("values")))
         with open(path, "w") as fh:
-            json.dump(self.as_json_dict(), fh, indent=1)
-            fh.write("\n")
+            fh.write(f'{json.dumps(data)[:-1]}, "values": [\n{rows}\n]}}\n')
 
     @staticmethod
     def from_json_dict(data) -> "SearchReport":

@@ -92,8 +92,10 @@ def test_characters_factor_along_splits(orders, cut):
             assert lhs == rhs
 
 
-@pytest.mark.parametrize("orders", [(1,), (2,), (6,), (4, 2), (2, 3), (2, 2, 2)])
+@pytest.mark.parametrize("orders", [(1,), (2,), (6,), (4, 2), (2, 3), (2, 2, 2), (12,),
+                                    (2, 2, 3), (3, 3), (6, 4), (2, 2, 2, 2)])
 def test_exponent_table_rows_are_characters(orders):
+    # the table is built factor by factor; char_exponent is the per-entry definition
     g = make_group(orders)
     table = exponent_table(g.orders)
     elems = enumerate_elements(g)

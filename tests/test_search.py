@@ -287,6 +287,22 @@ def test_saved_reports_load_back_equal(report):
         os.unlink(path)
 
 
+def test_reports_save_one_value_per_line_and_old_layouts_still_load(tmp_path):
+    report = search_values(make_group((2, 2)), 1)
+    report.save(tmp_path / "new.json")
+    lines = (tmp_path / "new.json").read_text().splitlines()
+    assert len(lines) == report.distinct + 2
+    assert [json.loads(line.rstrip(","))["v"] for line in lines[1:-1]] == [
+        str(v) for v in sorted(report.achieved)
+    ]
+    # the layout written before one record per line
+    with open(tmp_path / "old.json", "w") as fh:
+        json.dump(report.as_json_dict(), fh, indent=1)
+        fh.write("\n")
+    assert SearchReport.load(tmp_path / "old.json") == report
+    assert json.loads((tmp_path / "old.json").read_text()) == json.loads("\n".join(lines))
+
+
 def test_malformed_saved_reports_name_the_bad_field():
     good = search_values(make_group(2), 1).as_json_dict()
     cases = [
