@@ -13,12 +13,8 @@ from functools import lru_cache
 from itertools import product
 from math import prod
 
-from .determinant import (  # the budget and the pool break-even, re-exported here
-    DEFAULT_BUDGET,
-    POOL_BREAK_EVEN_S,
-    BudgetExceededError,
-    ensure_tables,
-)
+# the budget and the pool break-even, re-exported here
+from .determinant import DEFAULT_BUDGET, POOL_BREAK_EVEN_S, BudgetExceededError, ensure_tables
 from .groups import (
     AbelianGroup,
     addition_table,
@@ -33,6 +29,18 @@ from .norms import OrbitPlan, orbit_plan, split_lookups
 # kept point and map of the pruning walk; a pool pays above POOL_BREAK_EVEN_S.
 POINT_S = (0.5e-6, 1.5e-6, 0.2e-6)
 WALK_S = 0.05e-6
+
+
+def prefix_cut(dim: int) -> int:
+    """How many leading coordinates form the prefixes orderly_scan's shards deal out."""
+    return dim - dim // 2
+
+
+def prefix_ordinal(point, box: int) -> int:
+    """The ordinal of point's prefix among all prefixes of the box in box
+    order, where an unpruned orderly_scan yields the block of point."""
+    cut = prefix_cut(len(point))
+    return sum((v + box) * (2 * box + 1) ** (cut - 1 - i) for i, v in enumerate(point[:cut]))
 
 
 def box_size(dim: int, box: int) -> int:
@@ -177,8 +185,7 @@ def split_plan(orders: tuple[int, ...], bound: int) -> OrbitPlan:
     ints."""
     h_orders, lookups = split_lookups(orders, bound)
     h_plan = orbit_plan(h_orders, 2 * bound)
-    dim = h_plan.dim
-    prefixes = range(box_size(dim - dim // 2, 2 * bound))
+    prefixes = range(box_size(prefix_cut(h_plan.dim), 2 * bound))
     table = []
     for _, _, dets in orderly_scan(h_plan, 2 * bound, (), prefixes):
         table += dets
@@ -188,11 +195,11 @@ def split_plan(orders: tuple[int, ...], bound: int) -> OrbitPlan:
 def orderly_scan(plan: OrbitPlan, box: int, maps, shard: range, kernel=None):
     """(prefix, suffixes, result) in box order once per surviving prefix whose
     ordinal lies in shard: the points prefix + t are those of the box
-    [-box, box]^dim, dim = plan.dim, that no index permutation phi
-    in maps sends to a lexicographically smaller point x o phi (maps () keeps
-    every point), and result is what plan.block() returns for them in one
-    call; plan must be exact on the box. The prefix is the first dim - dim
-    // 2 coordinates; the coefficient vectors of the suffixes are built once.
+    [-box, box]^dim, dim = plan.dim, that no index permutation phi in maps
+    sends to a lexicographically smaller point x o phi (maps () keeps every
+    point), and result is what plan.block() returns for them in one call;
+    plan must be exact on the box. The prefix is the first prefix_cut(dim)
+    coordinates; the coefficient vectors of the suffixes are built once.
 
     A given kernel is a suite kernel of plan (plan.suite): maps (the identity
     added) must form a group, each kept point stands for its orbit, and every
@@ -200,24 +207,24 @@ def orderly_scan(plan: OrbitPlan, box: int, maps, shard: range, kernel=None):
     each kept point, |maps| + 1 over the number of maps fixing it
     (orbit-stabilizer), and result is kernel(head, tails, sizes).
 
-    An orderly walk (Read 1978): coordinates are fixed one at a time in box
-    order, depth first. For each map the walk keeps the node its comparison
-    has reached, bucketed by the depth that can decide it. Fixing coordinate
-    d decides the nodes of bucket d: the first pair of each bounds x_d from
-    one side, values outside every bound are never visited, and only at a
-    bound are the later pairs of the tied nodes compared, dropping the value
-    when one sends x lower and moving the node to its next depth when all
-    tie. A map that is decided higher is done; one that ties to its end
-    fixes x, and is counted for the sizes. A prefix below which no node is
-    pending keeps its whole block of suffixes, unwalked. The prefix walk is
-    done in full by every shard, so the ordinals of the surviving prefixes
-    are the same in all of them; a prefix without a kept suffix yields no
-    block.
+    An orderly walk (Read 1978), one loop over an explicit stack of depths
+    that walks the prefixes and, below each prefix in shard, its suffixes.
+    Coordinates are fixed in box order, depth first. For each map the walk
+    keeps the node its comparison has reached, bucketed by the depth that
+    can decide it. Fixing coordinate d decides the nodes of bucket d: the
+    first pair of each bounds x_d from one side, values outside every bound
+    are never visited, and only at a bound are the later pairs of the tied
+    nodes compared, dropping the value when one sends x lower and pushing
+    the node on to its next depth, until x_d moves on, when all tie. A map
+    decided higher is done; one that ties to its end fixes x, and is counted
+    for the sizes. A prefix below which no node is pending keeps its whole
+    block, unwalked. Every shard walks all prefixes, so their ordinals agree
+    across shards; a prefix without a kept suffix yields no block.
     """
     weighted = kernel is not None
     kernel = kernel or plan.block()
     dim = plan.dim
-    cut = dim - dim // 2
+    cut = prefix_cut(dim)
     suffixes = list(iter_box(dim - cut, box))
     tails = [plan.coefficients((0,) * cut + t) for t in suffixes]
     buckets = _chains(maps, dim, True if weighted else None)
@@ -225,16 +232,8 @@ def orderly_scan(plan: OrbitPlan, box: int, maps, shard: range, kernel=None):
     group_size = len(maps) + 1
     x = [0] * dim
     width = 2 * box + 1
-
-    def bounds(m):
-        lo, hi = -box, box
-        for g, h, _, _, _ in buckets[m]:
-            if h == m:
-                if x[g] > lo:
-                    lo = x[g]
-            elif x[h] < hi:
-                hi = x[h]
-        return lo, hi
+    # per depth m: the bounds of x_m and the depths of the nodes x_m = x[m] pushed
+    lo, hi, undo = [0] * dim, [0] * dim, [[] for _ in range(dim)]
 
     def settle(m, v, pushed) -> bool:
         """With x_m = v at a bound: compare the rest of the tied nodes of
@@ -254,41 +253,41 @@ def orderly_scan(plan: OrbitPlan, box: int, maps, shard: range, kernel=None):
                     pushed.append(depth)
         return True
 
-    def values(m):
-        """Set x_m in turn to each value the maps allow below the current
-        node, the nodes tied there pushed on while the walk is below it."""
-        lo, hi = bounds(m)
-        for v in range(lo, hi + 1):
-            x[m] = v
-            pushed = []
-            if not (v == lo or v == hi) or settle(m, v, pushed):
-                yield v
-            for depth in pushed:
-                buckets[depth].pop()
+    def leaves(start, stop):
+        """The index in base 2 box + 1 of each setting of x[start:stop] the
+        maps keep below the current node, in box order, while x holds it;
+        index is that of x[start:m]."""
+        m, index = start, 0
+        while True:
+            low, high = -box, box
+            for g, h, _, _, _ in buckets[m]:
+                if h == m:
+                    if x[g] > low:
+                        low = x[g]
+                elif x[h] < high:
+                    high = x[h]
+            lo[m], hi[m], x[m] = low, high, low - 1
+            while True:
+                if undo[m]:
+                    for depth in undo[m]:
+                        buckets[depth].pop()
+                    undo[m].clear()
+                v = x[m] = x[m] + 1
+                if v > hi[m]:
+                    if m == start:
+                        return
+                    m, index = m - 1, index // width
+                elif (v == lo[m] or v == hi[m]) and not settle(m, v, undo[m]):
+                    continue
+                elif m + 1 == stop:
+                    yield index * width + v + box
+                else:
+                    break
+            m, index = m + 1, index * width + v + box
 
-    def descend(m, index, out, sizes):
-        """Append to out the suffix indices of the kept points below the
-        current node at depth m, index being the suffix index so far, and
-        when weighted their orbit sizes to sizes."""
-        for v in values(m):
-            if m + 1 == dim:
-                out.append(index * width + v + box)
-                if weighted:
-                    sizes.append(group_size // (1 + len(fixing)))
-            else:
-                descend(m + 1, index * width + v + box, out, sizes)
-
-    ordinal = 0
-
-    def prefixes(m):
-        nonlocal ordinal
-        if m < cut:
-            for _ in values(m):
-                yield from prefixes(m + 1)
-            return
-        ordinal += 1
-        if ordinal - 1 not in shard:
-            return
+    for ordinal, _ in enumerate(leaves(0, cut)):
+        if ordinal not in shard:
+            continue
         if not any(buckets[cut:dim]):
             # no map is pending below the prefix: its whole block is kept
             points, block = suffixes, tails
@@ -296,9 +295,12 @@ def orderly_scan(plan: OrbitPlan, box: int, maps, shard: range, kernel=None):
                 sizes = [group_size // (1 + len(fixing))] * len(suffixes)
         else:
             kept, sizes = [], []
-            descend(m, 0, kept, sizes)
+            for j in leaves(cut, dim):
+                kept.append(j)
+                if weighted:
+                    sizes.append(group_size // (1 + len(fixing)))
             if not kept:
-                return
+                continue
             points, block = [suffixes[j] for j in kept], [tails[j] for j in kept]
         prefix = tuple(x[:cut])
         head = plan.coefficients(prefix)
@@ -306,8 +308,6 @@ def orderly_scan(plan: OrbitPlan, box: int, maps, shard: range, kernel=None):
             yield prefix, points, kernel(head, block, sizes), sizes
         else:
             yield prefix, points, kernel(head, block)
-
-    return prefixes(0)
 
 
 def dealt_shards(total: int, jobs: int) -> list[tuple[int, int, int]]:
@@ -344,8 +344,7 @@ def map_shards(worker, args: tuple, plan: OrbitPlan, box: int, maps, jobs: int |
         jobs = cpus if pool_pays(plan, box, maps) else 1
     elif jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    dim = plan.dim
-    prefixes = box_size(dim - dim // 2, box)
+    prefixes = box_size(prefix_cut(plan.dim), box)
     shard_args = [(*args, *shard) for shard in dealt_shards(prefixes, min(jobs, cpus, prefixes))]
     if len(shard_args) == 1:
         return [worker(*shard_args[0])]

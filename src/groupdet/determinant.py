@@ -10,13 +10,7 @@ from functools import lru_cache
 from itertools import chain, repeat
 from typing import Sequence
 
-from .groups import (
-    AbelianGroup,
-    enumerate_elements,
-    group_inv,
-    group_op,
-    index_of,
-)
+from .groups import AbelianGroup, cayley_table
 
 DEFAULT_BUDGET = 10_000_000
 # The in-process seconds below which a process pool costs more than it saves,
@@ -50,12 +44,7 @@ def two_adic_valuation(v: int) -> int:
 @lru_cache(maxsize=None)
 def _index_table(orders: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     # entry (i, j) of the group matrix reads the assignment at index_of(g_i * g_j^-1)
-    group = AbelianGroup(orders)
-    elems = enumerate_elements(group)
-    inverses = [group_inv(group, h) for h in elems]
-    return tuple(
-        tuple(index_of(group, group_op(group, g, hinv)) for hinv in inverses) for g in elems
-    )
+    return tuple(map(tuple, cayley_table(orders, -1)))
 
 
 def check_assignment(group: AbelianGroup, values: Sequence) -> tuple:
@@ -166,11 +155,5 @@ def convolve(group: AbelianGroup, x: Sequence, y: Sequence) -> tuple:
     """(x * y)_g = sum_h x_h y_(h^-1 g), the product in the group algebra."""
     xv = check_assignment(group, x)
     yv = check_assignment(group, y)
-    elems = enumerate_elements(group)
-    out = []
-    for g in elems:
-        acc = 0
-        for hi, h in enumerate(elems):
-            acc += xv[hi] * yv[index_of(group, group_op(group, group_inv(group, h), g))]
-        out.append(acc)
-    return tuple(out)
+    # row g of the index table holds the index of g - h at column h
+    return tuple(sum(a * yv[j] for a, j in zip(xv, row)) for row in _index_table(group.orders))

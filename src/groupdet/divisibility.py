@@ -13,7 +13,7 @@ from math import gcd, prod
 from operator import mul
 from typing import NamedTuple
 
-from .boxes import box_size, ensure_budget, map_shards, orderly_scan, pruning_maps
+from .boxes import box_size, ensure_budget, map_shards, orderly_scan, prefix_ordinal, pruning_maps
 from .characters import exponent_table
 from .determinant import (  # two_adic_valuation is re-exported here
     DEFAULT_BUDGET,
@@ -190,10 +190,9 @@ def _first_failures(h_orders, l, box, exp, start, count) -> list[dict]:
     them; ArithmeticError when the walk finds fewer."""
     plan = orbit_plan(h_orders + (2,) * l, box)
     kernel = plan.suite(_sign_keys(h_orders + (2,) * l, l), exp)
-    cut = len(start) - len(start) // 2  # orderly_scan's prefix, read in base 2 box + 1
-    first = sum((v + box) * (2 * box + 1) ** (cut - 1 - i) for i, v in enumerate(start[:cut]))
     want, failures = min(count, KEPT_FAILURES), []
-    blocks = orderly_scan(plan, box, (), range(first, box_size(len(start), box)), kernel)
+    shard = range(prefix_ordinal(start, box), box_size(len(start), box))
+    blocks = orderly_scan(plan, box, (), shard, kernel)
     for prefix, suffixes, (*_, flagged), _ in blocks:
         for j, factors in flagged:
             point = prefix + suffixes[j]

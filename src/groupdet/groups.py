@@ -125,10 +125,22 @@ def group_op(group: AbelianGroup, g: Element, h: Element) -> Element:
     return tuple((gi + hi) % ni for gi, hi, ni in zip(g, h, group.orders))
 
 
+def cayley_table(orders: tuple[int, ...], sign: int) -> list[list[int]]:
+    """Entry (i, j) is the index of g_i + sign * g_j, g_i the element of index
+    i of the group with these factor orders, built one factor at a time from
+    mixed-radix digits. Every entry is one of the |G| ints of ids, so the
+    table costs a pointer per entry."""
+    ids = list(range(prod(orders)))
+    rows = [[0]]
+    for n in orders:
+        steps = [[ids[(a + sign * b) % n] for b in range(n)] for a in range(n)]
+        rows = [[ids[r * n + c] for r in row for c in step] for row in rows for step in steps]
+    return rows
+
+
 def addition_table(group: AbelianGroup) -> list[list[int]]:
     """add[i][j] is the index of the sum of the elements of index i and j."""
-    elems = enumerate_elements(group)
-    return [[index_of(group, group_op(group, g, h)) for h in elems] for g in elems]
+    return cayley_table(group.orders, 1)
 
 
 def translation_is_even(group: AbelianGroup, a: Element) -> bool:

@@ -11,15 +11,11 @@ import re
 from math import gcd
 from typing import Callable, NamedTuple
 
-from .boxes import ensure_budget, map_shards, orderly_scan, pruning_maps, scan_plan
-from .determinant import (
-    DEFAULT_BUDGET,
-    BudgetExceededError,
-    group_determinant,
-    two_adic_valuation,
-)
+from .determinant import DEFAULT_BUDGET, BudgetExceededError, group_determinant, two_adic_valuation
 from .groups import AbelianGroup, format_group_spec, parse_group_spec
-from .norms import orbit_plan
+
+# The functions that scan or re-check import the box engine (boxes, norms), so
+# check, which only loads and compares a report, does not load it.
 
 __all__ = [
     "SearchReport",
@@ -157,6 +153,8 @@ def _search_shard(orders, box, cap, maps, budget, start, stop, step=1):
     """(evaluated, first witness per value with |value| <= cap) over the
     blocks of orderly_scan under maps, of the scan_plan at this budget, for
     the surviving prefixes range(start, stop, step)."""
+    from .boxes import orderly_scan, scan_plan
+
     found: dict[int, tuple[int, ...]] = {}
     seen: set[int] = set()  # the values of found and those over the cap
     evaluated = 0
@@ -203,6 +201,8 @@ def search_values(
     evaluated again by Bareiss elimination, and a disagreement raises
     ArithmeticError.
     """
+    from .boxes import ensure_budget, map_shards, pruning_maps, scan_plan
+
     if value_cap is not None and value_cap < 0:
         raise ValueError(f"value_cap must be at least 0, got {value_cap}")
     ensure_budget(group.order, box, budget, force)
@@ -238,6 +238,8 @@ def revalidate(report: SearchReport, budget: int = DEFAULT_BUDGET) -> None:
     the report's box or whose determinant is not its value. A group whose
     Bareiss re-check of one point exceeds the budget raises
     BudgetExceededError first."""
+    from .boxes import ensure_budget
+
     group = report.group
     ensure_budget(group.order, 0, budget, False)
     for v in sorted(report.achieved):
@@ -263,6 +265,9 @@ def find_witness(
     ArithmeticError. The walk keeps the orbit kernel even where search_values
     reads a split table (scan_plan): it may stop at its first block, before a table
     built first would have paid for itself."""
+    from .boxes import ensure_budget, orderly_scan, pruning_maps
+    from .norms import orbit_plan
+
     total = ensure_budget(group.order, box, budget, force)
     maps = pruning_maps(group.orders, box, budget, force)
     plan = orbit_plan(group.orders, box)

@@ -130,6 +130,33 @@ def test_candidate_walk_keeps_the_old_filter_set(orders):
         assert all(part == sorted(part) for part in parts)
 
 
+class StubPlan:
+    """A plan of dim columns whose kernels only count: the walk alone is under test."""
+
+    def __init__(self, dim):
+        self.dim = dim
+
+    def coefficients(self, point):
+        return point
+
+    def block(self):
+        return lambda head, tails: [len(t) for t in tails]
+
+
+@pytest.mark.parametrize("dim", [2000, 5000])
+def test_the_walk_has_no_depth_limit(dim):
+    # more coordinates than the interpreter's recursion limit allows frames
+    plan = StubPlan(dim)
+    [(prefix, suffixes, result)] = orderly_scan(plan, 0, (), range(1))
+    assert prefix + suffixes[0] == (0,) * dim and result == [dim]
+
+    def kernel(head, tails, sizes):
+        return len(tails), sizes
+
+    [(prefix, suffixes, result, sizes)] = orderly_scan(plan, 0, (), range(1), kernel)
+    assert prefix + suffixes[0] == (0,) * dim and result == (1, [1]) and sizes == [1]
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.data())
 def test_pruned_search_shards_cut_anywhere_merge_to_one_shard(data):

@@ -38,7 +38,8 @@ def test_build_group_matrix_frozen():
     ]
 
 
-@pytest.mark.parametrize("orders", [(2,), (4,), (2, 2), (2, 3), (4, 2)])
+@pytest.mark.parametrize("orders", [(1,), (2,), (4,), (12,), (2, 2), (2, 3), (3, 3), (4, 2),
+                                    (6, 4), (2, 2, 2)])
 def test_build_group_matrix_matches_definition(orders):
     rng = random.Random(2)
     g = make_group(orders)

@@ -159,6 +159,13 @@ def test_automorphisms_are_the_bijective_homomorphisms(orders, count):
         assert all(t[add[i][j]] == add[t[i]][t[j]] for i in range(g.order) for j in range(g.order))
 
 
+@pytest.mark.parametrize("orders", [(1,), (5,), (12,), (4, 2), (3, 3), (6, 4), (2, 2, 2)])
+def test_addition_table_matches_group_op(orders):
+    g = make_group(orders)
+    elems = enumerate_elements(g)
+    assert addition_table(g) == [[index_of(g, group_op(g, a, b)) for b in elems] for a in elems]
+
+
 def test_translation_parity():
     # translation by a has |G|/ord(a) cycles of length ord(a)
     assert not translation_is_even(make_group(8), (1,))

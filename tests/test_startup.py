@@ -100,6 +100,13 @@ def test_search_loads_no_suite_and_verify_no_search(tmp_path):
     assert "divisibility" in verify and "search" not in verify
 
 
+def test_check_loads_no_box_engine(tmp_path):
+    report = tmp_path / "r.json"
+    run_probe(MODULES_PROBE, "search", "--group", "4x2", "--box", "0", "--out", str(report))
+    loaded = run_probe(MODULES_PROBE, "check", "--report", str(report), "--exponent", "8")
+    assert loaded == {"import": [], "command": ["cli", "determinant", "groups", "search"]}
+
+
 EXPORTS_PROBE = """
 import json, groupdet
 names = {name: type(getattr(groupdet, name)).__name__ for name in groupdet.__all__}
