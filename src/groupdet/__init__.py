@@ -13,7 +13,7 @@ it runs.
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "boxes": ("box_size", "iter_box"),
+    "boxes": ("iter_box",),
     "characters": (
         "Character", "char_exponent", "char_sign", "char_value", "enumerate_characters",
     ),
@@ -22,7 +22,7 @@ _EXPORTS = {
         "euler_phi", "root_power",
     ),
     "determinant": (
-        "DEFAULT_BUDGET", "BudgetExceededError", "bareiss_det", "build_group_matrix",
+        "DEFAULT_BUDGET", "BudgetExceededError", "bareiss_det", "box_size", "build_group_matrix",
         "circulant_det", "convolve", "group_determinant", "two_adic_valuation",
     ),
     "divisibility": (

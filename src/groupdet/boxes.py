@@ -13,8 +13,9 @@ from functools import lru_cache
 from itertools import product
 from math import prod
 
-# the budget and the pool break-even, re-exported here
-from .determinant import DEFAULT_BUDGET, POOL_BREAK_EVEN_S, BudgetExceededError, ensure_tables
+# the budget, its checks and the pool break-even, re-exported here
+from .determinant import (DEFAULT_BUDGET, POOL_BREAK_EVEN_S, BudgetExceededError, box_size,
+                          ensure_budget, ensure_tables)
 from .groups import (
     AbelianGroup,
     addition_table,
@@ -41,33 +42,6 @@ def prefix_ordinal(point, box: int) -> int:
     order, where an unpruned orderly_scan yields the block of point."""
     cut = prefix_cut(len(point))
     return sum((v + box) * (2 * box + 1) ** (cut - 1 - i) for i, v in enumerate(point[:cut]))
-
-
-def box_size(dim: int, box: int) -> int:
-    if box < 0:
-        raise ValueError(f"the box must be at least 0, got {box}")
-    if dim < 1:
-        raise ValueError(f"a box needs dimension at least 1, got {dim}")
-    return (2 * box + 1) ** dim
-
-
-def ensure_budget(dim: int, box: int, budget: int, force: bool) -> int:
-    """Size of the box, raising when it or dim^3, the steps of the Bareiss
-    re-check of one point of a group of order dim (more than its dim^2
-    tables), exceeds the budget and force is off; dim^3 goes first, as
-    (2*box+1)^dim of a huge group takes long to compute."""
-    if not force and dim**3 > budget:
-        raise BudgetExceededError(
-            f"a group of order {dim} needs {dim**3} steps to re-check one point by Bareiss "
-            f"elimination, over the budget of {budget}"
-        )
-    total = box_size(dim, box)
-    if not force and total > budget:
-        raise BudgetExceededError(
-            f"box [-{box}, {box}]^{dim} needs {total} evaluations, over the budget of "
-            f"{budget}"
-        )
-    return total
 
 
 def iter_box(dim: int, box: int):
@@ -161,14 +135,14 @@ def kept_points(dim: int, box: int, maps) -> int:
 
 def scan_plan(orders: tuple[int, ...], box: int, maps=(), budget: int = DEFAULT_BUDGET):
     """The plan whose determinant kernel the orderly walk under maps runs on
-    the box over the group with these factor orders: split_plan when some
-    factor is 2 mod 4 and its table of det_H, (4 box + 1)^(|G| / 2) entries,
-    is smaller than kept_points and, counted as entries * |G| like the
-    pruning maps, fits the budget (force does not lift this: the orbit
-    kernel is as exact); orbit_plan otherwise, which keeps box 0 on it."""
+    the box over the group with these factor orders: split_plan when the
+    order is even and its table, (4 box + 1)^(|G| / 2) entries, twice that
+    unless a factor is 2 mod 4, is smaller than kept_points and, counted as
+    entries * |G| like the pruning maps, fits the budget (force does not
+    lift this: the orbit kernel is as exact); orbit_plan otherwise."""
     dim = prod(orders)
-    if any(n % 4 == 2 for n in orders):
-        entries = (4 * box + 1) ** (dim // 2)
+    if dim % 2 == 0:
+        entries = (2 - any(n % 4 == 2 for n in orders)) * (4 * box + 1) ** (dim // 2)
         if entries * dim <= budget and entries < kept_points(dim, box, maps):
             return split_plan(orders, box)
     return orbit_plan(orders, box)
@@ -176,19 +150,17 @@ def scan_plan(orders: tuple[int, ...], box: int, maps=(), budget: int = DEFAULT_
 
 @lru_cache(maxsize=1)
 def split_plan(orders: tuple[int, ...], bound: int) -> OrbitPlan:
-    """The plan of the shape reading its determinant as T[U] * T[V], exact on
-    the assignments with every |x_g| <= bound: T is det_H over [-2 bound, 2
-    bound]^|H| in box order, the blocks of the unpruned orderly_scan of H's
-    own orbit plan at bound 2 bound, the bound |u_h|, |v_h| <= 2 bound its
-    width proof needs (norms.split_lookups). Only the last plan is kept: a
-    scan reads one table, and one at the budget cap holds about a million
-    ints."""
-    h_orders, lookups = split_lookups(orders, bound)
-    h_plan = orbit_plan(h_orders, 2 * bound)
-    prefixes = range(box_size(prefix_cut(h_plan.dim), 2 * bound))
+    """The plan of the shape reading its determinant as A[U] * B[V], exact on
+    the assignments with every |x_g| <= bound: its table is the blocks of the
+    unpruned orderly_scan over [-2 bound, 2 bound]^(|G| / 2) of each plan of
+    norms.split_lookups, A's then B's. Only the last plan is kept: a scan
+    reads one table, and one at the budget cap holds about a million ints."""
+    halves, lookups = split_lookups(orders, bound)
     table = []
-    for _, _, dets in orderly_scan(h_plan, 2 * bound, (), prefixes):
-        table += dets
+    for half in halves:
+        prefixes = range(box_size(prefix_cut(half.dim), 2 * bound))
+        for _, _, dets in orderly_scan(half, 2 * bound, (), prefixes):
+            table += dets
     return OrbitPlan(lookups, prod(orders), 0, table)
 
 

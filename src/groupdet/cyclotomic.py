@@ -187,7 +187,8 @@ class CyclotomicInt:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.level, self.coeffs))
+        # a rational element equals its int (__eq__), so it hashes as that int
+        return hash(self.coeffs[0] if not any(self.coeffs[1:]) else (self.level, self.coeffs))
 
     def to_integer(self) -> int:
         """The value as a rational integer; NotRationalError when degree > 0 terms remain."""

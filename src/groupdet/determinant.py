@@ -34,6 +34,32 @@ def ensure_tables(dim: int, budget: int = DEFAULT_BUDGET) -> None:
         )
 
 
+def box_size(dim: int, box: int) -> int:
+    if box < 0:
+        raise ValueError(f"the box must be at least 0, got {box}")
+    if dim < 1:
+        raise ValueError(f"a box needs dimension at least 1, got {dim}")
+    return (2 * box + 1) ** dim
+
+
+def ensure_budget(dim: int, box: int, budget: int, force: bool) -> int:
+    """Size of the box, raising when it or dim^3, the steps of the Bareiss
+    re-check of one point of a group of order dim (more than its dim^2
+    tables), exceeds the budget and force is off; dim^3 goes first, as
+    (2*box+1)^dim of a huge group takes long to compute."""
+    if not force and dim**3 > budget:
+        raise BudgetExceededError(
+            f"a group of order {dim} needs {dim**3} steps to re-check one point by Bareiss "
+            f"elimination, over the budget of {budget}"
+        )
+    total = box_size(dim, box)
+    if not force and total > budget:
+        raise BudgetExceededError(
+            f"box [-{box}, {box}]^{dim} needs {total} evaluations, over the budget of {budget}"
+        )
+    return total
+
+
 def two_adic_valuation(v: int) -> int:
     """Largest e with 2^e dividing v; undefined for 0."""
     if v == 0:

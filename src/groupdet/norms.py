@@ -15,11 +15,11 @@ needs, into one straight-line kernel per grouping (OrbitPlan.block), and the
 theorem2 checks on top of the sign grouping into a kernel that returns only
 aggregates (OrbitPlan.suite).
 
-A shape with a factor n = 2 mod 4 is H x Z/2, and its group matrix is
-[[A, B], [B, A]], so det_G(x) = det_H(u) det_H(v) with u = x|_H + x|_(H+k)
-and v = x|_H - x|_(H+k), k of order 2: the order-2 case of the
-factorization det_G = prod over psi of det_(G/K)(y_psi). Its split plan,
-built in boxes, reads both factors from one table of det_H (Lookup).
+A shape of even order has k of order 2, and det_G(x) = A(u) B(v) with u =
+x|_T + x|_(T+k) and v = x|_T - x|_(T+k), T a transversal of <k>, A and B
+the products of the orbit norms with chi(k) = +1 and -1 (the order-2 case
+of det_G = prod over psi of det_(G/K)(y_psi)). The split plan, built in
+boxes, reads both from one table (Lookup, split_lookups).
 """
 
 from __future__ import annotations
@@ -267,35 +267,37 @@ def _build_plan(orders: tuple[int, ...], width: int) -> OrbitPlan:
     return OrbitPlan(orbits, group.order, width)
 
 
-def split_lookups(orders: tuple[int, ...], bound: int) -> tuple[tuple[int, ...], tuple]:
-    """The orders of H and the Lookup factors det_H(u), det_H(v) of a shape
-    with a factor n_i = 2 mod 4, the first such, for |x_g| <= bound.
+def split_lookups(orders: tuple[int, ...], bound: int) -> tuple[list[OrbitPlan], tuple]:
+    """The plans of the split tables and the Lookup factors A(u), B(v) of a
+    shape of even order, for |x_g| <= bound.
 
-    chi(g) = (-1)^(g_i) is a real character with chi(k) = -1 at k = n_i / 2
-    in factor i, so G = H x <k> with H = ker chi, the g with g_i even. H has
-    the orders of G with n_i halved, dropped when that gives 1 (H = Z/1 for
-    G = Z/2), and g -> g with g_i halved is its element map; a g with g_i
-    odd lies in the coset H + k, over g - k. The indices of u and v in the table of det_H over
-    [-2 bound, 2 bound]^|H| in box order are linear in x: coordinate g adds
-    +-x_g times the place value (4 bound + 1)^(|H| - 1 - j) of its element j
-    of H, the sign - for v on the coset, and the offset 2 bound (4 bound +
-    1)^j summed over every j is the index of u = 0.
+    k is n_i / 2 in factor i, the first factor 2 mod 4 or else the first even
+    one, and T the g with g_i even when k is odd (T is then the subgroup H,
+    G = H x <k>, and A = B = det_H) or with g_i < k otherwise. A's plan is
+    orbit_plan(orders, bound) with its orbits of chi(k) = +1, that is of even
+    a_i for the exponents a of chi, cut to the columns of T, and B's those of
+    chi(k) = -1: exact on [-2 bound, 2 bound]^|T|, as |T| 2 bound = |G| bound.
+    x_g adds +-x_g times the place (4 bound + 1)^(|T| - 1 - j) of its element
+    j of T (g or g - k; - for v on T + k) to the index in the table, A in box
+    order then B unless it is A, at the offset of u = 0.
     """
-    i = next(i for i, n in enumerate(orders) if n % 4 == 2)
-    half = orders[i] // 2
-    keep = (half,) if half > 1 else ()
-    h_group = AbelianGroup(orders[:i] + keep + orders[i + 1:] or (1,))
-    radix, size = 4 * bound + 1, h_group.order
-    u, v = [], []
-    for g in enumerate_elements(AbelianGroup(orders)):
-        odd = g[i] % 2
-        halved = ((g[i] - odd * half) % orders[i] // 2,) if keep else ()
-        h = g[:i] + halved + g[i + 1:] or (0,)
-        place = radix ** (size - 1 - index_of(h_group, h))
-        u.append(place)
-        v.append(-place if odd else place)
+    evens = [i for i, n in enumerate(orders) if n % 2 == 0]
+    i = next((i for i in evens if orders[i] % 4 == 2), evens[0])
+    n, k = orders[i], orders[i] // 2
+    elements = enumerate_elements(AbelianGroup(orders))
+    moved = [g[i] % 2 if k % 2 else g[i] >= k for g in elements]
+    columns = [j for j, m in enumerate(moved) if not m]
+    radix, size = 4 * bound + 1, len(columns)
+    place = {elements[j]: radix ** (size - 1 - p) for p, j in enumerate(columns)}
+    u = tuple(place[g[:i] + ((g[i] - k) % n,) + g[i + 1:] if m else g]
+              for g, m in zip(elements, moved))
+    v = tuple(-a if m else a for a, m in zip(u, moved))
+    plan = orbit_plan(orders, bound)
+    plans = [OrbitPlan([o._replace(rows=tuple(tuple(r[j] for j in columns) for r in o.rows))
+                        for o in plan.orbits if elements[o.char][i] % 2 == sign], size, plan.width)
+             for sign in range(2 - k % 2)]
     offset = 2 * bound * sum(radix**j for j in range(size))
-    return h_group.orders, (Lookup((tuple(u),), offset), Lookup((tuple(v),), offset))
+    return plans, (Lookup((u,), offset), Lookup((v,), offset + (len(plans) - 1) * radix**size))
 
 
 def grouped_norms(group: AbelianGroup, values, keys) -> list[int]:

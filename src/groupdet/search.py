@@ -11,7 +11,8 @@ import re
 from math import gcd
 from typing import Callable, NamedTuple
 
-from .determinant import DEFAULT_BUDGET, BudgetExceededError, group_determinant, two_adic_valuation
+from .determinant import (DEFAULT_BUDGET, BudgetExceededError, ensure_budget, group_determinant,
+                          two_adic_valuation)
 from .groups import AbelianGroup, format_group_spec, parse_group_spec
 
 # The functions that scan or re-check import the box engine (boxes, norms), so
@@ -197,11 +198,11 @@ def search_values(
     evaluates every point. Shards deal out the surviving prefixes in turn.
 
     Points are evaluated by the kernel of scan_plan: products of orbit norms,
-    or det_H(u) det_H(v) read from a table; every reported witness is then
+    or A(u) B(v) read from a table; every reported witness is then
     evaluated again by Bareiss elimination, and a disagreement raises
     ArithmeticError.
     """
-    from .boxes import ensure_budget, map_shards, pruning_maps, scan_plan
+    from .boxes import map_shards, pruning_maps, scan_plan
 
     if value_cap is not None and value_cap < 0:
         raise ValueError(f"value_cap must be at least 0, got {value_cap}")
@@ -238,8 +239,6 @@ def revalidate(report: SearchReport, budget: int = DEFAULT_BUDGET) -> None:
     the report's box or whose determinant is not its value. A group whose
     Bareiss re-check of one point exceeds the budget raises
     BudgetExceededError first."""
-    from .boxes import ensure_budget
-
     group = report.group
     ensure_budget(group.order, 0, budget, False)
     for v in sorted(report.achieved):
@@ -265,7 +264,7 @@ def find_witness(
     ArithmeticError. The walk keeps the orbit kernel even where search_values
     reads a split table (scan_plan): it may stop at its first block, before a table
     built first would have paid for itself."""
-    from .boxes import ensure_budget, orderly_scan, pruning_maps
+    from .boxes import orderly_scan, pruning_maps
     from .norms import orbit_plan
 
     total = ensure_budget(group.order, box, budget, force)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groupdet.boxes
+import groupdet.determinant
 import groupdet.divisibility
 from groupdet import (
     BudgetExceededError,
@@ -214,7 +215,9 @@ def test_default_jobs_follow_the_work(two_cpus, monkeypatch):
         ((7,), 3, (), 1, True),  # 823,543 points of a modular plan: about 1.2 s
         ((6,), 5, (), 2, False),  # 1,771,561 points of a split plan: about 0.35 s
         ((4, 2), 3, (), 2, True),  # 5,764,801 points of a split plan: about 1.2 s
-        ((8,), 2, (), 1, True),  # 390,625 points of a modular plan: about 0.6 s
+        ((9,), 2, (), 1, True),  # 1,953,125 points of a modular plan: about 2.9 s
+        ((8,), 2, (), 2, False),  # 390,625 points of a split plan, two tables: about 0.08 s
+        ((4,), 4, (), 2, False),  # 6,561 points of a split plan, two tables
         ((4, 2), 2, holomorph_maps((4, 2)), 0, False),  # 6,103 kept points under 63 maps
     ]
     for orders, box, maps, kind, pool in cases:
@@ -370,7 +373,7 @@ def test_group_tables_are_refused_before_the_box_size(monkeypatch):
     def unreachable(dim, box):
         raise AssertionError("box_size reached on a group refused by its tables")
 
-    monkeypatch.setattr(groupdet.boxes, "box_size", unreachable)
+    monkeypatch.setattr(groupdet.determinant, "box_size", unreachable)
     with pytest.raises(BudgetExceededError, match="order 10000000"):
         ensure_budget(10**7, 1, 10**7, False)
     with pytest.raises(BudgetExceededError, match="order 10000000"):

@@ -157,3 +157,16 @@ def test_hash_consistency():
     b = CyclotomicInt.from_polynomial(6, (1, 1))
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("level", [1, 4, 12])
+def test_a_rational_element_hashes_as_its_int(level):
+    # __eq__ makes a rational element equal to its int, so sets and dicts
+    # must find one by the other
+    for value in (5, 0, -7, 2**70):
+        element = CyclotomicInt.integer(level, value)
+        assert element == value and hash(element) == hash(value)
+        assert value in {element} and element in {value}
+        assert {value: "x"}.get(element) == "x" and {element: "x"}.get(value) == "x"
+    if level > 2:
+        assert len({root_power(level, 1), 1, CyclotomicInt.one(level)}) == 2

@@ -103,8 +103,9 @@ def test_search_loads_no_suite_and_verify_no_search(tmp_path):
 def test_check_loads_no_box_engine(tmp_path):
     report = tmp_path / "r.json"
     run_probe(MODULES_PROBE, "search", "--group", "4x2", "--box", "0", "--out", str(report))
-    loaded = run_probe(MODULES_PROBE, "check", "--report", str(report), "--exponent", "8")
-    assert loaded == {"import": [], "command": ["cli", "determinant", "groups", "search"]}
+    for check in (["--exponent", "8"], ["--spec", "Z4Z2", "--revalidate"]):
+        loaded = run_probe(MODULES_PROBE, "check", "--report", str(report), *check)
+        assert loaded == {"import": [], "command": ["cli", "determinant", "groups", "search"]}
 
 
 EXPORTS_PROBE = """
