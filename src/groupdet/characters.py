@@ -1,4 +1,13 @@
-"""Characters of finite abelian groups, evaluated exactly as roots of unity."""
+"""Characters of finite abelian groups, evaluated exactly as roots of unity.
+
+exponent_table is the character table of a group shape as exponents of
+zeta_N. restriction numbers its rows by their restriction to a subgroup K,
+the one rule by which every split of the determinant picks the characters
+of each factor: the number is c mod |K| when K is the last factors (the
+elements of index below |K|), c mod s for <r> in Z/(r*s)Z, and a_i mod 2
+for the element n_i / 2 of factor i, as the characters of the last factors
+run fastest.
+"""
 
 from __future__ import annotations
 
@@ -81,6 +90,15 @@ def exponent_table(orders: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
             [(r + c) % N for r in row for c in step] for row in rows for step in steps
         ]
     return tuple(map(tuple, rows))
+
+
+@lru_cache(maxsize=None)
+def restriction(orders: tuple[int, ...], members) -> tuple[int, ...]:
+    """Per character, in enumerate_characters order, the index of its restriction to
+    the subgroup K generated by the elements of index members, by first appearance."""
+    index: dict = {}
+    return tuple(index.setdefault(tuple(row[m] for m in members), len(index))
+                 for row in exponent_table(orders))
 
 
 def char_value(chi: Character, g: Element) -> CyclotomicInt:

@@ -2,11 +2,13 @@
 
 The determinant of a finite abelian group factors over its characters into
 linear forms. Multiplying together the forms whose characters have the same
-restriction to a subgroup K yields one factor per character of K: the
-direct-product split is K a direct factor, the coprime circulant split of
-Laquer is K = <r> in Z/(r*s)Z, and for K = (Z/2Z)^l the orbit norms grouped
-the same way give all-integer factors. The forms are multiplied as integers
-packed at zeta_N = 2^b modulo Phi_N(2^b) (_packed_products).
+restriction psi to a subgroup K yields det_(G/K)(y_psi), one factor per
+character of K, in the order of characters.restriction, the one table that
+says which character restricts to which psi: the direct-product split is K
+a direct factor, the coprime circulant split of Laquer is K = <r> in
+Z/(r*s)Z, and for K = (Z/2Z)^l the orbit norms grouped the same way give
+all-integer factors. The forms are multiplied as integers packed at
+zeta_N = 2^b modulo Phi_N(2^b) (_packed_products).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
-from .characters import exponent_table
+from .characters import exponent_table, restriction
 from .cyclotomic import CyclotomicInt, NotRationalError, cyclotomic_polynomial
 from .determinant import check_assignment, circulant_det, group_determinant
 from .groups import AbelianGroup, crt_decompose, direct_product
@@ -75,19 +77,16 @@ def _power_bound(N: int) -> int:
     return bound
 
 
-def _packed_products(group: AbelianGroup, values, width: int):
-    """Product i of the character sums whose character restricts to the i-th
-    character of a subgroup K of order width, each as one packed integer, and
-    the packing (N, b, q) that _unpack and _total read them back with.
-
-    Character c restricts to c mod |K|: in H x K the K-character runs fastest,
-    and the character k of Z/(r*s)Z restricts to k mod s on <r> = Z/sZ.
+def _packed_products(group: AbelianGroup, values, slots):
+    """Product i of the n / |K| character sums of the c with slots[c] = i, their
+    restriction to a subgroup K (characters.restriction), as one packed integer,
+    and the packing (N, b, q) that _unpack and _total read them back with.
 
     zeta_N -> w = 2^b is a ring map Z[zeta_N] -> Z/q with q = Phi_N(w), so a
     sum is packed by Horner over its N exponent buckets (O(b*N) bits whatever
     the entries) and each product is one big-integer multiplication mod q.
 
-    The width is exact. Let phi = phi(N), n = |G|, m = n / width and
+    The width is exact. Let phi = phi(N), n = |G|, m = n / |K| and
     L = max(sum_g |x_g|, 1). A product of m sums has l1 norm at most L^m in
     Z[x]/(x^N - 1), so its canonical coefficients are bounded by
     A = C_N * L^m, where C_N = _power_bound(N) is 1 for every N < 105 and 2
@@ -103,10 +102,11 @@ def _packed_products(group: AbelianGroup, values, width: int):
     p = cyclotomic_polynomial(N)
     phi = len(p) - 1
     n = len(vals)
+    n_slots = max(slots) + 1  # |K|
     L = max(sum(map(abs, vals)), 1)
     det_bound = 2 * L**n
     b = max(
-        (4 * _power_bound(N) * L ** (n // width)).bit_length(),
+        (4 * _power_bound(N) * L ** (n // n_slots)).bit_length(),
         (2 * phi - 1).bit_length(),
         det_bound.bit_length() // phi,
     )
@@ -118,15 +118,15 @@ def _packed_products(group: AbelianGroup, values, width: int):
         if q > det_bound:
             break
         b += 1
-    out = [1] * width
-    for c, row in enumerate(exponent_table(group.orders)):
+    out = [1] * n_slots
+    for slot, row in zip(slots, exponent_table(group.orders)):
         buckets = [0] * N
         for k, v in zip(row, vals):
             buckets[k] += v
         a = 0
         for t in reversed(buckets):
             a = (a << b) + t
-        out[c % width] = out[c % width] * a % q
+        out[slot] = out[slot] * a % q
     return out, (N, b, q)
 
 
@@ -166,7 +166,7 @@ def _report(split: str, products, packing, direct: int) -> FactorizationReport:
 def dedekind_product(group: AbelianGroup, values) -> int:
     """The determinant as the exact product of all character sums, each its
     own packed product (K = G)."""
-    products, packing = _packed_products(group, values, group.order)
+    products, packing = _packed_products(group, values, range(group.order))
     return _total(products, packing[2])
 
 
@@ -179,7 +179,7 @@ def direct_product_factors(H: AbelianGroup, K: AbelianGroup, values) -> Factoriz
     against the direct determinant of H x K.
     """
     G = direct_product(H, K)
-    products, packing = _packed_products(G, values, K.order)
+    products, packing = _packed_products(G, values, restriction(G.orders, range(K.order)))
     return _report(f"H={H}, K={K}", products, packing, group_determinant(G, values))
 
 
@@ -203,11 +203,12 @@ def integer_split_factors(H: AbelianGroup, l: int, values) -> list[int]:
 @lru_cache(maxsize=None)
 def _sign_keys(orders: tuple[int, ...], l: int) -> tuple[int, ...]:
     """The sign factor of H x (Z/2Z)^l that each orbit norm belongs to, in
-    orbit_plan order: an orbit's first character c restricts to the sign
-    character c mod 2^l, as in _packed_products."""
+    orbit_plan order: the restriction of the orbit's first character to
+    (Z/2Z)^l, the elements of index below 2^l."""
     from .norms import orbit_plan
 
-    return tuple(orbit.char % (1 << l) for orbit in orbit_plan(orders, 0).orbits)
+    signs = restriction(orders, range(1 << l))
+    return tuple(signs[orbit.char] for orbit in orbit_plan(orders, 0).orbits)
 
 
 def laquer_factors(r: int, s: int, xs) -> FactorizationReport:
@@ -224,7 +225,7 @@ def laquer_factors(r: int, s: int, xs) -> FactorizationReport:
     xs = tuple(xs)
     if len(xs) != n:
         raise ValueError(f"assignment length {len(xs)} does not match r*s = {n}")
-    groups, packing = _packed_products(AbelianGroup((n,)), xs, s)
+    groups, packing = _packed_products(AbelianGroup((n,)), xs, restriction((n,), (r % n,)))
     products = [groups[r * i % s] for i in range(s)]
     return _report(f"C{n} = C{r} * C{s} (coprime)", products, packing, circulant_det(n, xs))
 

@@ -19,7 +19,10 @@ A shape of even order has k of order 2, and det_G(x) = A(u) B(v) with u =
 x|_T + x|_(T+k) and v = x|_T - x|_(T+k), T a transversal of <k>, A and B
 the products of the orbit norms with chi(k) = +1 and -1 (the order-2 case
 of det_G = prod over psi of det_(G/K)(y_psi)). The split plan, built in
-boxes, reads both from one table (Lookup, split_lookups).
+boxes, reads both from one table (Lookup, split_lookups). An orbit goes to A
+or B by the restriction of its first character to <k>
+(characters.restriction), which its conjugates share, as chi^u(k) = chi(k)
+= +-1 for odd u.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from math import gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
-from .characters import exponent_table
+from .characters import exponent_table, restriction
 from .cyclotomic import cyclotomic_polynomial, root_power
 from .determinant import check_assignment
 from .groups import AbelianGroup, element_at, enumerate_elements, index_of
@@ -274,9 +277,9 @@ def split_lookups(orders: tuple[int, ...], bound: int) -> tuple[list[OrbitPlan],
     k is n_i / 2 in factor i, the first factor 2 mod 4 or else the first even
     one, and T the g with g_i even when k is odd (T is then the subgroup H,
     G = H x <k>, and A = B = det_H) or with g_i < k otherwise. A's plan is
-    orbit_plan(orders, bound) with its orbits of chi(k) = +1, that is of even
-    a_i for the exponents a of chi, cut to the columns of T, and B's those of
-    chi(k) = -1: exact on [-2 bound, 2 bound]^|T|, as |T| 2 bound = |G| bound.
+    orbit_plan(orders, bound) with its orbits of chi(k) = +1, restriction 0
+    to <k>, cut to the columns of T, and B's those of chi(k) = -1, restriction
+    1: exact on [-2 bound, 2 bound]^|T|, as |T| 2 bound = |G| bound.
     x_g adds +-x_g times the place (4 bound + 1)^(|T| - 1 - j) of its element
     j of T (g or g - k; - for v on T + k) to the index in the table, A in box
     order then B unless it is A, at the offset of u = 0.
@@ -293,8 +296,9 @@ def split_lookups(orders: tuple[int, ...], bound: int) -> tuple[list[OrbitPlan],
               for g, m in zip(elements, moved))
     v = tuple(-a if m else a for a, m in zip(u, moved))
     plan = orbit_plan(orders, bound)
+    signs = restriction(orders, (k * prod(orders[i + 1:]),))
     plans = [OrbitPlan([o._replace(rows=tuple(tuple(r[j] for j in columns) for r in o.rows))
-                        for o in plan.orbits if elements[o.char][i] % 2 == sign], size, plan.width)
+                        for o in plan.orbits if signs[o.char] == sign], size, plan.width)
              for sign in range(2 - k % 2)]
     offset = 2 * bound * sum(radix**j for j in range(size))
     return plans, (Lookup((u,), offset), Lookup((v,), offset + (len(plans) - 1) * radix**size))

@@ -33,10 +33,11 @@ __all__ = [
 
 
 def _field(obj, key: str, kind, where: str):
-    """obj[key] of a loaded report, where an int may be saved as a decimal string;
-    ValueError naming where unless it is a kind."""
+    """obj[key] of a loaded report, where an int may be saved as a string of
+    ASCII decimal digits; ValueError naming where unless it is a kind."""
     value = obj.get(key) if isinstance(obj, dict) else None
-    if kind is int and isinstance(value, str) and value.removeprefix("-").isdecimal():
+    if (kind is int and isinstance(value, str) and value.isascii()
+            and value.removeprefix("-").isdecimal()):
         value = int(value)
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ValueError(f"malformed report: bad or missing {where}")
@@ -131,7 +132,10 @@ class SearchReport:
             witness = _field(row, "witness", list, f"values[{i}].witness")
             if len(witness) != group.order or not all(type(w) is int for w in witness):
                 raise ValueError(f"malformed report: values[{i}].witness is not {group.order} ints")
-            achieved[_field(row, "v", int, f"values[{i}].v")] = tuple(witness)
+            v = _field(row, "v", int, f"values[{i}].v")
+            if v in achieved:
+                raise ValueError(f"malformed report: values[{i}].v lists {v} a second time")
+            achieved[v] = tuple(witness)
         counts = _field(data, "counts", dict, "counts")
         box = _field(data, "box", int, "box")
         evaluated = _field(counts, "evaluated", int, "counts.evaluated")
@@ -142,6 +146,10 @@ class SearchReport:
                            ("value_cap", cap is not None and cap < 0)):
             if bad:
                 raise ValueError(f"malformed report: bad {where}")
+        distinct = _field(counts, "distinct", int, "counts.distinct")
+        if distinct != len(achieved):
+            raise ValueError(f"malformed report: counts.distinct {distinct} disagrees with the "
+                             f"{len(achieved)} value records")
         return SearchReport(group.orders, box, evaluated, achieved, pruned=pruned, value_cap=cap)
 
     @staticmethod

@@ -4,7 +4,9 @@ Nothing in here imports the package under test. The determinant oracle is
 plain cofactor expansion; the group matrix is rebuilt from the definition
 entry (g, h) = x_(g - h) with its own indexing; CRT decomposition is brute
 force; orbit norms are determinants of multiplication matrices, eliminated
-over the rationals. Slow on purpose: these only run on tiny inputs.
+over the rationals; the factors of det_G = prod over psi of det_(G/K)(y_psi)
+are cofactor expansions over Z[x]/Phi_N(x) of the group matrix of G/K. Slow on
+purpose: these only run on tiny inputs.
 """
 
 from fractions import Fraction
@@ -161,3 +163,66 @@ def orbit_norms(orders, values):
             coeffs[sum(gi * (ai * d // n) for gi, ai, n in zip(g, a, orders)) % d] += x
         out.append(multiplication_norm(d, coeffs))
     return out
+
+
+def poly_add(a, b):
+    out = [0] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] += c
+    return out
+
+
+def poly_reduced(a, p):
+    """a mod the monic p, as its deg p coefficients, low degree first."""
+    _, rest = poly_divmod(a, p)
+    return rest + [0] * (len(p) - 1 - len(rest))
+
+
+def poly_cofactor_det(m, p):
+    """Cofactor expansion of a matrix of integer polynomials, reduced mod the monic p."""
+    if len(m) == 1:
+        return poly_reduced(m[0][0], p)
+    total = [0]
+    for j in range(len(m)):
+        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
+        term = poly_mul(m[0][j], poly_cofactor_det(minor, p))
+        total = poly_add(total, term if j % 2 == 0 else [-c for c in term])
+    return poly_reduced(total, p)
+
+
+def subgroup_factor(orders, members, chi, values):
+    """det_(G/K)(y_psi) as its phi(N) coefficients in zeta_N, N the exponent of
+    G, K the subgroup generated by the elements of index members and psi the
+    restriction to K of the character chi (exponent tuple a, chi(g) =
+    zeta_N^(sum_i a_i g_i N / n_i)): the cofactor expansion over Z[x]/Phi_N(x)
+    of the G/K group matrix, entry (p, q) = y_psi(p - q), where
+    y_psi(q) = sum over g in q of chi(g) x_g. Any chi restricting to psi gives
+    the same factor."""
+    elems = elements(orders)
+    N = lcm(*orders)
+
+    def add(g, h):
+        return tuple((a + b) % n for a, b, n in zip(g, h, orders))
+
+    subgroup = {tuple(0 for _ in orders)}
+    frontier = list(subgroup)
+    while frontier:
+        g = frontier.pop()
+        for m in members:
+            h = add(g, elems[m])
+            if h not in subgroup:
+                subgroup.add(h)
+                frontier.append(h)
+    reps, coset_of = [], {}
+    for g in elems:
+        if g not in coset_of:
+            coset_of.update((add(g, k), len(reps)) for k in subgroup)
+            reps.append(g)
+    y = [[0] * N for _ in reps]
+    for g, x in zip(elems, values):
+        y[coset_of[g]][sum(a * gi * (N // n) for a, gi, n in zip(chi, g, orders)) % N] += x
+    matrix = [[y[coset_of[add(p, tuple(-b % n for b, n in zip(q, orders)))]] for q in reps]
+              for p in reps]
+    return poly_cofactor_det(matrix, cyclotomic_poly(N))

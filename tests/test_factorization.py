@@ -28,6 +28,7 @@ from groupdet import (
     root_power,
     split_factors,
 )
+from groupdet.characters import restriction
 from groupdet.cyclotomic import cyclotomic_polynomial
 from groupdet.divisibility import sign_twists
 from groupdet.factorization import FactorizationReport, _packed_products, _power_bound
@@ -365,7 +366,7 @@ def test_packed_split_at_a_level_with_power_bound_two():
     assert rep.as_json_dict() == ref.as_json_dict()
     # the width carries C_105 = 2: 2^b >= 4 * 2 * L^15 + 1 for factors of 15 sums
     x = (2,) + (0,) * (g.order - 1)
-    _, (N, b, q) = _packed_products(g, x, 7)
+    _, (N, b, q) = _packed_products(g, x, restriction(g.orders, range(7)))
     assert N == 105 and 1 << b >= 4 * 2 * 2**15 + 1
     assert q == sum(c << b * i for i, c in enumerate(cyclotomic_polynomial(105)))
     assert dedekind_product(g, x) == 2**105

@@ -328,6 +328,34 @@ def test_malformed_saved_reports_name_the_bad_field():
     assert SearchReport.from_json_dict(good) == search_values(make_group(2), 1)
 
 
+def tampered(report):
+    """The saved records of a report of group 2 with one tampering each: a value
+    listed twice with its other witness -x (det(-x) = det(x) at even order),
+    which would silently win; a distinct count one short; and a value in
+    Arabic-Indic digits, which int() reads as 12."""
+    good = report.as_json_dict()
+    first, *rest = good["values"]
+    twice = {**first, "witness": [-w for w in first["witness"]]}
+    return {
+        "twice": {**good, "values": [first, twice, *rest],
+                  "counts": {**good["counts"], "distinct": good["counts"]["distinct"] + 1}},
+        "distinct": {**good, "counts": {**good["counts"], "distinct": len(rest)}},
+        "digits": {**good, "values": [*good["values"], {"v": "\u0661\u0662", "witness": [2, 0]}],
+                   "counts": {**good["counts"], "distinct": len(good["values"]) + 1}},
+    }
+
+
+@pytest.mark.parametrize("case,field", [
+    ("twice", "values[1].v lists -1 a second time"), ("distinct", "counts.distinct 2"),
+    ("digits", "values[3].v"),
+], ids=["twice", "distinct", "digits"])
+def test_tampered_reports_are_refused(case, field):
+    report = search_values(make_group(2), 1)
+    assert len(report.achieved) == 3
+    with pytest.raises(ValueError, match="malformed report: .*" + re.escape(field)):
+        SearchReport.from_json_dict(tampered(report)[case])
+
+
 def test_witnesses_are_rechecked_by_bareiss(monkeypatch):
     import groupdet.search
 

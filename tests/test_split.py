@@ -17,7 +17,7 @@ from groupdet import find_witness, group_determinant, make_group, search_values
 from groupdet.boxes import holomorph_maps, iter_box, scan_plan, split_plan
 from groupdet.groups import enumerate_elements
 from groupdet.norms import OrbitPlan, orbit_plan, split_lookups
-from oracles import fraction_det, naive_group_det, naive_group_matrix
+from oracles import fraction_det, naive_group_det, naive_group_matrix, subgroup_factor
 
 # each shape with the largest bound at which its table is built here
 BUILT = {(2,): 3, (2, 2): 2, (4, 2): 2, (2, 2, 2): 2, (6,): 3, (10,): 2, (2, 6): 1,
@@ -203,6 +203,34 @@ def test_the_tables_are_the_factors_of_the_split(orders, bound, samples):
         entry_a, entry_b = plan.table[index], plan.table[index + b.offset - a.offset]
         assert entry_a == group_determinant(quotient, y)
         assert entry_a * entry_b == group_determinant(g, x)
+
+
+@pytest.mark.parametrize("orders,samples", [
+    ((4,), 25), ((8,), 160), ((12,), 40), ((6,), 125), ((4, 2), 160),
+])
+def test_the_tables_are_the_theorems_factors(orders, samples):
+    # A and B at bound 1, entry by entry (every (size // samples)-th), against
+    # the cofactor oracle of det_(G/K)(y_+-) for K = <k>, at the point w on T
+    # and 0 on T + k, with chi_+- the first character that is +-1 at k; with
+    # one table (a factor 2 mod 4) both factors are its entry
+    g = make_group(orders)
+    i, t = transversal(orders)
+    elements = enumerate_elements(g)
+    k = elements.index(tuple(n // 2 if j == i else 0 for j, n in enumerate(orders)))
+    chis = [next(a for a in elements if a[i] % 2 == sign) for sign in (0, 1)]
+    plan = split_plan(orders, 1)
+    a, b = plan.orbits
+    assert (a.offset == b.offset) == (orders[i] % 4 == 2)
+    size = len(t)
+    for index, w in enumerate(iter_box(size, 2)):
+        if index % max(1, 5**size // samples):
+            continue
+        x = [0] * g.order
+        for element, value in zip(t, w):
+            x[elements.index(element)] = value
+        for entry, chi in zip((index + a.offset, index + b.offset), chis):
+            factor = subgroup_factor(orders, (k,), chi, x)
+            assert factor == [plan.table[entry - a.offset]] + [0] * (len(factor) - 1)
 
 
 def test_table_size():
