@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, repeat
+from math import prod
+from operator import add, sub
 from typing import Sequence
 
 from .groups import AbelianGroup, cayley_table
@@ -162,9 +164,66 @@ def _eliminate_int(rows: list[list[int]], n: int) -> int:
     return sign * rows[n - 1][n - 1]
 
 
+@lru_cache(maxsize=None)
+def _split_table(orders: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
+    """(|T|, |K|, cells) for K = G[2], the elements g with 2g = 0, and T the
+    least element of each coset of K: the elements whose coordinates lie below
+    half of every even factor order. cells[(i |T| + j) |K| + k] is the index of
+    t_i - t_j + kappa_k, kappa_k having the bit vector k over the basis of K
+    that the even factors give, one bit each. Built one factor at a time from
+    coordinates, every entry one of the |G| ints of ids."""
+    ids = list(range(prod(orders)))
+    rows, m = [[0]], 1
+    for n in orders:
+        half, shifts = (n // 2, (0, n // 2)) if n % 2 == 0 else (n, (0,))
+        grown = []
+        for row in rows:
+            cells = [row[c:c + m] for c in range(0, len(row), m)]
+            for a in range(half):
+                grown.append([ids[r * n + (a - b + s) % n]
+                              for cell in cells for b in range(half) for r in cell for s in shifts])
+        rows, m = grown, m * len(shifts)
+    return len(rows), m, tuple(chain.from_iterable(rows))
+
+
 def group_determinant(group: AbelianGroup, values: Sequence):
-    """Exact integer determinant of the group matrix of an integer assignment."""
-    return bareiss_det(build_group_matrix(group, values))
+    """Exact integer determinant of the group matrix of an integer assignment,
+    as the product of the Bareiss determinants of its 2^l blocks along
+    K = G[2] = {g : 2g = 0} of rank l (one block, the group matrix, at odd
+    order).
+
+    Write each element as t + kappa, t in T (the least element of each coset
+    of K) and kappa in K. Entry (t_i + a, t_j + b) of the group matrix M is
+    x_{t_i - t_j + a + b}, as -b = b in K. So in the basis t + kappa,
+    M = sum_kappa X_kappa (x) R_kappa, where X_kappa[i][j] = x_{t_i - t_j + kappa}
+    and R_kappa is the permutation matrix of translation by kappa on K. The
+    +-1 Hadamard matrix of K, with rows the sign characters psi of K, takes
+    every R_kappa to the diagonal matrix of the psi(kappa), so M is similar,
+    by a permutation and I (x) Hadamard, to the block-diagonal matrix of the
+    B_psi = sum_kappa psi(kappa) X_kappa, and det M = prod_psi det B_psi
+    exactly, over Z.
+
+    The |K| values of each cell of _split_table go through one Walsh-Hadamard
+    transform, all cells at once, in l rounds of constant geometry: each
+    round puts the sums of the values at positions 2p and 2p + 1 first, then
+    their differences. Block psi then fills positions psi |T|^2 onwards, its
+    cells in row order. Its rows go to the elimination as they are; a block
+    of determinant 0 ends the product."""
+    vals = check_assignment(group, values)
+    n, m, cells = _split_table(group.orders)
+    v = list(map(vals.__getitem__, cells))
+    for _ in range(m.bit_length() - 1):
+        evens, odds = v[0::2], v[1::2]
+        v = list(map(add, evens, odds))
+        v += map(sub, evens, odds)
+    size = n * n
+    det = 1
+    for start in range(0, len(v), size):
+        d = _eliminate_int([v[r:r + n] for r in range(start, start + size, n)], n)
+        if not d:
+            return 0
+        det *= d
+    return det
 
 
 def circulant_det(n: int, xs: Sequence):

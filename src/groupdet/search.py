@@ -127,6 +127,9 @@ class SearchReport:
             group = parse_group_spec(spec)
         except ValueError as exc:
             raise ValueError(f"malformed report: group: {exc}") from None
+        box = _field(data, "box", int, "box")
+        if box < 0:
+            raise ValueError("malformed report: bad box")
         achieved = {}
         for i, row in enumerate(_field(data, "values", list, "values")):
             witness = _field(row, "witness", list, f"values[{i}].witness")
@@ -135,13 +138,15 @@ class SearchReport:
             v = _field(row, "v", int, f"values[{i}].v")
             if v in achieved:
                 raise ValueError(f"malformed report: values[{i}].v lists {v} a second time")
+            if max(map(abs, witness)) > box:
+                raise ValueError(f"malformed report: values[{i}].witness {witness} lies outside "
+                                 f"the box {box}")
             achieved[v] = tuple(witness)
         counts = _field(data, "counts", dict, "counts")
-        box = _field(data, "box", int, "box")
         evaluated = _field(counts, "evaluated", int, "counts.evaluated")
         pruned = data.get("pruned", False)
         cap = None if data.get("value_cap") is None else _field(data, "value_cap", int, "value_cap")
-        for where, bad in (("box", box < 0), ("counts.evaluated", evaluated < 0),
+        for where, bad in (("counts.evaluated", evaluated < 0),
                            ("pruned", not isinstance(pruned, bool)),
                            ("value_cap", cap is not None and cap < 0)):
             if bad:
@@ -150,6 +155,10 @@ class SearchReport:
         if distinct != len(achieved):
             raise ValueError(f"malformed report: counts.distinct {distinct} disagrees with the "
                              f"{len(achieved)} value records")
+        # each value comes from at least one evaluated point
+        if evaluated < distinct:
+            raise ValueError(f"malformed report: counts.evaluated {evaluated} is less than the "
+                             f"{distinct} distinct values")
         return SearchReport(group.orders, box, evaluated, achieved, pruned=pruned, value_cap=cap)
 
     @staticmethod

@@ -234,6 +234,12 @@ def test_check_missing_report(capsys, tmp_path):
     ('{"values": [{"v": "-1", "witness": [0, -1]}, {"v": "-1", "witness": [0, 1]}], '
      '"group": "2", "box": 1, "pruned": false, "counts": {"evaluated": 9, "distinct": 2}}',
      "values[1].v lists -1 a second time"),
+    ('{"group": "2", "box": 1, "pruned": false, "value_cap": null, '
+     '"counts": {"evaluated": 0, "distinct": 1}, "values": [{"v": "0", "witness": [1, 1]}]}',
+     "counts.evaluated 0"),
+    ('{"group": "2", "box": 1, "pruned": false, "value_cap": null, '
+     '"counts": {"evaluated": 9, "distinct": 1}, "values": [{"v": "-1", "witness": [0, -99]}]}',
+     "values[0].witness [0, -99] lies outside the box 1"),
 ])
 def test_check_malformed_report_exits_2_as_json(capsys, tmp_path, text, field):
     path = tmp_path / "bad.json"

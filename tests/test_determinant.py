@@ -4,6 +4,8 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import groupdet
 from groupdet import (
@@ -17,7 +19,9 @@ from groupdet import (
     make_group,
     root_power,
 )
-from oracles import cofactor_det, naive_group_det, naive_group_matrix
+from groupdet.determinant import _split_table
+from groupdet.groups import translation_is_even
+from oracles import cofactor_det, fraction_det, naive_group_det, naive_group_matrix
 
 
 def test_build_group_matrix_frozen():
@@ -165,6 +169,68 @@ def test_inversion_relabel_preserves_value():
     x = (1, 2, 3, 4, 5)
     inv = tuple(x[(-i) % 5] for i in range(5))
     assert group_determinant(g, inv) == group_determinant(g, x)
+
+
+# G[2] of rank l = 0 to 4, a direct factor or not (8, 16, 4x4, 8x2, 2x2x3)
+SPLIT_SHAPES = [(1,), (2,), (2, 2), (2, 2, 2, 2), (8,), (16,), (4, 4), (8, 2), (2, 2, 3), (15,),
+                (3, 3), (4, 2), (6,)]
+SMALL = st.integers(-3, 3)
+HUGE = st.integers(-(2**80), 2**80)
+
+
+@st.composite
+def split_points(draw):
+    """A shape and an assignment of small, huge or zero entries; sparse ones
+    give blocks with a zero pivot, and a zero sum a zero determinant."""
+    orders = draw(st.sampled_from(SPLIT_SHAPES))
+    dim = make_group(orders).order
+    entry = draw(st.sampled_from([SMALL, HUGE, st.one_of(st.just(0), SMALL, HUGE),
+                                  st.sampled_from([0, 0, 0, 1, -1])]))
+    xs = draw(st.lists(entry, min_size=dim, max_size=dim))
+    if draw(st.booleans()):
+        xs[-1] -= sum(xs)
+    return orders, tuple(xs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(split_points())
+def test_split_determinant_matches_full_elimination_and_the_oracles(point):
+    orders, xs = point
+    g = make_group(orders)
+    det = group_determinant(g, xs)
+    assert det == bareiss_det(build_group_matrix(g, xs))
+    # cofactor expansion where it is cheap, else rational elimination
+    oracle = naive_group_det if g.order <= 8 else lambda o, x: fraction_det(naive_group_matrix(o, x))
+    assert det == oracle(orders, xs)
+    if sum(xs) == 0:
+        assert det == 0
+
+
+@pytest.mark.parametrize("orders", SPLIT_SHAPES)
+def test_split_table_has_one_cell_per_pair_of_transversal_elements(orders):
+    n, m, cells = _split_table(orders)
+    dim = make_group(orders).order
+    rank = sum(k % 2 == 0 for k in orders)
+    assert m == 2**rank and n * m == dim and len(cells) == n * n * m
+    # every cell (i, i) holds the elements of K = G[2], the identity first
+    g = make_group(orders)
+    members = [index_of(g, e) for e in enumerate_elements(g)
+               if all(2 * c % k == 0 for c, k in zip(e, orders))]
+    for i in range(n):
+        diagonal = cells[(i * n + i) * m:(i * n + i + 1) * m]
+        assert diagonal[0] == 0 and sorted(diagonal) == members
+
+
+@pytest.mark.parametrize("orders", SPLIT_SHAPES)
+def test_a_translation_matrix_has_the_sign_of_its_permutation(orders):
+    # the group matrix of the indicator of a is the permutation matrix of
+    # translation by a; every block off K has a zero (0, 0) entry, so the
+    # elimination swaps rows
+    g = make_group(orders)
+    for i, a in enumerate(enumerate_elements(g)):
+        xs = [0] * g.order
+        xs[i] = 1
+        assert group_determinant(g, xs) == (1 if translation_is_even(g, a) else -1)
 
 
 def test_library_has_no_assert_statements():

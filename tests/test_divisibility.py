@@ -26,7 +26,7 @@ from groupdet.boxes import holomorph_maps, iter_box, orderly_scan
 from groupdet.determinant import _index_table, bareiss_det
 from groupdet.divisibility import KEPT_FAILURES, sign_twists
 from groupdet.factorization import _sign_keys
-from groupdet.norms import orbit_plan
+from groupdet.norms import OrbitPlan, orbit_plan
 
 
 def test_two_adic_valuation_frozen():
@@ -189,6 +189,28 @@ def test_suite_rechecks_witnesses_by_bareiss(monkeypatch):
     monkeypatch.setattr(groupdet.divisibility, "bareiss_det", lambda m: real(m) + 2)
     with pytest.raises(ArithmeticError, match="Bareiss"):
         run_divisibility_suite(make_group(2), 1, 1, jobs=1)
+
+
+def test_a_corrupted_suite_kernel_fails_the_bareiss_recheck(monkeypatch):
+    # the kernel, not the re-check, is wrong: every sign factor of each
+    # block's least point is tripled, which keeps its valuation, so that
+    # point is still the suite's least one, re-checked in the parent
+    suite = OrbitPlan.suite
+
+    def corrupted(self, keys, exp):
+        kernel = suite(self, keys, exp)
+
+        def wrong(head, tails, sizes):
+            even, fails, least, at, flagged = kernel(head, tails, sizes)
+            if at is not None:
+                at = (at[0], tuple(3 * f for f in at[1]))
+            return even, fails, least, at, flagged
+
+        return wrong
+
+    monkeypatch.setattr(OrbitPlan, "suite", corrupted)
+    with pytest.raises(ArithmeticError, match="Bareiss"):
+        run_divisibility_suite(make_group(4), 1, 1, jobs=1)
 
 
 def test_single_checks_recheck_their_failures_by_bareiss(monkeypatch):

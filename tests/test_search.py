@@ -3,6 +3,7 @@ import os
 import re
 import tempfile
 from math import isqrt
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,8 @@ from groupdet import (
     membership_spec,
     search_values,
 )
+from groupdet.boxes import scan_plan
+from groupdet.norms import OrbitPlan
 from groupdet.search import _is_odd_prime
 from oracles import box_value_set, first_witness
 
@@ -258,12 +261,15 @@ def reports(draw):
     for o in orders:
         n *= o
     big = st.integers(-(2**200), 2**200)
-    witness = st.lists(big, min_size=n, max_size=n).map(tuple)
+    box = draw(st.integers(0, 2**70))
+    # a loadable report has its witnesses in its box and a point per value
+    witness = st.lists(st.integers(-box, box), min_size=n, max_size=n).map(tuple)
+    achieved = draw(st.dictionaries(big, witness, max_size=6))
     return SearchReport(
         orders,
-        draw(st.integers(0, 2**70)),
-        draw(st.integers(0, 2**70)),
-        draw(st.dictionaries(big, witness, max_size=6)),
+        box,
+        draw(st.integers(len(achieved), 2**70)),
+        achieved,
         draw(st.booleans()),
         draw(st.none() | st.integers(0, 2**200)),
     )
@@ -332,11 +338,14 @@ def tampered(report):
     """The saved records of a report of group 2 with one tampering each: a value
     listed twice with its other witness -x (det(-x) = det(x) at even order),
     which would silently win; a distinct count one short; and a value in
-    Arabic-Indic digits, which int() reads as 12."""
+    Arabic-Indic digits, which int() reads as 12; fewer points evaluated than
+    values; and a witness outside the box."""
     good = report.as_json_dict()
     first, *rest = good["values"]
     twice = {**first, "witness": [-w for w in first["witness"]]}
     return {
+        "evaluated": {**good, "counts": {**good["counts"], "evaluated": 0}},
+        "outside": {**good, "values": [{**first, "witness": [0, -99]}, *rest]},
         "twice": {**good, "values": [first, twice, *rest],
                   "counts": {**good["counts"], "distinct": good["counts"]["distinct"] + 1}},
         "distinct": {**good, "counts": {**good["counts"], "distinct": len(rest)}},
@@ -347,8 +356,9 @@ def tampered(report):
 
 @pytest.mark.parametrize("case,field", [
     ("twice", "values[1].v lists -1 a second time"), ("distinct", "counts.distinct 2"),
-    ("digits", "values[3].v"),
-], ids=["twice", "distinct", "digits"])
+    ("digits", "values[3].v"), ("evaluated", "counts.evaluated 0 is less than the 3"),
+    ("outside", "values[0].witness [0, -99] lies outside the box 1"),
+], ids=["twice", "distinct", "digits", "evaluated", "outside"])
 def test_tampered_reports_are_refused(case, field):
     report = search_values(make_group(2), 1)
     assert len(report.achieved) == 3
@@ -367,3 +377,53 @@ def test_witnesses_are_rechecked_by_bareiss(monkeypatch):
         search_values(make_group((2, 2)), 1)
     with pytest.raises(ArithmeticError, match="Bareiss"):
         find_witness(make_group((2, 2)), 2, 16)
+
+
+# far above any determinant of an order-8 point in [-1, 1]^8, which is at most 8^8
+WRONG = 10**9 + 7
+
+
+@pytest.mark.parametrize("orders,factor", [((4, 2), 0), ((8,), 1)], ids=["4x2 A", "8 B"])
+def test_a_corrupted_split_table_entry_fails_the_bareiss_recheck(orders, factor):
+    # the entry of A (or B) that the witness of a nonzero value reads: every
+    # point reading it gets a new value, whose first witness is re-checked
+    g = make_group(orders)
+    plan = scan_plan(orders, 1)
+    assert plan.table is not None
+    v, w = next((v, w) for v, w in sorted(search_values(g, 1, jobs=1).achieved.items()) if v)
+    lookup = plan.orbits[factor]
+    at = sum(map(mul, lookup.rows[0], w)) + lookup.offset
+    entry, plan.table[at] = plan.table[at], WRONG
+    try:
+        with pytest.raises(ArithmeticError, match="Bareiss"):
+            search_values(g, 1, jobs=1)
+    finally:
+        plan.table[at] = entry
+
+
+@pytest.mark.parametrize("scan", [
+    lambda: find_witness(make_group((4, 2)), 1, WRONG),
+    lambda: find_witness(make_group(7), 1, WRONG),
+    lambda: search_values(make_group(7), 1, jobs=1),
+], ids=["witness 4x2", "witness 7", "search 7"])
+def test_a_corrupted_orbit_kernel_fails_the_bareiss_recheck(monkeypatch, scan):
+    # find_witness always runs the orbit kernel, and search_values does at odd
+    # order: the kernels block() returns give WRONG at the first point
+    block = OrbitPlan.block
+    done = []
+
+    def corrupted(self, keys=None):
+        kernel = block(self, keys)
+
+        def wrong(head, tails):
+            ds = kernel(head, tails)
+            if not done:
+                done.append(True)
+                ds = [WRONG, *ds[1:]]
+            return ds
+
+        return wrong
+
+    monkeypatch.setattr(OrbitPlan, "block", corrupted)
+    with pytest.raises(ArithmeticError, match="Bareiss"):
+        scan()
