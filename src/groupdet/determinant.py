@@ -7,7 +7,7 @@ internal division is an exact integer division, and each one is checked.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain, product, repeat
 from math import prod
 from operator import add, sub
 from typing import Sequence
@@ -164,62 +164,163 @@ def _eliminate_int(rows: list[list[int]], n: int) -> int:
     return sign * rows[n - 1][n - 1]
 
 
+def _split_prime(orders: tuple[int, ...]) -> int:
+    """The prime p along whose G[p] the determinant splits: the one of least
+    elimination steps |T|^3 (1 + (p^l - 1)(p - 1)^2), for G[p] of rank l and
+    |T| = |G|/p^l, ties going to the smaller p; 2 for the trivial group."""
+    order = prod(orders)
+
+    def steps(p: int) -> int:
+        rank = sum(n % p == 0 for n in orders)
+        return (order // p**rank) ** 3 * (1 + (p**rank - 1) * (p - 1) ** 2)
+
+    primes = [q for q in range(2, max(orders) + 1)
+              if any(n % q == 0 for n in orders) and all(q % r for r in range(2, q))]
+    return min(primes, key=steps, default=2)
+
+
 @lru_cache(maxsize=None)
-def _split_table(orders: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
-    """(|T|, |K|, cells) for K = G[2], the elements g with 2g = 0, and T the
-    least element of each coset of K: the elements whose coordinates lie below
-    half of every even factor order. cells[(i |T| + j) |K| + k] is the index of
-    t_i - t_j + kappa_k, kappa_k having the bit vector k over the basis of K
-    that the even factors give, one bit each. Built one factor at a time from
-    coordinates, every entry one of the |G| ints of ids."""
+def _split_table(orders: tuple[int, ...]) -> tuple[int, int, int, tuple[int, ...], tuple]:
+    """(p, l, |T|, cells, _lines(p, l, |T|)) for K = G[p], the elements g with
+    pg = 0, of rank l (p from _split_prime), and T the least element of each
+    coset of K: the elements whose coordinates lie below n/p for every factor
+    order n that p divides. cells[(i |T| + j) p^l + k] is the index of
+    t_i - t_j + kappa_k, kappa_k having the base-p digits of k over the basis
+    of K that those factors give, one digit each, the last factor's lowest.
+    Built one factor at a time from coordinates, every entry one of the |G|
+    ints of ids."""
+    p = _split_prime(orders)
     ids = list(range(prod(orders)))
     rows, m = [[0]], 1
     for n in orders:
-        half, shifts = (n // 2, (0, n // 2)) if n % 2 == 0 else (n, (0,))
+        step = n // p if n % p == 0 else n
+        shifts = range(0, n, step)
         grown = []
         for row in rows:
             cells = [row[c:c + m] for c in range(0, len(row), m)]
-            for a in range(half):
+            for a in range(step):
                 grown.append([ids[r * n + (a - b + s) % n]
-                              for cell in cells for b in range(half) for r in cell for s in shifts])
+                              for cell in cells for b in range(step) for r in cell for s in shifts])
         rows, m = grown, m * len(shifts)
-    return len(rows), m, tuple(chain.from_iterable(rows))
+    l = sum(n % p == 0 for n in orders)
+    return p, l, len(rows), tuple(chain.from_iterable(rows)), _lines(p, l, len(rows))
+
+
+def _lines(p: int, l: int, n: int) -> tuple:
+    """How _split_blocks reads the blocks for K = G[p] of rank l and |T| = n:
+    (c, gather, width, plus, minus) for c = 0, then for each line c of F_p^l,
+    by its point of first nonzero coordinate 1 over the factors of K.
+
+    The transform leaves p^l chunks of n^2 values, one per cell, then a 0.
+    Chunk sum_d o_d p^d is the coefficient of the basis element that is the
+    sum at each digit d with o_d = 0 and X_d^(o_d - 1) at the others. Line
+    c reads the chunks with o_d = 0 exactly where c_d = 0; X_d -> X^(c_d)
+    takes each to a power X^b, and z_b is the sum of those taken to X^b.
+    gather holds one index tuple per term of those sums (the 0 where a sum
+    has fewer terms); summed, they give for each row i of cells that row of
+    z_0, ..., z_(p-1), z_0, ..., z_(p-2). Row r' n + i of the block is the
+    run of width (p - 1) n at plus[r' n + i] less the run at
+    minus[r' n + i]: z_(r+2+k') - z_(1+k') at column k' n + j, indices mod
+    p, entry (r, k) of cell (i, j) with r' = p - 2 - r and k' = p - 2 - k,
+    rows and columns reversed alike. B_1, and every block at p = 2, where
+    z_1 is empty, is one chunk read in place: no gather, and plus holds the
+    offsets of its rows."""
+    size = n * n
+    lines = [((0,) * l, (), n, tuple(range(0, size, n)), ())]
+    for mask in range(1, 1 << l):
+        support = [d for d in range(l) if mask >> d & 1]
+        for rest in product(range(1, p), repeat=len(support) - 1):
+            c = dict(zip(support, (*rest, 1)))
+            z: list[list[int]] = [[] for _ in range(p)]
+            for o in product(range(1, p), repeat=len(support)):
+                z[sum(c[d] * (a - 1) for d, a in zip(support, o)) % p].append(
+                    sum(a * p**d for d, a in zip(support, o)) * size)
+            point = tuple(c.get(d, 0) for d in reversed(range(l)))
+            if not any(z[1:]) and len(z[0]) == 1:
+                lines.append((point, (), n, tuple(range(z[0][0], z[0][0] + size, n)), ()))
+                continue
+            gather = tuple(tuple(z[b % p][t] + i + j if t < len(z[b % p]) else size * p**l
+                                 for i in range(0, size, n) for b in range(2 * p - 1)
+                                 for j in range(n))
+                           for t in range(max(map(len, z))))
+            run = (2 * p - 1) * n
+            plus = tuple(i * run + (r + 2) * n for r in reversed(range(p - 1)) for i in range(n))
+            minus = tuple(i * run + n for _ in range(p - 1) for i in range(n))
+            lines.append((point, gather, (p - 1) * n, plus, minus))
+    return tuple(lines)
+
+
+def _split_blocks(group: AbelianGroup, values: Sequence):
+    """Yield the rows of each block of group_determinant, in the order of
+    _lines.
+
+    The p^l values of each cell of _split_table go through one transform,
+    all cells at once, in l rounds of constant geometry. Each round takes the
+    p values at positions p q to p q + p - 1, one digit of kappa, to their
+    sum and then each of the first p - 1 less the last: f -> (sum f, f mod
+    Phi_p) in the basis 1, X, ..., X^(p-2). It puts the p results at q,
+    q + L, ..., q + (p - 1) L, L the length over p. At p = 2 that is the
+    Walsh-Hadamard butterfly, sums first, then differences."""
+    vals = check_assignment(group, values)
+    p, l, n, cells, lines = _split_table(group.orders)
+    v = list(map(vals.__getitem__, cells))
+    middle = range(1, p - 1)
+    for _ in range(l):
+        first, last = v[0::p], v[p - 1::p]
+        total = list(map(add, first, last))
+        for r in middle:
+            total = list(map(add, total, v[r::p]))
+        total += map(sub, first, last)
+        for r in middle:
+            total += map(sub, v[r::p], last)
+        v = total
+    v.append(0)
+    for _, gather, width, plus, minus in lines:
+        if not gather:
+            yield [v[a:a + width] for a in plus]
+            continue
+        src = list(map(v.__getitem__, gather[0]))
+        for terms in gather[1:]:
+            src = list(map(add, src, map(v.__getitem__, terms)))
+        yield [list(map(sub, src[a:a + width], src[b:b + width])) for a, b in zip(plus, minus)]
 
 
 def group_determinant(group: AbelianGroup, values: Sequence):
     """Exact integer determinant of the group matrix of an integer assignment,
-    as the product of the Bareiss determinants of its 2^l blocks along
-    K = G[2] = {g : 2g = 0} of rank l (one block, the group matrix, at odd
-    order).
+    as the product of the Bareiss determinants of its blocks along K = G[p] =
+    {g : pg = 0} of rank l, for the prime p of fewest elimination steps
+    (_split_prime; one block, the group matrix, for the trivial group).
 
     Write each element as t + kappa, t in T (the least element of each coset
     of K) and kappa in K. Entry (t_i + a, t_j + b) of the group matrix M is
-    x_{t_i - t_j + a + b}, as -b = b in K. So in the basis t + kappa,
+    x_{t_i - t_j + a - b}. So in the basis t + kappa,
     M = sum_kappa X_kappa (x) R_kappa, where X_kappa[i][j] = x_{t_i - t_j + kappa}
-    and R_kappa is the permutation matrix of translation by kappa on K. The
-    +-1 Hadamard matrix of K, with rows the sign characters psi of K, takes
-    every R_kappa to the diagonal matrix of the psi(kappa), so M is similar,
-    by a permutation and I (x) Hadamard, to the block-diagonal matrix of the
-    B_psi = sum_kappa psi(kappa) X_kappa, and det M = prod_psi det B_psi
-    exactly, over Z.
+    and R_kappa is the permutation matrix of translation by kappa on K, that
+    is, multiplication by kappa on Q[K]. Take kappa in F_p^l by its
+    coordinates over the basis of K, and let c run over the (p^l - 1)/(p - 1)
+    lines of F_p^l, each by its point of first nonzero coordinate 1. The map
 
-    The |K| values of each cell of _split_table go through one Walsh-Hadamard
-    transform, all cells at once, in l rounds of constant geometry: each
-    round puts the sums of the values at positions 2p and 2p + 1 first, then
-    their differences. Block psi then fills positions psi |T|^2 onwards, its
-    cells in row order. Its rows go to the elimination as they are; a block
-    of determinant 0 ends the product."""
-    vals = check_assignment(group, values)
-    n, m, cells = _split_table(group.orders)
-    v = list(map(vals.__getitem__, cells))
-    for _ in range(m.bit_length() - 1):
-        evens, odds = v[0::2], v[1::2]
-        v = list(map(add, evens, odds))
-        v += map(sub, evens, odds)
-    size = n * n
+        f -> (sum f, (sum_kappa f(kappa) X^<c, kappa> mod Phi_p)_c),
+
+    Q[K] -> Q + (+)_c Q[X]/Phi_p, Phi_p = 1 + X + ... + X^(p-1), is a ring
+    isomorphism: it is multiplicative, X^p = 1 in Q[X]/Phi_p, and it is
+    injective because the complex characters kappa -> zeta^<u c, kappa>,
+    u = 1, ..., p - 1, with the trivial one are all the characters of K,
+    on p^l = 1 + (p^l - 1)/(p - 1) (p - 1) dimensions. In the basis 1, X,
+    ..., X^(p-2) it takes multiplication by kappa to 1 (+) (+)_c
+    C^<c, kappa>, C the companion matrix of Phi_p. So one rational change of
+    basis, I (x) that map, and a permutation take M to the block-diagonal
+    matrix of B_1 = sum_kappa X_kappa and B_c = sum_kappa X_kappa (x)
+    C^<c, kappa>, and det M = det B_1 prod_c det B_c exactly, over Z. Entry
+    (r, k) of cell (i, j) of B_c is z_(r-k) - z_(p-1-k), indices mod p, z_a
+    the sum of x_{t_i - t_j + kappa} over <c, kappa> = a. At p = 2, C = [-1]
+    and the B_c are the 2^l - 1 sign twists off the trivial character.
+
+    The blocks come from _split_blocks; a block of determinant 0 ends the
+    product."""
     det = 1
-    for start in range(0, len(v), size):
-        d = _eliminate_int([v[r:r + n] for r in range(start, start + size, n)], n)
+    for rows in _split_blocks(group, values):
+        d = _eliminate_int(rows, len(rows))
         if not d:
             return 0
         det *= d

@@ -19,9 +19,10 @@ from groupdet import (
     make_group,
     root_power,
 )
-from groupdet.determinant import _split_table
+from groupdet.determinant import _split_blocks, _split_table
 from groupdet.groups import translation_is_even
-from oracles import cofactor_det, fraction_det, naive_group_det, naive_group_matrix
+from oracles import (cofactor_det, cyclotomic_poly, fraction_det, naive_group_det,
+                     naive_group_matrix, poly_mul, poly_reduced, subgroup_factor)
 
 
 def test_build_group_matrix_frozen():
@@ -171,9 +172,11 @@ def test_inversion_relabel_preserves_value():
     assert group_determinant(g, inv) == group_determinant(g, x)
 
 
-# G[2] of rank l = 0 to 4, a direct factor or not (8, 16, 4x4, 8x2, 2x2x3)
+# G[2] of rank l = 0 to 4, a direct factor or not (8, 16, 4x4, 8x2, 2x2x3); G[p] for p = 3,
+# 5 and 7 of rank 1 to 3, a direct factor or not (9, 27, 25, 3x9, 21)
 SPLIT_SHAPES = [(1,), (2,), (2, 2), (2, 2, 2, 2), (8,), (16,), (4, 4), (8, 2), (2, 2, 3), (15,),
-                (3, 3), (4, 2), (6,)]
+                (3, 3), (4, 2), (6,), (9,), (27,), (25,), (3, 9), (5, 5), (3, 3, 3), (2, 3, 3),
+                (21,)]
 SMALL = st.integers(-3, 3)
 HUGE = st.integers(-(2**80), 2**80)
 
@@ -208,17 +211,58 @@ def test_split_determinant_matches_full_elimination_and_the_oracles(point):
 
 @pytest.mark.parametrize("orders", SPLIT_SHAPES)
 def test_split_table_has_one_cell_per_pair_of_transversal_elements(orders):
-    n, m, cells = _split_table(orders)
+    p, rank, n, cells, lines = _split_table(orders)
+    m = p**rank
     dim = make_group(orders).order
-    rank = sum(k % 2 == 0 for k in orders)
-    assert m == 2**rank and n * m == dim and len(cells) == n * n * m
-    # every cell (i, i) holds the elements of K = G[2], the identity first
+    assert rank == sum(k % p == 0 for k in orders)
+    assert n * m == dim and len(cells) == n * n * m
+    # every cell (i, i) holds the elements of K = G[p], the identity first
     g = make_group(orders)
     members = [index_of(g, e) for e in enumerate_elements(g)
-               if all(2 * c % k == 0 for c, k in zip(e, orders))]
+               if all(p * c % k == 0 for c, k in zip(e, orders))]
     for i in range(n):
         diagonal = cells[(i * n + i) * m:(i * n + i + 1) * m]
         assert diagonal[0] == 0 and sorted(diagonal) == members
+    # B_1, then one block per line of F_p^rank
+    assert len(lines) == 1 + (m - 1) // (p - 1)
+
+
+# the prime of fewest elimination steps |T|^3 (1 + (p^l - 1)(p - 1)^2), ties to the smaller;
+# None where K is trivial
+@pytest.mark.parametrize("orders,prime", [
+    ((15,), 3), ((3, 3), 3), ((9,), 3), ((27,), 3), ((3, 9), 3), ((21,), 3), ((2, 3, 3), 3),
+    ((25,), 5), ((5, 5), 5), ((7,), 7), ((2, 2, 3), 2), ((6,), 2), ((10,), 2), ((12,), 2),
+    ((4, 2), 2), ((16,), 2), ((2, 2, 2, 2), 2), ((1,), None)])
+def test_the_split_prime_needs_the_fewest_elimination_steps(orders, prime):
+    p, rank = _split_table(orders)[:2]
+    assert (p if rank else None) == prime
+
+
+@pytest.mark.parametrize("orders", [(9,), (15,), (3, 3), (2, 3, 3)])
+def test_each_block_is_the_product_of_the_subgroup_factors_of_its_line(orders):
+    # the block of line c has determinant prod_u det_(G/K)(y_psi) over psi = psi_c^u, u = 1,
+    # ..., p - 1, psi_c(kappa) = zeta_p^<c, kappa>; B_1 is the factor of psi = 1
+    g = make_group(orders)
+    p, _, _, _, lines = _split_table(orders)
+    members = [index_of(g, e) for e in enumerate_elements(g)
+               if all(p * c % k == 0 for c, k in zip(e, orders))]
+    along = [i for i, k in enumerate(orders) if k % p == 0]
+    phi = cyclotomic_poly(g.exponent)
+    rng = random.Random(53)
+    points = [(1,) * g.order, tuple(range(g.order))]
+    points += [tuple(rng.randint(-3, 3) for _ in range(g.order)) for _ in range(3)]
+    for xs in points:
+        blocks = list(_split_blocks(g, xs))
+        assert len(blocks) == len(lines)
+        for (c, *_), rows in zip(lines, blocks):
+            product = [1]
+            for u in range(1, p) if any(c) else [0]:
+                chi = [0] * len(orders)
+                for i, ci in zip(along, c):
+                    chi[i] = u * ci
+                product = poly_reduced(poly_mul(product, subgroup_factor(orders, members, chi, xs)),
+                                       phi)
+            assert product == [bareiss_det(rows)] + [0] * (len(phi) - 2)
 
 
 @pytest.mark.parametrize("orders", SPLIT_SHAPES)
