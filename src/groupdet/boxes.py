@@ -15,7 +15,7 @@ from math import prod
 
 # the budget, its checks and the pool break-even, re-exported here
 from .determinant import (DEFAULT_BUDGET, POOL_BREAK_EVEN_S, BudgetExceededError, box_size,
-                          ensure_budget, ensure_tables)
+                          ensure_budget)
 from .groups import (
     AbelianGroup,
     addition_table,

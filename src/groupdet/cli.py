@@ -52,7 +52,7 @@ def _parse_assignment(text: str) -> tuple[int, ...]:
 
 def _cmd_det(args) -> tuple[int, dict]:
     group = parse_group_spec(args.group)
-    ensure_tables(group.order)
+    ensure_tables(group.orders)
     assign = _parse_assignment(args.assign)
     det = group_determinant(group, assign)
     return 0, {"status": "value", "group": format_group_spec(group), "det": str(det)}
@@ -60,7 +60,7 @@ def _cmd_det(args) -> tuple[int, dict]:
 
 def _cmd_dedekind(args) -> tuple[int, dict]:
     group = parse_group_spec(args.group)
-    ensure_tables(group.order)
+    ensure_tables(group.orders)
     assign = _parse_assignment(args.assign)
     from .factorization import dedekind_product
 
@@ -79,7 +79,7 @@ def _cmd_dedekind(args) -> tuple[int, dict]:
 
 def _cmd_factor(args) -> tuple[int, dict]:
     group = parse_group_spec(args.group)
-    ensure_tables(group.order)
+    ensure_tables(group.orders)
     from .factorization import direct_product_factors
 
     H, K = split_factors(group, args.cut)
@@ -90,8 +90,8 @@ def _cmd_factor(args) -> tuple[int, dict]:
 
 
 def _cmd_laquer(args) -> tuple[int, dict]:
-    # refuse a huge |G| x |G| matrix at once; r, s < 1 are left to laquer_factors
-    ensure_tables(max(args.r * args.s, 1))
+    # refuse a huge Z/(r*s) at once; r, s < 1 are left to laquer_factors
+    ensure_tables((max(args.r * args.s, 1),))
     from .factorization import laquer_factors
 
     report = laquer_factors(args.r, args.s, _parse_assignment(args.assign))

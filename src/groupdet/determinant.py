@@ -26,13 +26,21 @@ class BudgetExceededError(RuntimeError):
     """The requested box is larger than the evaluation budget."""
 
 
-def ensure_tables(dim: int, budget: int = DEFAULT_BUDGET) -> None:
-    """Raise when dim^2, the size of the matrix and tables built for a group
-    of order dim, exceeds the budget."""
+def ensure_tables(orders: tuple[int, ...], budget: int = DEFAULT_BUDGET) -> None:
+    """Raise when |G|^2, the size of the tables built for a group of these
+    factor orders, or the elimination steps of the split re-check of one
+    point (_split_prime) exceed the budget, |G|^2 first: it bounds p."""
+    dim = prod(orders)
     if dim * dim > budget:
         raise BudgetExceededError(
             f"a group of order {dim} needs tables of {dim * dim} entries, over the budget "
             f"of {budget}"
+        )
+    steps = _split_prime(orders)[0]
+    if steps > budget:
+        raise BudgetExceededError(
+            f"a group of order {dim} needs {steps} steps to re-check one point by Bareiss "
+            f"elimination on its split blocks, over the budget of {budget}"
         )
 
 
@@ -164,36 +172,34 @@ def _eliminate_int(rows: list[list[int]], n: int) -> int:
     return sign * rows[n - 1][n - 1]
 
 
-def _split_prime(orders: tuple[int, ...]) -> int:
-    """The prime p along whose G[p] the determinant splits: the one of least
-    elimination steps |T|^3 (1 + (p^l - 1)(p - 1)^2), for G[p] of rank l and
-    |T| = |G|/p^l, ties going to the smaller p; 2 for the trivial group."""
-    order = prod(orders)
-
-    def steps(p: int) -> int:
-        rank = sum(n % p == 0 for n in orders)
-        return (order // p**rank) ** 3 * (1 + (p**rank - 1) * (p - 1) ** 2)
-
-    primes = [q for q in range(2, max(orders) + 1)
-              if any(n % q == 0 for n in orders) and all(q % r for r in range(2, q))]
-    return min(primes, key=steps, default=2)
+@lru_cache(maxsize=None)
+def _split_prime(orders: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
+    """(steps, p, along): the prime p of fewest elimination steps |T|^3
+    (1 + (p^l - 1)(p - 1)^2) along G[p], spanned by the factors at the
+    positions along, of rank l and |T| = |G|/p^l, ties going to the smaller
+    p; (1, 2, ()) for the trivial group."""
+    splits = []
+    for p in range(2, max(orders) + 1):
+        along = tuple(i for i, n in enumerate(orders) if n % p == 0)
+        if along and all(p % r for r in range(2, p)):
+            l = len(along)
+            splits.append(((prod(orders) // p**l) ** 3 * (1 + (p**l - 1) * (p - 1) ** 2), p, along))
+    return min(splits, default=(1, 2, ()))
 
 
 @lru_cache(maxsize=None)
-def _split_table(orders: tuple[int, ...]) -> tuple[int, int, int, tuple[int, ...], tuple]:
-    """(p, l, |T|, cells, _lines(p, l, |T|)) for K = G[p], the elements g with
-    pg = 0, of rank l (p from _split_prime), and T the least element of each
-    coset of K: the elements whose coordinates lie below n/p for every factor
-    order n that p divides. cells[(i |T| + j) p^l + k] is the index of
-    t_i - t_j + kappa_k, kappa_k having the base-p digits of k over the basis
-    of K that those factors give, one digit each, the last factor's lowest.
-    Built one factor at a time from coordinates, every entry one of the |G|
-    ints of ids."""
-    p = _split_prime(orders)
+def _split_table(orders: tuple[int, ...], p: int, along: tuple[int, ...]) -> tuple:
+    """(cells, _lines(p, l, |T|)) for K of rank l, the p-torsion of the l
+    factors at the positions along (p divides their orders), and T the least
+    element of each coset of K, its coordinates there below n/p.
+    cells[(i |T| + j) p^l + k] is the index of t_i - t_j + kappa_k, kappa_k
+    having the base-p digits of k over the basis of K that those factors
+    give, the last factor's lowest. Built one factor at a time from
+    coordinates, every entry one of the |G| ints of ids."""
     ids = list(range(prod(orders)))
     rows, m = [[0]], 1
-    for n in orders:
-        step = n // p if n % p == 0 else n
+    for i, n in enumerate(orders):
+        step = n // p if i in along else n
         shifts = range(0, n, step)
         grown = []
         for row in rows:
@@ -202,12 +208,11 @@ def _split_table(orders: tuple[int, ...]) -> tuple[int, int, int, tuple[int, ...
                 grown.append([ids[r * n + (a - b + s) % n]
                               for cell in cells for b in range(step) for r in cell for s in shifts])
         rows, m = grown, m * len(shifts)
-    l = sum(n % p == 0 for n in orders)
-    return p, l, len(rows), tuple(chain.from_iterable(rows)), _lines(p, l, len(rows))
+    return tuple(chain.from_iterable(rows)), _lines(p, len(along), len(rows))
 
 
 def _lines(p: int, l: int, n: int) -> tuple:
-    """How _split_blocks reads the blocks for K = G[p] of rank l and |T| = n:
+    """How _split_blocks reads the blocks for K of rank l and |T| = n:
     (c, gather, width, plus, minus) for c = 0, then for each line c of F_p^l,
     by its point of first nonzero coordinate 1 over the factors of K.
 
@@ -250,9 +255,11 @@ def _lines(p: int, l: int, n: int) -> tuple:
     return tuple(lines)
 
 
-def _split_blocks(group: AbelianGroup, values: Sequence):
-    """Yield the rows of each block of group_determinant, in the order of
-    _lines.
+def _split_blocks(group: AbelianGroup, values: Sequence, p: int, along: tuple[int, ...]):
+    """Yield the rows of each block of the split along the p-torsion K of the
+    factors at the positions along (_split_table), in the order of _lines:
+    B_1 first. At p = 2 the blocks are the group matrices of G/K at the sign
+    twists of K's characters, in character order.
 
     The p^l values of each cell of _split_table go through one transform,
     all cells at once, in l rounds of constant geometry. Each round takes the
@@ -262,10 +269,10 @@ def _split_blocks(group: AbelianGroup, values: Sequence):
     q + L, ..., q + (p - 1) L, L the length over p. At p = 2 that is the
     Walsh-Hadamard butterfly, sums first, then differences."""
     vals = check_assignment(group, values)
-    p, l, n, cells, lines = _split_table(group.orders)
+    cells, lines = _split_table(group.orders, p, along)
     v = list(map(vals.__getitem__, cells))
     middle = range(1, p - 1)
-    for _ in range(l):
+    for _ in along:
         first, last = v[0::p], v[p - 1::p]
         total = list(map(add, first, last))
         for r in middle:
@@ -316,10 +323,10 @@ def group_determinant(group: AbelianGroup, values: Sequence):
     the sum of x_{t_i - t_j + kappa} over <c, kappa> = a. At p = 2, C = [-1]
     and the B_c are the 2^l - 1 sign twists off the trivial character.
 
-    The blocks come from _split_blocks; a block of determinant 0 ends the
-    product."""
+    The argument holds for any K of exponent p. The blocks come from
+    _split_blocks; a block of determinant 0 ends the product."""
     det = 1
-    for rows in _split_blocks(group, values):
+    for rows in _split_blocks(group, values, *_split_prime(group.orders)[1:]):
         d = _eliminate_int(rows, len(rows))
         if not d:
             return 0

@@ -10,15 +10,13 @@ from finite search (a box can only certify an upper bound on e).
 from __future__ import annotations
 
 from math import gcd, prod
-from operator import mul
 from typing import NamedTuple
 
 from .boxes import box_size, ensure_budget, map_shards, orderly_scan, prefix_ordinal, pruning_maps
-from .characters import exponent_table
 from .determinant import (  # two_adic_valuation is re-exported here
     DEFAULT_BUDGET,
     BudgetExceededError,
-    _index_table,
+    _split_blocks,
     bareiss_det,
     two_adic_valuation,
 )
@@ -78,7 +76,7 @@ def bound_exponent(H: AbelianGroup, l: int, exponent: int | None = None) -> int:
     if exponent is None:
         fact = known_even_exponent(H)
         if fact is None:
-            raise ValueError(f"no known even-value exponent for {H}; pass exponent=")
+            raise ValueError(f"no known even-value exponent for H = {H}")
         exponent = fact.exponent
     elif exponent < 0:
         raise ValueError(f"the even-value exponent must be at least 0, got {exponent}")
@@ -206,19 +204,13 @@ def _first_failures(h_orders, l, box, exp, start, count) -> list[dict]:
     )
 
 
-def sign_twists(l: int, vals) -> list[list[int]]:
-    """The twisted assignments y_h = sum_k chi_i(k) x_(h,k) of H, one per sign
-    character chi_i of (Z/2Z)^l, for an assignment of H x (Z/2Z)^l."""
-    rows = [[1 - 2 * k for k in row] for row in exponent_table((2,) * l)]
-    chunks = list(zip(*[iter(vals)] * len(rows)))
-    return [[sum(map(mul, signs, c)) for c in chunks] for signs in rows]
-
-
 def _recheck(h_orders, l: int, vals, factors) -> None:
-    """Raise ArithmeticError unless Bareiss elimination on the twisted H group
-    matrices gives the same sign factors as the orbit norms."""
-    table = _index_table(h_orders)
-    direct = [bareiss_det([[ys[j] for j in row] for row in table]) for ys in sign_twists(l, vals)]
+    """Raise ArithmeticError unless Bareiss elimination on the blocks of the
+    split along the last l factors, the H group matrices of the sign twists
+    in character order, gives the same sign factors as the orbit norms."""
+    G = AbelianGroup(h_orders + (2,) * l)
+    last = tuple(range(len(h_orders), len(G.orders)))
+    direct = [bareiss_det(rows) for rows in _split_blocks(G, vals, 2, last)]
     if direct != list(factors):
         raise ArithmeticError(
             f"orbit norms gave sign factors {list(factors)} at {list(vals)} "

@@ -47,6 +47,18 @@ def naive_group_det(orders, values):
     return cofactor_det(naive_group_matrix(orders, list(values)))
 
 
+def sign_twists(l, values):
+    """The twisted assignments y_h = sum_k (-1)^popcount(a & k) x_(h 2^l + k)
+    of H, one per sign character a of (Z/2)^l in character order, for an
+    assignment of H x (Z/2)^l: the bits of a and k are their coordinates,
+    the last factor's lowest."""
+    size = 1 << l
+    return [[sum(-x if bin(a & k).count("1") % 2 else x
+                 for k, x in enumerate(values[start:start + size]))
+             for start in range(0, len(values), size)]
+            for a in range(size)]
+
+
 def brute_crt(n, r, s, x):
     for a in range(r):
         for b in range(s):

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from groupdet.cli import main
+from groupdet.determinant import ensure_tables
 
 
 def run_cli(capsys, *argv):
@@ -266,16 +267,45 @@ def test_verify_huge_l_exits_2_as_json(capsys):
         ("dedekind", "--group", "100x40"),
         ("factor", "--group", "4000x2", "--cut", "1"),
         ("laquer", "--r", "3999", "--s", "2"),
+        ("det", "--group", "223"),
+        ("det", "--group", "2000"),
+        ("dedekind", "--group", "223"),
+        ("factor", "--group", "223x1", "--cut", "1"),
+        ("laquer", "--r", "223", "--s", "1"),
     ],
 )
 def test_per_assignment_commands_refuse_huge_groups(capsys, argv):
-    # |G|^2 > 10^7: refused before the (unparseable) assignment is read
+    # |G|^2 > 10^7, or a split re-check of more than 10^7 elimination steps (1 + 222^3 for
+    # Z/223, about 2 * 10^9 for Z/2000): refused before the (unparseable) assignment is read
     code, payload = run_cli(capsys, *argv, "--assign", "not-an-assignment")
     assert code == 2
     assert payload["status"] == "error"
     assert "budget" in payload["message"] and "order" in payload["message"]
     # the message names no Python keyword the CLI does not take
     assert "force=True" not in payload["message"]
+
+
+def test_the_split_recheck_gate_answers_shapes_within_the_budget(capsys):
+    # Z/211 needs 1 + 210^3 = 9,261,001 steps, just under the budget, and order 2,048 of
+    # exponent 2 needs 2,048 (one Walsh-Hadamard transform of blocks of size 1)
+    ensure_tables((211,))
+    group = "x".join(["2"] * 11)
+    code, payload = run_cli(capsys, "det", "--group", group, "--assign", ",".join(["1"] * 2048))
+    assert code == 0 and payload["det"] == "0"
+    code, payload = run_cli(capsys, "det", "--group", group,
+                            "--assign", ",".join(["1"] + ["0"] * 2047))
+    assert code == 0 and payload["det"] == "1"
+
+
+def test_verify_without_a_known_exponent_names_h(capsys):
+    code, payload = run_cli(
+        capsys, "verify", "--suite", "theorem2", "--H", "3", "--l", "1", "--box", "1"
+    )
+    assert code == 2
+    assert payload["status"] == "error"
+    assert "H = 3" in payload["message"]
+    # the message names no Python keyword the CLI does not take
+    assert "exponent=" not in payload["message"]
 
 
 def test_check_unknown_spec(capsys, tmp_path):

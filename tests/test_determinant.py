@@ -19,7 +19,7 @@ from groupdet import (
     make_group,
     root_power,
 )
-from groupdet.determinant import _split_blocks, _split_table
+from groupdet.determinant import _split_blocks, _split_prime, _split_table
 from groupdet.groups import translation_is_even
 from oracles import (cofactor_det, cyclotomic_poly, fraction_det, naive_group_det,
                      naive_group_matrix, poly_mul, poly_reduced, subgroup_factor)
@@ -211,11 +211,13 @@ def test_split_determinant_matches_full_elimination_and_the_oracles(point):
 
 @pytest.mark.parametrize("orders", SPLIT_SHAPES)
 def test_split_table_has_one_cell_per_pair_of_transversal_elements(orders):
-    p, rank, n, cells, lines = _split_table(orders)
+    _, p, along = _split_prime(orders)
+    rank = len(along)
+    cells, lines = _split_table(orders, p, along)
     m = p**rank
-    dim = make_group(orders).order
-    assert rank == sum(k % p == 0 for k in orders)
-    assert n * m == dim and len(cells) == n * n * m
+    n = make_group(orders).order // m
+    assert along == tuple(i for i, k in enumerate(orders) if k % p == 0)
+    assert len(cells) == n * n * m
     # every cell (i, i) holds the elements of K = G[p], the identity first
     g = make_group(orders)
     members = [index_of(g, e) for e in enumerate_elements(g)
@@ -234,8 +236,16 @@ def test_split_table_has_one_cell_per_pair_of_transversal_elements(orders):
     ((25,), 5), ((5, 5), 5), ((7,), 7), ((2, 2, 3), 2), ((6,), 2), ((10,), 2), ((12,), 2),
     ((4, 2), 2), ((16,), 2), ((2, 2, 2, 2), 2), ((1,), None)])
 def test_the_split_prime_needs_the_fewest_elimination_steps(orders, prime):
-    p, rank = _split_table(orders)[:2]
-    assert (p if rank else None) == prime
+    _, p, along = _split_prime(orders)
+    assert (p if along else None) == prime
+
+
+# the steps the per-assignment commands hold to the budget of 10^7
+@pytest.mark.parametrize("orders,steps", [
+    ((223,), 1 + 222**3), ((211,), 1 + 210**3), ((2,) * 11, 2048), ((5, 5), 385), ((9,), 243),
+    ((2000,), 2 * 1000**3), ((1,), 1)])
+def test_the_split_prime_counts_its_elimination_steps(orders, steps):
+    assert _split_prime(orders)[0] == steps
 
 
 @pytest.mark.parametrize("orders", [(9,), (15,), (3, 3), (2, 3, 3)])
@@ -243,16 +253,16 @@ def test_each_block_is_the_product_of_the_subgroup_factors_of_its_line(orders):
     # the block of line c has determinant prod_u det_(G/K)(y_psi) over psi = psi_c^u, u = 1,
     # ..., p - 1, psi_c(kappa) = zeta_p^<c, kappa>; B_1 is the factor of psi = 1
     g = make_group(orders)
-    p, _, _, _, lines = _split_table(orders)
+    _, p, along = _split_prime(orders)
+    _, lines = _split_table(orders, p, along)
     members = [index_of(g, e) for e in enumerate_elements(g)
                if all(p * c % k == 0 for c, k in zip(e, orders))]
-    along = [i for i, k in enumerate(orders) if k % p == 0]
     phi = cyclotomic_poly(g.exponent)
     rng = random.Random(53)
     points = [(1,) * g.order, tuple(range(g.order))]
     points += [tuple(rng.randint(-3, 3) for _ in range(g.order)) for _ in range(3)]
     for xs in points:
-        blocks = list(_split_blocks(g, xs))
+        blocks = list(_split_blocks(g, xs, p, along))
         assert len(blocks) == len(lines)
         for (c, *_), rows in zip(lines, blocks):
             product = [1]
@@ -263,6 +273,28 @@ def test_each_block_is_the_product_of_the_subgroup_factors_of_its_line(orders):
                 product = poly_reduced(poly_mul(product, subgroup_factor(orders, members, chi, xs)),
                                        phi)
             assert product == [bareiss_det(rows)] + [0] * (len(phi) - 2)
+
+
+# K = <2> in Z/4, <4> in Z/8 and <(0, 2)> in 4x4, where it is not G[2]: the 2-torsion of one
+# factor, in no case a direct factor
+@pytest.mark.parametrize("orders,along", [((4,), (0,)), ((8,), (0,)), ((4, 4), (1,))])
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_blocks_along_a_k_that_is_not_a_direct_factor_are_its_subgroup_factors(orders, along,
+                                                                               data):
+    g = make_group(orders)
+    xs = data.draw(st.lists(st.integers(-3, 3), min_size=g.order, max_size=g.order))
+    (i,) = along
+    generator = tuple(n // 2 if j == i else 0 for j, n in enumerate(orders))
+    # B_1 is the factor of psi = 1, the second block that of the sign character of K, the
+    # restriction of the character of exponent 1 on factor i
+    chis = [(0,) * len(orders), tuple(int(j == i) for j in range(len(orders)))]
+    width = len(cyclotomic_poly(g.exponent)) - 1
+    blocks = list(_split_blocks(g, xs, 2, along))
+    assert len(blocks) == 2
+    for chi, rows in zip(chis, blocks):
+        factor = subgroup_factor(orders, [index_of(g, generator)], chi, xs)
+        assert factor == [bareiss_det(rows)] + [0] * (width - 1)
 
 
 @pytest.mark.parametrize("orders", SPLIT_SHAPES)

@@ -23,10 +23,11 @@ from groupdet import (
     two_adic_valuation,
 )
 from groupdet.boxes import holomorph_maps, iter_box, orderly_scan
-from groupdet.determinant import _index_table, bareiss_det
-from groupdet.divisibility import KEPT_FAILURES, sign_twists
+from groupdet.determinant import _index_table, _split_blocks, bareiss_det
+from groupdet.divisibility import KEPT_FAILURES
 from groupdet.factorization import _sign_keys
 from groupdet.norms import OrbitPlan, orbit_plan
+from oracles import fraction_det, naive_group_det, naive_group_matrix, sign_twists
 
 
 def test_two_adic_valuation_frozen():
@@ -319,6 +320,27 @@ def bareiss_sign_factors(h_orders, l, x):
     matrix of each sign twist."""
     table = _index_table(h_orders)
     return [bareiss_det([[ys[j] for j in row] for row in table]) for ys in sign_twists(l, x)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_recheck_blocks_are_the_sign_twists_of_the_last_factors_in_character_order(data):
+    # K the last l factors of H x (Z/2)^l, |G| <= 32; K is not G[2] when |H| is even
+    h_orders = data.draw(st.sampled_from([(1,), (2,), (3,), (4,), (5,), (6,), (8,), (12,),
+                                          (2, 2), (4, 2)]))
+    l = data.draw(st.integers(1, min(3, (32 // prod(h_orders)).bit_length() - 1)))
+    g = make_group(h_orders + (2,) * l)
+    xs = tuple(data.draw(st.lists(st.integers(-4, 4), min_size=g.order, max_size=g.order)))
+    if prod(h_orders) <= 6:
+        expected = [naive_group_det(h_orders, ys) for ys in sign_twists(l, xs)]
+    else:
+        expected = [fraction_det(naive_group_matrix(h_orders, ys)) for ys in sign_twists(l, xs)]
+    last = tuple(range(len(h_orders), len(g.orders)))
+    assert [bareiss_det(rows) for rows in _split_blocks(g, xs, 2, last)] == expected
+    # verify's re-check reads these blocks: it passes on them and raises on any other factors
+    groupdet.divisibility._recheck(h_orders, l, xs, expected)
+    with pytest.raises(ArithmeticError):
+        groupdet.divisibility._recheck(h_orders, l, xs, expected[:-1] + [expected[-1] + 1])
 
 
 SPLIT_SHAPES = [((1,), 1), ((1,), 2), ((1,), 3), ((2,), 1), ((2,), 2), ((3,), 1), ((4,), 1),

@@ -30,10 +30,9 @@ from groupdet import (
 )
 from groupdet.characters import restriction
 from groupdet.cyclotomic import cyclotomic_polynomial
-from groupdet.divisibility import sign_twists
 from groupdet.factorization import FactorizationReport, _packed_products, _power_bound
 from groupdet.norms import norm_factors
-from oracles import cofactor_det, naive_group_det, naive_group_matrix
+from oracles import cofactor_det, naive_group_det, naive_group_matrix, sign_twists
 
 
 def test_character_sums_frozen():

@@ -18,11 +18,11 @@ from groupdet.boxes import DEFAULT_BUDGET, holomorph_maps, iter_box, orderly_sca
 from groupdet.characters import exponent_table
 from groupdet.cyclotomic import CyclotomicInt, euler_phi
 from groupdet.determinant import _index_table, bareiss_det
-from groupdet.divisibility import _suite_shard, sign_twists, two_adic_valuation
+from groupdet.divisibility import _suite_shard, two_adic_valuation
 from groupdet.factorization import _sign_keys, character_sums
 from groupdet.norms import _build_plan, _product_source, orbit_plan
 from groupdet.search import _search_shard
-from oracles import cyclotomic_poly, naive_group_det, orbit_norms
+from oracles import cyclotomic_poly, naive_group_det, orbit_norms, sign_twists
 
 # Shapes whose orbits reach phi(d) >= 4: orders 5, 8, 10, 12 and 16.
 PHI_FOUR_AND_UP = [(5,), (8,), (10,), (12,), (16,), (2, 5), (4, 3)]
