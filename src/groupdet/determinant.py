@@ -9,7 +9,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain, product, repeat
 from math import prod
-from operator import add, sub
+from operator import add, itemgetter, sub
 from typing import Sequence
 
 from .groups import AbelianGroup, cayley_table
@@ -29,14 +29,15 @@ class BudgetExceededError(RuntimeError):
 def ensure_tables(orders: tuple[int, ...], budget: int = DEFAULT_BUDGET) -> None:
     """Raise when |G|^2, the size of the tables built for a group of these
     factor orders, or the elimination steps of the split re-check of one
-    point (_split_prime) exceed the budget, |G|^2 first: it bounds p."""
+    point (_split_along) exceed the budget, |G|^2 first: it bounds the
+    primes."""
     dim = prod(orders)
     if dim * dim > budget:
         raise BudgetExceededError(
             f"a group of order {dim} needs tables of {dim * dim} entries, over the budget "
             f"of {budget}"
         )
-    steps = _split_prime(orders)[0]
+    steps = _split_along(orders)[0]
     if steps > budget:
         raise BudgetExceededError(
             f"a group of order {dim} needs {steps} steps to re-check one point by Bareiss "
@@ -90,7 +91,7 @@ def check_assignment(group: AbelianGroup, values: Sequence) -> tuple:
         raise ValueError(
             f"assignment length {len(vals)} does not match |G| = {group.order} for {group}"
         )
-    if not all(isinstance(v, int) for v in vals):
+    if not all(map(isinstance, vals, repeat(int))):
         raise ValueError("assignment entries must all be int")
     return vals
 
@@ -173,34 +174,43 @@ def _eliminate_int(rows: list[list[int]], n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _split_prime(orders: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
-    """(steps, p, along): the prime p of fewest elimination steps |T|^3
-    (1 + (p^l - 1)(p - 1)^2) along G[p], spanned by the factors at the
-    positions along, of rank l and |T| = |G|/p^l, ties going to the smaller
-    p; (1, 2, ()) for the trivial group."""
-    splits = []
-    for p in range(2, max(orders) + 1):
-        along = tuple(i for i, n in enumerate(orders) if n % p == 0)
-        if along and all(p % r for r in range(2, p)):
-            l = len(along)
-            splits.append(((prod(orders) // p**l) ** 3 * (1 + (p**l - 1) * (p - 1) ** 2), p, along))
-    return min(splits, default=(1, 2, ()))
+def _split_along(orders: tuple[int, ...]) -> tuple[int, tuple]:
+    """(steps, along): K = (+)_p G[p] over every prime p dividing |G|, as
+    along = ((p, positions), ...), p ascending and positions the factors
+    whose orders p divides, and the elimination steps of its split,
+    |T|^3 prod_p (1 + (p^l_p - 1)(p - 1)^2), l_p the length of positions
+    and |T| = |G| / |K|; (1, ()) for the trivial group."""
+    along = tuple((p, positions) for p in range(2, max(orders) + 1)
+                  for positions in [tuple(i for i, n in enumerate(orders) if n % p == 0)]
+                  if positions and all(p % r for r in range(2, p)))
+    size = prod(orders) // prod(p ** len(positions) for p, positions in along)
+    return size**3 * prod(1 + (p ** len(positions) - 1) * (p - 1) ** 2
+                           for p, positions in along), along
 
 
 @lru_cache(maxsize=None)
-def _split_table(orders: tuple[int, ...], p: int, along: tuple[int, ...]) -> tuple:
-    """(cells, _lines(p, l, |T|)) for K of rank l, the p-torsion of the l
-    factors at the positions along (p divides their orders), and T the least
-    element of each coset of K, its coordinates there below n/p.
-    cells[(i |T| + j) p^l + k] is the index of t_i - t_j + kappa_k, kappa_k
-    having the base-p digits of k over the basis of K that those factors
-    give, the last factor's lowest. Built one factor at a time from
-    coordinates, every entry one of the |G| ints of ids."""
+def _split_table(orders: tuple[int, ...], along: tuple) -> tuple:
+    """(cells, rounds, lines) for K = (+)_p K_p, K_p the p-torsion of the
+    factors at the positions that along pairs with p (p divides their
+    orders), and T the least element of each coset of K, its coordinates
+    below n / r in a factor of order n, r the product of its primes in along.
+
+    cells[(i |T| + j) |K| + k] is the index of t_i - t_j + kappa_k, kappa_k
+    having the mixed-radix digits of k over the basis of K that those
+    factors give: a digit per factor and prime of it, factor by factor,
+    primes ascending within one, the last factor's last prime lowest.
+    rounds holds the prime of each digit from the lowest up, the order the
+    transform of _split_blocks takes them in; lines is _lines of the same
+    digits. Built one factor at a time from coordinates, every entry one of
+    the |G| ints of ids."""
     ids = list(range(prod(orders)))
+    digits = sorted((i, p) for p, positions in along for i in positions)
     rows, m = [[0]], 1
     for i, n in enumerate(orders):
-        step = n // p if i in along else n
-        shifts = range(0, n, step)
+        primes = [p for f, p in digits if f == i]
+        step = n // prod(primes)
+        shifts = [sum(a * (n // p) for a, p in zip(kappa, primes)) % n
+                  for kappa in product(*map(range, primes))]
         grown = []
         for row in rows:
             cells = [row[c:c + m] for c in range(0, len(row), m)]
@@ -208,30 +218,25 @@ def _split_table(orders: tuple[int, ...], p: int, along: tuple[int, ...]) -> tup
                 grown.append([ids[r * n + (a - b + s) % n]
                               for cell in cells for b in range(step) for r in cell for s in shifts])
         rows, m = grown, m * len(shifts)
-    return tuple(chain.from_iterable(rows)), _lines(p, len(along), len(rows))
+    rounds = tuple(p for _, p in reversed(digits))
+    return tuple(chain.from_iterable(rows)), rounds, _lines(along, rounds, len(rows))
 
 
-def _lines(p: int, l: int, n: int) -> tuple:
-    """How _split_blocks reads the blocks for K of rank l and |T| = n:
-    (c, gather, width, plus, minus) for c = 0, then for each line c of F_p^l,
-    by its point of first nonzero coordinate 1 over the factors of K.
+def _choices(p: int, weights: tuple[int, ...]) -> list:
+    """The choices of K_p, of rank l = len(weights), as (point, z): the
+    trivial character, then each line c of F_p^l by its point of first
+    nonzero coordinate 1 over the factors of K_p.
 
-    The transform leaves p^l chunks of n^2 values, one per cell, then a 0.
-    Chunk sum_d o_d p^d is the coefficient of the basis element that is the
-    sum at each digit d with o_d = 0 and X_d^(o_d - 1) at the others. Line
-    c reads the chunks with o_d = 0 exactly where c_d = 0; X_d -> X^(c_d)
-    takes each to a power X^b, and z_b is the sum of those taken to X^b.
-    gather holds one index tuple per term of those sums (the 0 where a sum
-    has fewer terms); summed, they give for each row i of cells that row of
-    z_0, ..., z_(p-1), z_0, ..., z_(p-2). Row r' n + i of the block is the
-    run of width (p - 1) n at plus[r' n + i] less the run at
-    minus[r' n + i]: z_(r+2+k') - z_(1+k') at column k' n + j, indices mod
-    p, entry (r, k) of cell (i, j) with r' = p - 2 - r and k' = p - 2 - k,
-    rows and columns reversed alike. B_1, and every block at p = 2, where
-    z_1 is empty, is one chunk read in place: no gather, and plus holds the
-    offsets of its rows."""
-    size = n * n
-    lines = [((0,) * l, (), n, tuple(range(0, size, n)), ())]
+    The transform of _split_blocks leaves one chunk per digit vector o of
+    kappa, at offset sum_d o_d weights[d], d = 0 the lowest digit of K_p.
+    Chunk o is the coefficient of the basis element that is the sum at each
+    digit d with o_d = 0 and X_d^(o_d - 1) at the others. Line c reads the
+    chunks with o_d = 0 exactly where c_d = 0; X_d -> X^(c_d) takes each to
+    a power X^b, and z[b] holds the offsets of those taken to X^b, for b
+    mod p. The trivial character reads chunk 0, and at p = 2, where z[1] is
+    empty, a line reads its one chunk: there z is that one b."""
+    l = len(weights)
+    choices = [((0,) * l, [[0]])]
     for mask in range(1, 1 << l):
         support = [d for d in range(l) if mask >> d & 1]
         for rest in product(range(1, p), repeat=len(support) - 1):
@@ -239,94 +244,173 @@ def _lines(p: int, l: int, n: int) -> tuple:
             z: list[list[int]] = [[] for _ in range(p)]
             for o in product(range(1, p), repeat=len(support)):
                 z[sum(c[d] * (a - 1) for d, a in zip(support, o)) % p].append(
-                    sum(a * p**d for d, a in zip(support, o)) * size)
+                    sum(a * weights[d] for d, a in zip(support, o)))
             point = tuple(c.get(d, 0) for d in reversed(range(l)))
-            if not any(z[1:]) and len(z[0]) == 1:
-                lines.append((point, (), n, tuple(range(z[0][0], z[0][0] + size, n)), ()))
+            choices.append((point, z[:1] if p == 2 else z))
+    return choices
+
+
+def _lines(along: tuple, rounds: tuple[int, ...], n: int) -> tuple:
+    """How _split_blocks reads the blocks for K = (+)_p K_p and |T| = n: one
+    per choice of the trivial character or a line of each K_p (_choices),
+    the first prime's choice slowest, as (points, width, starts, stages),
+    points the choice's point for each prime.
+
+    Chunk o of the transform is the n^2 values from offset o n^2, one per
+    cell, then a 0. z_b, for b the tuple of each prime's b, is the sum of
+    the chunks at the sums of one offset from each prime's z[b]. The block
+    is sum_b z_b (x)_p C_p^(b_p), C_p^a the 1 x 1 [1] where the choice at p
+    is 1 x 1 and otherwise multiplication by X^a in the basis 1, X, ...,
+    X^(p-2), with entry (r, k) = [r = a + k] - [a + k = p - 1], indices mod
+    p. So it is read one prime at a time: the read at p takes each b_p to
+    (r, k) with z_(r-k) - z_(p-1-k) at p. A key holds a pair (row, column)
+    per prime, (b_p, 0) until p is read; each stage lays its values out as
+    the rows of the keys' rows and i, the first prime slowest, times the
+    columns of their columns and j, and base gives where each key's cell
+    (0, 0) is, cell (i, j) lying i rows and j columns on. The last stage is
+    the block: row r n + i holds cell (i, j) at column k n + j.
+
+    Each stage is a (plus, minus) pair of tuples of itemgetters on the
+    values before it, the transform first, whose reads are added and
+    subtracted; it leaves its entries and a 0. The stages are the z_b,
+    where some have more than one chunk, then one per read. The block is the
+    width entries from each of starts. A block of one chunk is read in
+    place: no stages, and starts holds the offsets of its rows."""
+    size = n * n
+    chosen = [_choices(p, tuple(prod(rounds[:r]) for r, q in enumerate(rounds) if q == p))
+              for p, _ in along]
+    lines = []
+    for choice in product(*chosen):
+        points = tuple(point for point, _ in choice)
+        zs = {(): [0]}
+        for _, z in choice:
+            zs = {b + ((a, 0),): [o + q for o in zs[b] for q in z[a]]
+                  for b in zs for a in range(len(z)) if z[a]}
+        stages, pad, step = [], size * prod(rounds), n
+        base = {b: chunks[0] * size for b, chunks in zs.items()}
+        terms = max(map(len, zs.values()))
+        if terms > 1:
+            stages.append((tuple(itemgetter(*[chunks[t] * size + c if t < len(chunks) else pad
+                                              for chunks in zs.values() for c in range(size)])
+                                 for t in range(terms)), ()))
+            base, pad = {b: t * size for t, b in enumerate(zs)}, len(zs) * size
+        shape = [(len(z), 1) for _, z in choice]
+        width = n
+        for d, (_, z) in enumerate(choice):
+            p = len(z)
+            if p == 1:
                 continue
-            gather = tuple(tuple(z[b % p][t] + i + j if t < len(z[b % p]) else size * p**l
-                                 for i in range(0, size, n) for b in range(2 * p - 1)
-                                 for j in range(n))
-                           for t in range(max(map(len, z))))
-            run = (2 * p - 1) * n
-            plus = tuple(i * run + (r + 2) * n for r in reversed(range(p - 1)) for i in range(n))
-            minus = tuple(i * run + n for _ in range(p - 1) for i in range(n))
-            lines.append((point, gather, (p - 1) * n, plus, minus))
+            shape[d] = (p - 1, p - 1)
+            rows = list(product(*[range(r) for r, _ in shape]))
+            columns = list(product(*[range(k) for _, k in shape]))
+            width = len(columns) * n
+            moved = {tuple(zip(row, column)): (y * width + x) * n
+                     for y, row in enumerate(rows) for x, column in enumerate(columns)}
+            plus, minus = [], []
+            for row in rows:
+                for i in range(n):
+                    for column in columns:
+                        key = tuple(zip(row, column))
+                        r, k = key[d]
+                        for b, out in (((r - k) % p, plus), ((p - 1 - k) % p, minus)):
+                            at = base.get(key[:d] + ((b, 0),) + key[d + 1:])
+                            out += [pad] * n if at is None else range(at + i * step,
+                                                                      at + i * step + n)
+            stages.append(((itemgetter(*plus),), (itemgetter(*minus),)))
+            base, pad, step = moved, len(plus), width
+        if stages:
+            starts = range(0, width * width, width)
+        else:
+            (start,) = base.values()
+            starts = range(start, start + size, n)
+        lines.append((points, width, tuple(starts), tuple(stages)))
     return tuple(lines)
 
 
-def _split_blocks(group: AbelianGroup, values: Sequence, p: int, along: tuple[int, ...]):
-    """Yield the rows of each block of the split along the p-torsion K of the
-    factors at the positions along (_split_table), in the order of _lines:
-    B_1 first. At p = 2 the blocks are the group matrices of G/K at the sign
-    twists of K's characters, in character order.
+def _split_blocks(group: AbelianGroup, values: Sequence, along: tuple):
+    """Yield the rows of each block of the split along K = (+)_p K_p, K_p
+    the p-torsion of the factors at the positions that along pairs with p
+    (_split_table), in the order of _lines: B_1 first. For K of exponent 2
+    the blocks are the group matrices of G/K at the sign twists of K's
+    characters, in character order.
 
-    The p^l values of each cell of _split_table go through one transform,
-    all cells at once, in l rounds of constant geometry. Each round takes the
-    p values at positions p q to p q + p - 1, one digit of kappa, to their
-    sum and then each of the first p - 1 less the last: f -> (sum f, f mod
-    Phi_p) in the basis 1, X, ..., X^(p-2). It puts the p results at q,
-    q + L, ..., q + (p - 1) L, L the length over p. At p = 2 that is the
-    Walsh-Hadamard butterfly, sums first, then differences."""
+    The |K| values of each cell of _split_table go through one transform,
+    all cells at once, one round per digit of kappa, each of constant
+    geometry. A round at p takes the p values at positions p q to
+    p q + p - 1, the lowest digit left, to their sum and then each of the
+    first p - 1 less the last: f -> (sum f, f mod Phi_p) in the basis 1, X,
+    ..., X^(p-2). It puts the p results at q, q + L, ..., q + (p - 1) L, L
+    the length over p. At p = 2 that is the Walsh-Hadamard butterfly, sums
+    first, then differences."""
     vals = check_assignment(group, values)
-    cells, lines = _split_table(group.orders, p, along)
+    cells, rounds, lines = _split_table(group.orders, along)
     v = list(map(vals.__getitem__, cells))
-    middle = range(1, p - 1)
-    for _ in along:
+    for p in rounds:
         first, last = v[0::p], v[p - 1::p]
-        total = list(map(add, first, last))
-        for r in middle:
-            total = list(map(add, total, v[r::p]))
+        total = map(add, first, last)
+        for r in range(1, p - 1):
+            total = map(add, total, v[r::p])
+        total = list(total)
         total += map(sub, first, last)
-        for r in middle:
+        for r in range(1, p - 1):
             total += map(sub, v[r::p], last)
         v = total
     v.append(0)
-    for _, gather, width, plus, minus in lines:
-        if not gather:
-            yield [v[a:a + width] for a in plus]
-            continue
-        src = list(map(v.__getitem__, gather[0]))
-        for terms in gather[1:]:
-            src = list(map(add, src, map(v.__getitem__, terms)))
-        yield [list(map(sub, src[a:a + width], src[b:b + width])) for a, b in zip(plus, minus)]
+    for _, width, starts, stages in lines:
+        src = v
+        for plus, minus in stages:
+            out = plus[0](src)
+            for get in plus[1:]:
+                out = map(add, out, get(src))
+            for get in minus:
+                out = map(sub, out, get(src))
+            src = [*out, 0]
+        yield [src[a:a + width] for a in starts]
 
 
 def group_determinant(group: AbelianGroup, values: Sequence):
     """Exact integer determinant of the group matrix of an integer assignment,
-    as the product of the Bareiss determinants of its blocks along K = G[p] =
-    {g : pg = 0} of rank l, for the prime p of fewest elimination steps
-    (_split_prime; one block, the group matrix, for the trivial group).
+    as the product of the Bareiss determinants of its blocks along
+    K = (+)_p G[p], G[p] = {g : pg = 0} of rank l_p, over every prime p
+    dividing |G| (_split_along; one block, the group matrix, for the
+    trivial group).
 
     Write each element as t + kappa, t in T (the least element of each coset
     of K) and kappa in K. Entry (t_i + a, t_j + b) of the group matrix M is
     x_{t_i - t_j + a - b}. So in the basis t + kappa,
     M = sum_kappa X_kappa (x) R_kappa, where X_kappa[i][j] = x_{t_i - t_j + kappa}
     and R_kappa is the permutation matrix of translation by kappa on K, that
-    is, multiplication by kappa on Q[K]. Take kappa in F_p^l by its
-    coordinates over the basis of K, and let c run over the (p^l - 1)/(p - 1)
-    lines of F_p^l, each by its point of first nonzero coordinate 1. The map
+    is, multiplication by kappa on Q[K]. Take each kappa_p, the p-part of
+    kappa, in F_p^l_p by its coordinates over the basis of G[p], and let
+    c_p run over the (p^l_p - 1)/(p - 1) lines of F_p^l_p, each by its point
+    of first nonzero coordinate 1. The map
 
-        f -> (sum f, (sum_kappa f(kappa) X^<c, kappa> mod Phi_p)_c),
+        f -> (sum f, (sum_kappa f(kappa) X^<c_p, kappa> mod Phi_p)_c_p),
 
-    Q[K] -> Q + (+)_c Q[X]/Phi_p, Phi_p = 1 + X + ... + X^(p-1), is a ring
-    isomorphism: it is multiplicative, X^p = 1 in Q[X]/Phi_p, and it is
-    injective because the complex characters kappa -> zeta^<u c, kappa>,
-    u = 1, ..., p - 1, with the trivial one are all the characters of K,
+    Q[G[p]] -> Q + (+)_c_p Q[X]/Phi_p, Phi_p = 1 + X + ... + X^(p-1), is a
+    ring isomorphism: it is multiplicative, X^p = 1 in Q[X]/Phi_p, and it is
+    injective because the complex characters kappa -> zeta^<u c_p, kappa>,
+    u = 1, ..., p - 1, with the trivial one are all the characters of G[p],
     on p^l = 1 + (p^l - 1)/(p - 1) (p - 1) dimensions. In the basis 1, X,
-    ..., X^(p-2) it takes multiplication by kappa to 1 (+) (+)_c
-    C^<c, kappa>, C the companion matrix of Phi_p. So one rational change of
-    basis, I (x) that map, and a permutation take M to the block-diagonal
-    matrix of B_1 = sum_kappa X_kappa and B_c = sum_kappa X_kappa (x)
-    C^<c, kappa>, and det M = det B_1 prod_c det B_c exactly, over Z. Entry
-    (r, k) of cell (i, j) of B_c is z_(r-k) - z_(p-1-k), indices mod p, z_a
-    the sum of x_{t_i - t_j + kappa} over <c, kappa> = a. At p = 2, C = [-1]
-    and the B_c are the 2^l - 1 sign twists off the trivial character.
+    ..., X^(p-2) it takes multiplication by kappa to 1 (+) (+)_c_p
+    C_p^<c_p, kappa>, C_p the companion matrix of Phi_p. As K is the
+    direct sum of the G[p], Q[K] = (x)_p Q[G[p]], and the tensor product of
+    these isomorphisms is one for K: it takes multiplication by kappa to
+    the direct sum, over the choices of the trivial character or a line
+    c_p for each p, of the Kronecker products (x)_p C_p^<c_p, kappa_p>
+    (1 x 1 for the trivial choice). So one rational change of basis,
+    I (x) that map, and a permutation take M to the block-diagonal matrix of
+    the blocks B_(c) = sum_kappa X_kappa (x) (x)_p C_p^<c_p, kappa_p>, of
+    size |T| prod_(p nontrivial) (p - 1), and det M = prod_(c) det B_(c)
+    exactly, over Z. B_(c) is read from sums z_b of the
+    x_{t_i - t_j + kappa} (_choices, _lines). At p = 2, C_2 = [-1],
+    and for K of exponent 2 the blocks are the 2^l sign twists.
 
-    The argument holds for any K of exponent p. The blocks come from
-    _split_blocks; a block of determinant 0 ends the product."""
+    The argument holds for any K of square-free exponent, a direct sum of
+    subgroups of prime exponent. The blocks come from _split_blocks; a
+    block of determinant 0 ends the product."""
     det = 1
-    for rows in _split_blocks(group, values, *_split_prime(group.orders)[1:]):
+    for rows in _split_blocks(group, values, _split_along(group.orders)[1]):
         d = _eliminate_int(rows, len(rows))
         if not d:
             return 0

@@ -210,7 +210,7 @@ def _recheck(h_orders, l: int, vals, factors) -> None:
     in character order, gives the same sign factors as the orbit norms."""
     G = AbelianGroup(h_orders + (2,) * l)
     last = tuple(range(len(h_orders), len(G.orders)))
-    direct = [bareiss_det(rows) for rows in _split_blocks(G, vals, 2, last)]
+    direct = [bareiss_det(rows) for rows in _split_blocks(G, vals, ((2, last),))]
     if direct != list(factors):
         raise ArithmeticError(
             f"orbit norms gave sign factors {list(factors)} at {list(vals)} "

@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from math import gcd
+from operator import itemgetter
 from typing import NamedTuple
 
 from .characters import exponent_table, restriction
@@ -83,8 +84,12 @@ def _packed_products(group: AbelianGroup, values, slots):
     and the packing (N, b, q) that _unpack and _total read them back with.
 
     zeta_N -> w = 2^b is a ring map Z[zeta_N] -> Z/q with q = Phi_N(w), so a
-    sum is packed by Horner over its N exponent buckets (O(b*N) bits whatever
+    sum is packed by Horner over its exponent buckets (O(b*N) bits whatever
     the entries) and each product is one big-integer multiplication mod q.
+    A character of order d takes only the values zeta_N^(k N / d), so
+    Horner runs over its d buckets at w^(N / d), the sums over the cosets of
+    its kernel, which the characters of one kernel share (_bucket_reads);
+    the other buckets are 0, and the packed sum is the same integer.
 
     The width is exact. Let phi = phi(N), n = |G|, m = n / |K| and
     L = max(sum_g |x_g|, 1). A product of m sums has l1 norm at most L^m in
@@ -118,16 +123,53 @@ def _packed_products(group: AbelianGroup, values, slots):
         if q > det_bound:
             break
         b += 1
+    kernels, reads = _bucket_reads(group.orders)
+    sums = [vals] * kernels
     out = [1] * n_slots
-    for slot, row in zip(slots, exponent_table(group.orders)):
-        buckets = [0] * N
-        for k, v in zip(row, vals):
-            buckets[k] += v
+    for slot, (d, kernel, row, read) in zip(slots, reads):
+        if row:
+            buckets = [0] * d
+            for k, v in zip(row, vals):
+                buckets[k] += v
+            sums[kernel] = buckets
+        else:
+            buckets = read(sums[kernel])
+        shift = b * (N // d)
         a = 0
-        for t in reversed(buckets):
-            a = (a << b) + t
+        for t in buckets:
+            a = (a << shift) + t
         out[slot] = out[slot] * a % q
     return out, (N, b, q)
+
+
+@lru_cache(maxsize=None)
+def _bucket_reads(orders: tuple[int, ...]) -> tuple:
+    """(kernels, reads): the number of distinct kernels of the characters
+    of G and, per character in exponent_table order, (d, kernel, row,
+    read). d = ord chi, whose values are the powers zeta_N^(k N / d), so a
+    sum has d buckets, one per coset of chi's kernel, and kernel is that
+    kernel's index. The first character of a kernel sums its buckets from
+    the top down through row, the bucket of each element; every other one
+    has row None and takes those coset sums to its own buckets from the top
+    down with the itemgetter read. The trivial kernel (d = |G| > 1, G
+    cyclic) has one element per coset, so all its characters read the
+    assignment itself, with no sums."""
+    N = AbelianGroup(orders).exponent
+    first, reads = {}, []
+    for exponents in exponent_table(orders):
+        d = N // gcd(N, *exponents)
+        bucket = [k * d // N for k in exponents]
+        kernel = tuple(g for g, k in enumerate(bucket) if k == 0)
+        if kernel not in first:
+            trivial = d == len(bucket) > 1
+            first[kernel] = len(first), range(d) if trivial else tuple(d - 1 - k for k in bucket)
+            if not trivial:
+                reads.append((d, *first[kernel], None))
+                continue
+        index, row = first[kernel]
+        top = dict(zip(bucket, row))
+        reads.append((d, index, None, itemgetter(*[top[k] for k in reversed(range(d))])))
+    return len(first), tuple(reads)
 
 
 def _total(products, q: int) -> int:
@@ -139,27 +181,30 @@ def _total(products, q: int) -> int:
     return total - q if total > q >> 1 else total
 
 
-def _unpack(value: int, packing) -> CyclotomicInt:
-    """The cyclotomic integer a packed product 0 <= value < q stands for: the
-    phi(N) balanced base-w digits of its symmetric residue. Digits left over
-    mean the width bound failed, which raises ArithmeticError."""
+def _unpack(products, packing) -> tuple[CyclotomicInt, ...]:
+    """The cyclotomic integers that packed products 0 <= value < q stand
+    for: the phi(N) balanced base-w digits of each one's symmetric residue
+    r, digits d with -w/2 <= d < w/2. Adding O = (w/2)(w^phi - 1)/(w - 1),
+    w/2 at every digit, makes them the plain base-w digits of r + O, so r
+    has them exactly when 0 <= r + O < w^phi. Otherwise digits are left
+    over: the width bound failed, which raises ArithmeticError."""
     N, b, q = packing
-    r = value - q if value > q >> 1 else value
-    half = 1 << b - 1
-    mask = (1 << b) - 1
-    coeffs = []
-    for _ in range(len(cyclotomic_polynomial(N)) - 1):
-        d = ((r + half) & mask) - half
-        coeffs.append(d)
-        r = (r - d) >> b
-    if r:
-        raise ArithmeticError(f"packed product at level {N} does not fit {b}-bit digits")
-    return CyclotomicInt(N, tuple(coeffs))
+    phi = len(cyclotomic_polynomial(N)) - 1
+    half, mask, top = 1 << b - 1, (1 << b) - 1, b * phi
+    offset = half * ((1 << top) - 1) // mask
+    shifts = range(0, top, b)
+    factors = []
+    for value in products:
+        r = (value - q if value > q >> 1 else value) + offset
+        if r >> top:  # r + O is not in [0, w^phi)
+            raise ArithmeticError(f"packed product at level {N} does not fit {b}-bit digits")
+        factors.append(CyclotomicInt(N, tuple([(r >> s & mask) - half for s in shifts])))
+    return tuple(factors)
 
 
 def _report(split: str, products, packing, direct: int) -> FactorizationReport:
     product = _total(products, packing[2])
-    factors = tuple(_unpack(p, packing) for p in products)
+    factors = _unpack(products, packing)
     return FactorizationReport(split, factors, product, direct, product == direct)
 
 

@@ -295,6 +295,13 @@ def test_the_split_recheck_gate_answers_shapes_within_the_budget(capsys):
     code, payload = run_cli(capsys, "det", "--group", group,
                             "--assign", ",".join(["1"] + ["0"] * 2047))
     assert code == 0 and payload["det"] == "1"
+    # Z/390 = 2 x 3 x 5 x 13 is square-free, so K = G: its 16 blocks need
+    # 2 * 9 * 65 * 1729 = 2,022,930 steps, where the cheapest single prime, 2, needed
+    # 14,829,750; det(2 + g) = prod_k (2 + zeta^k) = 2^390 - 1 at even order
+    ensure_tables((390,))
+    code, payload = run_cli(capsys, "det", "--group", "390",
+                            "--assign", ",".join(["2", "1"] + ["0"] * 388))
+    assert code == 0 and payload["det"] == str(2**390 - 1)
 
 
 def test_verify_without_a_known_exponent_names_h(capsys):

@@ -1,6 +1,7 @@
 import ast
 import random
-from math import gcd
+from itertools import product
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ from groupdet import (
     make_group,
     root_power,
 )
-from groupdet.determinant import _split_blocks, _split_prime, _split_table
+from groupdet.determinant import _split_along, _split_blocks, _split_table
 from groupdet.groups import translation_is_even
 from oracles import (cofactor_det, cyclotomic_poly, fraction_det, naive_group_det,
                      naive_group_matrix, poly_mul, poly_reduced, subgroup_factor)
@@ -173,10 +174,11 @@ def test_inversion_relabel_preserves_value():
 
 
 # G[2] of rank l = 0 to 4, a direct factor or not (8, 16, 4x4, 8x2, 2x2x3); G[p] for p = 3,
-# 5 and 7 of rank 1 to 3, a direct factor or not (9, 27, 25, 3x9, 21)
+# 5 and 7 of rank 1 to 3, a direct factor or not (9, 27, 25, 3x9, 21); two or three primes at
+# once, of rank 1 or 2 each (6, 10, 12, 15, 21, 30, 2x2x3, 2x3x3, 3x4, 6x6, 2x15)
 SPLIT_SHAPES = [(1,), (2,), (2, 2), (2, 2, 2, 2), (8,), (16,), (4, 4), (8, 2), (2, 2, 3), (15,),
                 (3, 3), (4, 2), (6,), (9,), (27,), (25,), (3, 9), (5, 5), (3, 3, 3), (2, 3, 3),
-                (21,)]
+                (21,), (10,), (12,), (30,), (3, 4), (6, 6), (2, 15)]
 SMALL = st.integers(-3, 3)
 HUGE = st.integers(-(2**80), 2**80)
 
@@ -209,70 +211,98 @@ def test_split_determinant_matches_full_elimination_and_the_oracles(point):
         assert det == 0
 
 
+def primes_of(n):
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % r for r in range(2, p))]
+
+
 @pytest.mark.parametrize("orders", SPLIT_SHAPES)
 def test_split_table_has_one_cell_per_pair_of_transversal_elements(orders):
-    _, p, along = _split_prime(orders)
-    rank = len(along)
-    cells, lines = _split_table(orders, p, along)
-    m = p**rank
+    _, along = _split_along(orders)
+    cells, rounds, lines = _split_table(orders, along)
+    m = prod(p ** len(positions) for p, positions in along)
     n = make_group(orders).order // m
-    assert along == tuple(i for i, k in enumerate(orders) if k % p == 0)
+    assert sorted(rounds) == sorted(p for p, positions in along for _ in positions)
     assert len(cells) == n * n * m
-    # every cell (i, i) holds the elements of K = G[p], the identity first
+    # every cell (i, i) holds the elements of K = (+)_p G[p], those that the product of the
+    # primes kills, the identity first
     g = make_group(orders)
+    rad = prod(p for p, _ in along)
     members = [index_of(g, e) for e in enumerate_elements(g)
-               if all(p * c % k == 0 for c, k in zip(e, orders))]
+               if all(rad * c % k == 0 for c, k in zip(e, orders))]
     for i in range(n):
         diagonal = cells[(i * n + i) * m:(i * n + i + 1) * m]
         assert diagonal[0] == 0 and sorted(diagonal) == members
-    # B_1, then one block per line of F_p^rank
-    assert len(lines) == 1 + (m - 1) // (p - 1)
+    # one block per choice of the trivial character or a line of F_p^l_p at each prime
+    assert len(lines) == prod(1 + (p ** len(positions) - 1) // (p - 1) for p, positions in along)
 
 
-# the prime of fewest elimination steps |T|^3 (1 + (p^l - 1)(p - 1)^2), ties to the smaller;
-# None where K is trivial
+# K spans the torsion of every prime dividing |G|: the split along all of them at once needs no
+# more elimination steps than the cheapest split along one prime, `prime` (ties to the smaller),
+# and fewer where |G| has another prime; None where K is trivial
 @pytest.mark.parametrize("orders,prime", [
     ((15,), 3), ((3, 3), 3), ((9,), 3), ((27,), 3), ((3, 9), 3), ((21,), 3), ((2, 3, 3), 3),
     ((25,), 5), ((5, 5), 5), ((7,), 7), ((2, 2, 3), 2), ((6,), 2), ((10,), 2), ((12,), 2),
     ((4, 2), 2), ((16,), 2), ((2, 2, 2, 2), 2), ((1,), None)])
 def test_the_split_prime_needs_the_fewest_elimination_steps(orders, prime):
-    _, p, along = _split_prime(orders)
-    assert (p if along else None) == prime
+    steps, along = _split_along(orders)
+    dim = prod(orders)
+    primes = primes_of(dim)
+    assert along == tuple((p, tuple(i for i, n in enumerate(orders) if n % p == 0))
+                          for p in primes)
+
+    def one_prime(p):
+        l = sum(n % p == 0 for n in orders)
+        return (dim // p**l) ** 3 * (1 + (p**l - 1) * (p - 1) ** 2)
+
+    assert min(primes, key=lambda p: (one_prime(p), p), default=None) == prime
+    if len(primes) > 1:
+        assert steps < one_prime(prime)
+    else:
+        assert steps == (one_prime(prime) if prime else 1)
 
 
 # the steps the per-assignment commands hold to the budget of 10^7
 @pytest.mark.parametrize("orders,steps", [
     ((223,), 1 + 222**3), ((211,), 1 + 210**3), ((2,) * 11, 2048), ((5, 5), 385), ((9,), 243),
-    ((2000,), 2 * 1000**3), ((1,), 1)])
+    ((2000,), 1_040_000_000), ((1,), 1), ((15,), 585), ((12,), 144), ((2, 2, 3), 36),
+    ((2, 3, 3), 66), ((30,), 1170), ((6, 6), 132), ((390,), 2_022_930)])
 def test_the_split_prime_counts_its_elimination_steps(orders, steps):
-    assert _split_prime(orders)[0] == steps
+    assert _split_along(orders)[0] == steps
 
 
-@pytest.mark.parametrize("orders", [(9,), (15,), (3, 3), (2, 3, 3)])
+@pytest.mark.parametrize("orders", [(9,), (15,), (3, 3), (2, 3, 3), (6,), (12,), (2, 2, 3), (30,)])
 def test_each_block_is_the_product_of_the_subgroup_factors_of_its_line(orders):
-    # the block of line c has determinant prod_u det_(G/K)(y_psi) over psi = psi_c^u, u = 1,
-    # ..., p - 1, psi_c(kappa) = zeta_p^<c, kappa>; B_1 is the factor of psi = 1
+    # the block of a choice of the trivial character or a line c_p at each prime p has
+    # determinant prod det_(G/K)(y_psi) over psi = (x)_p psi_p, psi_p = psi_(c_p)^(u_p) for
+    # u_p = 1, ..., p - 1 and psi_c(kappa) = zeta_p^<c, kappa_p>, or psi_p = 1 for the
+    # trivial choice; the block of the trivial choice at every prime is the factor of psi = 1
     g = make_group(orders)
-    _, p, along = _split_prime(orders)
-    _, lines = _split_table(orders, p, along)
+    _, along = _split_along(orders)
+    _, _, lines = _split_table(orders, along)
+    rad = prod(p for p, _ in along)
     members = [index_of(g, e) for e in enumerate_elements(g)
-               if all(p * c % k == 0 for c, k in zip(e, orders))]
+               if all(rad * c % k == 0 for c, k in zip(e, orders))]
     phi = cyclotomic_poly(g.exponent)
     rng = random.Random(53)
     points = [(1,) * g.order, tuple(range(g.order))]
     points += [tuple(rng.randint(-3, 3) for _ in range(g.order)) for _ in range(3)]
     for xs in points:
-        blocks = list(_split_blocks(g, xs, p, along))
+        blocks = list(_split_blocks(g, xs, along))
         assert len(blocks) == len(lines)
-        for (c, *_), rows in zip(lines, blocks):
-            product = [1]
-            for u in range(1, p) if any(c) else [0]:
-                chi = [0] * len(orders)
-                for i, ci in zip(along, c):
-                    chi[i] = u * ci
-                product = poly_reduced(poly_mul(product, subgroup_factor(orders, members, chi, xs)),
-                                       phi)
-            assert product == [bareiss_det(rows)] + [0] * (len(phi) - 2)
+        for (chosen, *_), rows in zip(lines, blocks):
+            factor = [1]
+            powers = [range(1, p) if any(c) else [0] for (p, _), c in zip(along, chosen)]
+            for us in product(*powers):
+                # chi on factor i has exponent u_p c_p,i mod p for each prime p of its order
+                residues = [{} for _ in orders]
+                for (p, positions), c, u in zip(along, chosen, us):
+                    for i, ci in zip(positions, c):
+                        residues[i][p] = u * ci % p
+                chi = [next(a for a in range(n) if all(a % p == r for p, r in res.items()))
+                       for n, res in zip(orders, residues)]
+                factor = poly_reduced(poly_mul(factor, subgroup_factor(orders, members, chi, xs)),
+                                      phi)
+            assert factor == [bareiss_det(rows)] + [0] * (len(phi) - 2)
 
 
 # K = <2> in Z/4, <4> in Z/8 and <(0, 2)> in 4x4, where it is not G[2]: the 2-torsion of one
@@ -290,7 +320,7 @@ def test_blocks_along_a_k_that_is_not_a_direct_factor_are_its_subgroup_factors(o
     # restriction of the character of exponent 1 on factor i
     chis = [(0,) * len(orders), tuple(int(j == i) for j in range(len(orders)))]
     width = len(cyclotomic_poly(g.exponent)) - 1
-    blocks = list(_split_blocks(g, xs, 2, along))
+    blocks = list(_split_blocks(g, xs, ((2, along),)))
     assert len(blocks) == 2
     for chi, rows in zip(chis, blocks):
         factor = subgroup_factor(orders, [index_of(g, generator)], chi, xs)

@@ -336,7 +336,7 @@ def test_recheck_blocks_are_the_sign_twists_of_the_last_factors_in_character_ord
     else:
         expected = [fraction_det(naive_group_matrix(h_orders, ys)) for ys in sign_twists(l, xs)]
     last = tuple(range(len(h_orders), len(g.orders)))
-    assert [bareiss_det(rows) for rows in _split_blocks(g, xs, 2, last)] == expected
+    assert [bareiss_det(rows) for rows in _split_blocks(g, xs, ((2, last),))] == expected
     # verify's re-check reads these blocks: it passes on them and raises on any other factors
     groupdet.divisibility._recheck(h_orders, l, xs, expected)
     with pytest.raises(ArithmeticError):

@@ -30,7 +30,7 @@ from groupdet import (
 )
 from groupdet.characters import restriction
 from groupdet.cyclotomic import cyclotomic_polynomial
-from groupdet.factorization import FactorizationReport, _packed_products, _power_bound
+from groupdet.factorization import FactorizationReport, _packed_products, _power_bound, _unpack
 from groupdet.norms import norm_factors
 from oracles import cofactor_det, naive_group_det, naive_group_matrix, sign_twists
 
@@ -391,3 +391,20 @@ def test_packed_factor_width_tight_end(B):
     for rep in (laquer_factors(5, 2, x), direct_product_factors(h, k, x)):
         assert [f.to_integer() for f in rep.factors] == [B**5, B**5]
         assert rep.product == rep.direct_det == B**10 and rep.match
+
+
+@pytest.mark.parametrize("N,b", [(1, 5), (5, 3), (12, 4), (15, 7)])
+def test_unpack_reads_exactly_the_phi_digit_range(N, b):
+    # phi balanced base-w digits in [-w/2, w/2) reach from -(w/2) S to (w/2 - 1) S,
+    # S = (w^phi - 1)/(w - 1); one past either end leaves a digit over and raises. q is built
+    # by hand, odd and past twice either end, so every residue here is its own symmetric one
+    phi = len(cyclotomic_polynomial(N)) - 1
+    w, half = 1 << b, 1 << b - 1
+    ones = (w**phi - 1) // (w - 1)
+    q = (1 << b * (phi + 2)) + 1
+    packing = (N, b, q)
+    low, high = _unpack([-half * ones % q, (half - 1) * ones % q], packing)
+    assert low.coeffs == (-half,) * phi and high.coeffs == (half - 1,) * phi
+    for r in (-half * ones - 1, (half - 1) * ones + 1):
+        with pytest.raises(ArithmeticError):
+            _unpack([r % q], packing)

@@ -92,9 +92,9 @@ def test_each_slot_is_the_factor_of_its_restriction(data):
     products, packing = _packed_products(make_group(orders), x, slots)
     assert len(products) == max(slots) + 1
     chars = enumerate_elements(make_group(orders))  # exponent tuples, in character order
-    for i, packed in enumerate(products):
+    for i, factor in enumerate(_unpack(products, packing)):
         chi = chars[slots.index(i)]
-        assert list(_unpack(packed, packing).coeffs) == subgroup_factor(orders, members, chi, x)
+        assert list(factor.coeffs) == subgroup_factor(orders, members, chi, x)
 
 
 def galois_orbit(orders, a):
