@@ -189,8 +189,9 @@ JOBS_HELP = (
 
 def _add_common_box_flags(sub) -> None:
     sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                     help="bound on the box size, on the |G|^3 steps of a Bareiss re-check and "
-                          f"on the pruning tables (default {DEFAULT_BUDGET})")
+                     help="bound on the box size, on the |G|^2 tables and the steps of the split "
+                          "re-check of one point, and on the pruning tables "
+                          f"(default {DEFAULT_BUDGET})")
     sub.add_argument("--force", action="store_true",
                      help="run even when the box exceeds the budget")
 

@@ -6,7 +6,7 @@ internal division is an exact integer division, and each one is checked.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, product, repeat
 from math import prod
 from operator import add, itemgetter, sub
@@ -53,20 +53,18 @@ def box_size(dim: int, box: int) -> int:
     return (2 * box + 1) ** dim
 
 
-def ensure_budget(dim: int, box: int, budget: int, force: bool) -> int:
-    """Size of the box, raising when it or dim^3, the steps of the Bareiss
-    re-check of one point of a group of order dim (more than its dim^2
-    tables), exceeds the budget and force is off; dim^3 goes first, as
-    (2*box+1)^dim of a huge group takes long to compute."""
-    if not force and dim**3 > budget:
-        raise BudgetExceededError(
-            f"a group of order {dim} needs {dim**3} steps to re-check one point by Bareiss "
-            f"elimination, over the budget of {budget}"
-        )
-    total = box_size(dim, box)
+def ensure_budget(orders: tuple[int, ...], box: int, budget: int, force: bool) -> int:
+    """Size of the box of a group of these factor orders, raising when its
+    tables or the split re-check of one point (ensure_tables) or the box
+    exceed the budget and force is off; the tables go first, as
+    (2*box+1)^|G| of a huge group takes long to compute."""
+    if not force:
+        ensure_tables(orders, budget)
+    total = box_size(prod(orders), box)
     if not force and total > budget:
         raise BudgetExceededError(
-            f"box [-{box}, {box}]^{dim} needs {total} evaluations, over the budget of {budget}"
+            f"box [-{box}, {box}]^{prod(orders)} needs {total} evaluations, over the budget "
+            f"of {budget}"
         )
     return total
 
@@ -408,14 +406,166 @@ def group_determinant(group: AbelianGroup, values: Sequence):
 
     The argument holds for any K of square-free exponent, a direct sum of
     subgroups of prime exponent. The blocks come from _split_blocks; a
-    block of determinant 0 ends the product."""
+    block of determinant 0 ends the product. Each shape runs its kernel
+    (_kernel): straight-line code for these blocks up to KERNEL_SIZE, else
+    _split_blocks and _eliminate_int."""
+    vals = check_assignment(group, values)
+    kernel = _KERNELS.get(group.orders) or _kernel(group)
+    return kernel(vals)
+
+
+# The largest shape that _kernel compiles, counted as the terms of its
+# blocks' linear forms, entries times |K|, plus the elimination steps of its
+# split (_split_along), which bound its unrolled eliminators. Compiling
+# takes about 8 us a step on a 2-vCPU host, so the costliest kernel below
+# it, Z/13's (3,614), takes about 20 ms to build, while a call saves a few
+# to a few hundred us. (Z/2)^6 (4,160), Z/21 (5,838), Z/30, (Z/2)^11, Z/211
+# and Z/390 are above it.
+KERNEL_SIZE = 1 << 12
+_KERNELS: dict = {}
+
+
+def _kernel_size(orders: tuple[int, ...]) -> int:
+    steps, along = _split_along(orders)
+    lines = _split_table(orders, along)[2]
+    entries = sum(width * len(starts) for _, width, starts, _ in lines)
+    return entries * prod(p ** len(positions) for p, positions in along) + steps
+
+
+def _kernel(group: AbelianGroup):
+    """The determinant of a checked assignment of this shape, cached in
+    _KERNELS: compiled from _kernel_source(_block_forms(group)) when
+    _kernel_size is at most KERNEL_SIZE, else the product over the blocks
+    of _split_blocks of their _eliminate_int determinants."""
+    orders = group.orders
+    if _kernel_size(orders) <= KERNEL_SIZE:
+        kernel = _compile_kernel(_block_forms(group))
+    else:
+        kernel = partial(_split_determinant, group, _split_along(orders)[1])
+    _KERNELS[orders] = kernel
+    return kernel
+
+
+def _split_determinant(group: AbelianGroup, along: tuple, vals: tuple):
     det = 1
-    for rows in _split_blocks(group, values, _split_along(group.orders)[1]):
+    for rows in _split_blocks(group, vals, along):
         d = _eliminate_int(rows, len(rows))
         if not d:
             return 0
         det *= d
     return det
+
+
+def _block_forms(group: AbelianGroup) -> list:
+    """The blocks of _split_blocks, in its order, as rows of linear forms of
+    the assignment x, each form the ((k, c), ...) of the nonzero
+    coefficients c of x_k, k ascending: read by linearity off the blocks
+    of the |G| unit vectors, so that the transform stays the one
+    definition of the split."""
+    along = _split_along(group.orders)[1]
+    dim = group.order
+    units = [list(_split_blocks(group, [int(i == k) for i in range(dim)], along))
+             for k in range(dim)]
+    return [[[tuple((k, rows[i][j]) for k, rows in enumerate(block) if rows[i][j])
+              for j in range(len(block[0]))] for i in range(len(block[0]))]
+            for block in zip(*units)]
+
+
+def _compile_kernel(forms: list):
+    """kernel(x) of _kernel_source(forms), with the eliminators it calls."""
+    sizes = {len(rows) for rows in forms if len(rows) > 2}
+    namespace = {"__builtins__": {}, **{f"_E{n}": _eliminator(n) for n in sizes}}
+    exec(_kernel_source(forms), namespace)
+    return namespace["kernel"]
+
+
+def _form_source(form: tuple) -> str:
+    """x0 + x3 - 2 * x5 for ((0, 1), (3, 1), (5, -2)); 0 for ()."""
+    terms = "".join(f" {'-' if c < 0 else '+'} {f'{abs(c):d} * ' if abs(c) != 1 else ''}x{k:d}"
+                    for k, c in form)
+    return (terms[3:] if terms[1] == "+" else f"-{terms[3:]}") if terms else "0"
+
+
+def _kernel_source(forms: list) -> str:
+    """Straight-line source of kernel(x), the product of the determinants of
+    the blocks whose entries are forms (_block_forms), in their order, 0 at
+    the first block of determinant 0: a block of size 1 is its form, one of
+    size 2 its closed form a d - b c, and a larger one of size n goes to the
+    eliminator _En with its entries row by row. Each form is evaluated once,
+    into f0, f1, ... where a block first reads it or its negative. x holds
+    one value per index the forms read, which is every element: B_1 sums
+    them all. The source holds only integer literals and fixed
+    identifiers."""
+    dim = 1 + max(k for rows in forms for row in rows for form in row for k, _ in form)
+    lines = [f"{', '.join(f'x{k:d}' for k in range(dim))}, = x", "det = 1"]
+    names: dict[tuple, str] = {}
+    for rows in forms:
+        entries = []
+        for form in chain.from_iterable(rows):
+            negative = tuple((k, -c) for k, c in form)
+            if negative in names:
+                entries.append((-1, names[negative]))
+            elif form:
+                if form not in names:
+                    names[form] = f"f{len(names):d}"
+                    lines.append(f"{names[form]} = {_form_source(form)}")
+                entries.append((1, names[form]))
+            else:
+                entries.append((1, "0"))
+        n = len(rows)
+        if n == 1:
+            ((s, a),) = entries
+            value = "-" * (s < 0) + a
+        elif n == 2:
+            (sa, a), (sb, b), (sc, c), (sd, d) = entries
+            value = f"{'-' * (sa * sd < 0)}{a} * {d} {'-+'[sb * sc < 0]} {b} * {c}"
+        else:
+            value = f"_E{n:d}({', '.join('-' * (s < 0) + a for s, a in entries)})"
+        lines += [f"d = {value}", "if not d:", "    return 0", "det *= d"]
+    return "".join(["def kernel(x):\n", *(f"    {line}\n" for line in lines), "    return det\n"])
+
+
+@lru_cache(maxsize=None)
+def _eliminator(n: int):
+    """Bareiss elimination of an n x n int matrix given row by row as
+    straight-line code (_eliminator_source), shared by every shape with a
+    block of size n."""
+    namespace = {"__builtins__": {}, "_eliminate_int": _eliminate_int,
+                 "ArithmeticError": ArithmeticError}
+    exec(_eliminator_source(n), namespace)
+    return namespace["eliminate"]
+
+
+def _eliminator_source(n: int) -> str:
+    """Source of eliminate(a0, a1, ...), the entries of an n x n matrix row
+    by row, the steps of _eliminate_int unrolled: step k, under the test
+    that its pivot is nonzero, takes entry (i, j), i and j above k, to
+    (m_ij m_kk - m_ik m_kj) / p, p the pivot of step k - 1, in place (m is
+    a before step 0), the division (from k = 1 on) exact or
+    ArithmeticError. A zero pivot falls through to the one call of
+    _eliminate_int on the a's, which swaps rows. The n - 1 nested tests stay
+    under the parser's 100 indentation levels: n^3 <= KERNEL_SIZE."""
+    a = [f"a{i:d}" for i in range(n * n)]
+    m = [f"m{i:d}" for i in range(n * n)]
+    lines = []
+    cur, prev = a, None
+    for k in range(n - 1):
+        pivot, indent = cur[k * n + k], "    " * k
+        lines.append(f"{indent}if {pivot}:")
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = f"{cur[i * n + j]} * {pivot} - {cur[i * n + k]} * {cur[k * n + j]}"
+                if prev is None:
+                    lines.append(f"{indent}    {m[i * n + j]} = {num}")
+                else:
+                    lines += [f"{indent}    t = {num}", f"{indent}    if t % {prev}:",
+                              f"{indent}        raise ArithmeticError("
+                              "'fraction-free elimination: inexact division')",
+                              f"{indent}    {m[i * n + j]} = t // {prev}"]
+        cur, prev = m, pivot
+    rows = ", ".join(f"[{', '.join(a[i:i + n])}]" for i in range(0, n * n, n))
+    lines += [f"{'    ' * (n - 1)}return {m[-1]}", f"return _eliminate_int([{rows}], {n:d})"]
+    return "".join([f"def eliminate({', '.join(a)}):\n", *(f"    {line}\n" for line in lines)])
 
 
 def circulant_det(n: int, xs: Sequence):

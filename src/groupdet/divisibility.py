@@ -250,7 +250,7 @@ def run_divisibility_suite(
         )
     exp = bound_exponent(H, l, exponent)
     G = direct_product(H, AbelianGroup((2,) * l))
-    ensure_budget(G.order, box, budget, force)
+    ensure_budget(G.orders, box, budget, force)
     maps = pruning_maps(G.orders, box, budget, force, split=l)
     plan = orbit_plan(G.orders, box)
     parts = map_shards(_suite_shard, (H.orders, l, box, exp, maps), plan, box, maps, jobs)

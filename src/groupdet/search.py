@@ -223,7 +223,7 @@ def search_values(
 
     if value_cap is not None and value_cap < 0:
         raise ValueError(f"value_cap must be at least 0, got {value_cap}")
-    ensure_budget(group.order, box, budget, force)
+    ensure_budget(group.orders, box, budget, force)
     maps = pruning_maps(group.orders, box, budget, force) if prune else ()
     plan = scan_plan(group.orders, box, maps, budget)
     parts = map_shards(_search_shard, (group.orders, box, value_cap, maps, budget), plan, box, maps,
@@ -257,7 +257,7 @@ def revalidate(report: SearchReport, budget: int = DEFAULT_BUDGET) -> None:
     Bareiss re-check of one point exceeds the budget raises
     BudgetExceededError first."""
     group = report.group
-    ensure_budget(group.order, 0, budget, False)
+    ensure_budget(group.orders, 0, budget, False)
     for v in sorted(report.achieved):
         w = report.achieved[v]
         if max(map(abs, w)) > report.box:
@@ -284,7 +284,7 @@ def find_witness(
     from .boxes import orderly_scan, pruning_maps
     from .norms import orbit_plan
 
-    total = ensure_budget(group.order, box, budget, force)
+    total = ensure_budget(group.orders, box, budget, force)
     maps = pruning_maps(group.orders, box, budget, force)
     plan = orbit_plan(group.orders, box)
     for prefix, suffixes, ds in orderly_scan(plan, box, maps, range(total)):

@@ -362,10 +362,11 @@ def test_group_tables_count_against_the_budget():
     with pytest.raises(BudgetExceededError, match="order 143"):
         find_witness(g, 0, 1, budget=20_000)
     assert _build_plan.cache_info().misses == misses
-    # one point still pays the |G|^3 Bareiss re-check of its witness
-    with pytest.raises(BudgetExceededError, match="order 12 needs 1728 steps"):
-        find_witness(make_group(12), 0, 0, budget=1727)
-    assert find_witness(make_group(12), 0, 0, budget=1728) == (0,) * 12
+    # one point still pays the split re-check of its witness: 1 + 12^3 steps for Z/13,
+    # over its 13^2 table entries
+    with pytest.raises(BudgetExceededError, match="order 13 needs 1729 steps"):
+        find_witness(make_group(13), 0, 0, budget=1728)
+    assert find_witness(make_group(13), 0, 0, budget=1729) == (0,) * 13
 
 
 def test_group_tables_are_refused_before_the_box_size(monkeypatch):
@@ -375,6 +376,6 @@ def test_group_tables_are_refused_before_the_box_size(monkeypatch):
 
     monkeypatch.setattr(groupdet.determinant, "box_size", unreachable)
     with pytest.raises(BudgetExceededError, match="order 10000000"):
-        ensure_budget(10**7, 1, 10**7, False)
+        ensure_budget((10**7,), 1, 10**7, False)
     with pytest.raises(BudgetExceededError, match="order 10000000"):
         search_values(make_group(10**7), 1)

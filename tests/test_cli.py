@@ -378,16 +378,17 @@ def test_group_order_squared_counts_against_the_budget(capsys, tmp_path, monkeyp
 
 
 @pytest.mark.parametrize("argv,budget,message", [
-    (("search", "--group", "12", "--box", "0", "--out", "unused.json"),
-     1000, "order 12 needs 1728"),
-    (("witness", "--group", "12", "--box", "0", "--target", "0"),
-     1000, "order 12 needs 1728"),
-    (("verify", "--suite", "theorem2", "--H", "2", "--l", "2", "--box", "0"),
-     500, "order 8 needs 512"),
+    (("search", "--group", "13", "--box", "0", "--out", "unused.json"),
+     1000, "order 13 needs 1729"),
+    (("witness", "--group", "13", "--box", "0", "--target", "0"),
+     1000, "order 13 needs 1729"),
+    (("verify", "--suite", "theorem2", "--H", "16", "--l", "1", "--box", "0"),
+     2000, "order 32 needs 2048"),
 ])
 def test_bareiss_recheck_counts_against_the_budget(capsys, tmp_path, monkeypatch, argv, budget,
                                                    message):
-    # the |G|^2 tables fit the budget, but one Bareiss re-check takes |G|^3 steps
+    # the |G|^2 tables fit the budget, but one split re-check takes more steps: 1 + 12^3
+    # for Z/13, and 8^3 * 4 for 16x2 (K = G[2] of rank 2)
     monkeypatch.chdir(tmp_path)
     code, payload = run_cli(capsys, *argv, "--budget", str(budget))
     assert code == 2
@@ -395,6 +396,17 @@ def test_bareiss_recheck_counts_against_the_budget(capsys, tmp_path, monkeypatch
     assert not (tmp_path / "unused.json").exists()
     code, payload = run_cli(capsys, *argv, "--budget", str(budget), "--force")
     assert code == 0
+
+
+def test_search_gates_on_the_split_recheck_not_on_order_cubed(capsys, tmp_path):
+    # Z/390's re-check needs 2,022,930 steps, under the budget that 390^3 = 59,319,000 was over
+    out = str(tmp_path / "r.json")
+    code, payload = run_cli(capsys, "search", "--group", "390", "--box", "0", "--out", out)
+    assert code == 0
+    code, det = run_cli(capsys, "det", "--group", "390", "--assign", ",".join(["0"] * 390))
+    assert code == 0
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert [entry["v"] for entry in report["values"]] == [det["det"]] == ["0"]
 
 
 def test_one_point_of_a_huge_group_is_refused_at_once(capsys, tmp_path):
@@ -449,6 +461,25 @@ def test_arithmetic_error_is_reported_as_json(capsys, monkeypatch):
     assert code == 2
     assert payload["status"] == "error"
     assert "inexact division" in payload["message"]
+
+
+def test_a_corrupted_kernel_fails_the_cross_checks(capsys, monkeypatch):
+    # one sign swapped in one form of 4x2's compiled kernel: dedekind's product no longer
+    # matches, and search's re-check raises at a witness it reports
+    from groupdet import determinant, make_group, search_values
+
+    group = make_group((4, 2))
+    witnesses = set(search_values(group, 1, jobs=1).achieved.values())
+    forms = determinant._block_forms(group)
+    (k, c), *rest = forms[-1][0][0]
+    forms[-1][0][0] = ((k, -c), *rest)
+    monkeypatch.setitem(determinant._KERNELS, group.orders, determinant._compile_kernel(forms))
+    code, payload = run_cli(capsys, "dedekind", "--group", "4x2", "--assign", "1,2,0,1,0,0,1,0")
+    assert code == 1
+    assert payload["match"] is False and payload["det"] != payload["direct_det"]
+    with pytest.raises(ArithmeticError, match="Bareiss") as info:
+        search_values(group, 1, jobs=1)
+    assert any(str(list(w)) in str(info.value) for w in witnesses)
 
 
 @pytest.mark.parametrize("command", ["search", "verify"])

@@ -1,5 +1,6 @@
 import ast
 import random
+from functools import partial
 from itertools import product
 from math import gcd, prod
 from pathlib import Path
@@ -20,7 +21,8 @@ from groupdet import (
     make_group,
     root_power,
 )
-from groupdet.determinant import _split_along, _split_blocks, _split_table
+from groupdet.determinant import (KERNEL_SIZE, _block_forms, _eliminator, _kernel_size,
+                                  _KERNELS, _split_along, _split_blocks, _split_table)
 from groupdet.groups import translation_is_even
 from oracles import (cofactor_det, cyclotomic_poly, fraction_det, naive_group_det,
                      naive_group_matrix, poly_mul, poly_reduced, subgroup_factor)
@@ -175,7 +177,8 @@ def test_inversion_relabel_preserves_value():
 
 # G[2] of rank l = 0 to 4, a direct factor or not (8, 16, 4x4, 8x2, 2x2x3); G[p] for p = 3,
 # 5 and 7 of rank 1 to 3, a direct factor or not (9, 27, 25, 3x9, 21); two or three primes at
-# once, of rank 1 or 2 each (6, 10, 12, 15, 21, 30, 2x2x3, 2x3x3, 3x4, 6x6, 2x15)
+# once, of rank 1 or 2 each (6, 10, 12, 15, 21, 30, 2x2x3, 2x3x3, 3x4, 6x6, 2x15). 21, 25, 27,
+# 30 and 2x15 are over KERNEL_SIZE, so group_determinant runs the transform there
 SPLIT_SHAPES = [(1,), (2,), (2, 2), (2, 2, 2, 2), (8,), (16,), (4, 4), (8, 2), (2, 2, 3), (15,),
                 (3, 3), (4, 2), (6,), (9,), (27,), (25,), (3, 9), (5, 5), (3, 3, 3), (2, 3, 3),
                 (21,), (10,), (12,), (30,), (3, 4), (6, 6), (2, 15)]
@@ -209,6 +212,40 @@ def test_split_determinant_matches_full_elimination_and_the_oracles(point):
     assert det == oracle(orders, xs)
     if sum(xs) == 0:
         assert det == 0
+
+
+@pytest.mark.parametrize("orders", SPLIT_SHAPES)
+def test_shapes_up_to_the_kernel_size_run_a_compiled_kernel(orders):
+    g = make_group(orders)
+    group_determinant(g, (0,) * g.order)
+    compiled = not isinstance(_KERNELS[orders], partial)
+    assert compiled == (_kernel_size(orders) <= KERNEL_SIZE)
+    assert compiled == (orders not in [(21,), (25,), (27,), (30,), (2, 15)])
+
+
+@pytest.mark.parametrize("orders", [(4, 4), (15,), (12,), (9,)])
+def test_a_zero_pivot_hands_the_block_to_eliminate_int(monkeypatch, orders):
+    # blocks of size 3 and more go to an unrolled eliminator; the indicator of element 1
+    # makes it meet a zero pivot, at once where 1 lies outside K (a zero diagonal)
+    g = make_group(orders)
+    calls = []
+    for n in {len(rows) for rows in _block_forms(g)} - {1, 2}:
+        namespace = _eliminator(n).__globals__
+
+        def counted(rows, size, inner=namespace["_eliminate_int"]):
+            calls.append(size)
+            return inner(rows, size)
+
+        monkeypatch.setitem(namespace, "_eliminate_int", counted)
+    xs = (0, 1) + (0,) * (g.order - 2)
+    det = group_determinant(g, xs)
+    assert calls
+    assert det == fraction_det(naive_group_matrix(orders, xs))
+    # a sparse point with a zero pivot deeper in: agrees with the oracle too
+    rng = random.Random(59)
+    for _ in range(20):
+        xs = tuple(rng.choice([0, 0, 0, 1, -1]) for _ in range(g.order))
+        assert group_determinant(g, xs) == fraction_det(naive_group_matrix(orders, xs))
 
 
 def primes_of(n):
